@@ -3,10 +3,13 @@
 Each predicate searches a combinatorial spectrum (total weights of star
 products over colorings and bijections) for a polynomial whose coefficients
 certify the property, and returns a :class:`Verdict` carrying the witness.
-All searches run in a fixed lexicographic order (colorings first, bijections
-second, identity bijection first) and short-circuit on the first witness, so
-results are fully deterministic; pass ``exhaustive=True`` to count every
-witness instead.
+Every search goes through :func:`scan`, which visits one bijection per orbit
+of a symmetry group that leaves the verdict unchanged: the identity alone for
+the reader gadgets, one bijection per tail set for domination.  Scans run in
+a fixed lexicographic order (colorings first, bijections second) and
+short-circuit on the first witness, which is also the first witness of the
+full n! scan, so results are fully deterministic; pass ``exhaustive=True`` to
+count every witness instead.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ from .gadgets import (
     cover_reader,
     degree_reader,
     distance_weighting,
+    domination_pair_maps,
     domination_probe,
     edge_indicator,
+    identity_pair_maps,
     indicator,
     pair_reader,
     star_indicator,
@@ -63,6 +68,7 @@ __all__ = [
     "hamiltonian_number",
     "decode_edge_roman",
     "dominating_set_of",
+    "scan",
 ]
 
 
@@ -132,28 +138,39 @@ def _dense_x_constants(p: RingElem, size: int) -> list[tuple[int, int]]:
     return out
 
 
-def _search(
-    left_members: Iterable[WeightedCompleteGraph],
-    right: WeightedCompleteGraph,
-    n: int,
+def scan(
+    members: Iterable[WeightedCompleteGraph],
+    gadget: WeightedCompleteGraph,
+    reps: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
     accept: Callable[[WeightedCompleteGraph, RingElem], bool],
-    limits: Limits,
-    exhaustive: bool,
-    stats: SearchStats,
+    limits: Limits = DEFAULT_LIMITS,
+    exhaustive: bool = False,
+    stats: SearchStats | None = None,
 ):
-    """Scan s(H *_f right) over members H and bijections f in lex order."""
-    maps = bijection_pair_maps(n)
+    """Scan s(H *_f gadget) over members H and the ``(f, pair map)`` entries
+    of ``reps``, members outermost, both in the given order.
+
+    ``reps`` holds one bijection per orbit of a group under which ``accept``
+    is invariant, the orbits splitting all n! bijections into ``len(reps)``
+    equal parts; ``bijection_pair_maps(n)`` is the full scan.  Returns
+    ``(first, witnesses)``: the first accepted ``(h, f, p)`` or None, and the
+    accepted bijections, each accepted entry counting for its whole orbit.
+    Without ``exhaustive`` the scan stops at the first witness.
+    """
+    if stats is None:
+        stats = SearchStats()
+    orbit = math.factorial(gadget.n) // len(reps)
     first = None
     count = 0
-    for h in left_members:
+    for h in members:
         stats.members += 1
-        for f, pmap in maps:
-            p = star_sum(h, right, pmap)
+        for f, pmap in reps:
+            p = star_sum(h, gadget, pmap)
             stats.bijections += 1
             if not stats.bijections % 4096:
                 limits.check_time()
             if accept(h, p):
-                count += 1
+                count += orbit
                 if first is None:
                     first = (h, f, p)
                 if not exhaustive:
@@ -161,13 +178,14 @@ def _search(
     return first, count
 
 
-def _finish(
-    verdict_parts, stats: SearchStats, exhaustive: bool, t0: float
-) -> Verdict:
-    first, count = verdict_parts
+def _search(members, gadget, reps, accept, limits, exhaustive) -> Verdict:
+    """Run :func:`scan` and turn its outcome into a verdict."""
+    t0 = time.perf_counter()
+    stats = SearchStats()
+    first, witnesses = scan(members, gadget, reps, accept, limits, exhaustive, stats)
     stats.elapsed = time.perf_counter() - t0
     if exhaustive:
-        stats.witnesses = count
+        stats.witnesses = witnesses
     if first is None:
         return Verdict(False, stats=stats)
     h, f, p = first
@@ -216,7 +234,9 @@ def antimagic_weighted(
     return Verdict(False, stats=stats)
 
 
-def _antimagic_accept(n: int, size: int):
+def _antimagic_accept(n: int):
+    size = n + n * (n - 1) // 2
+
     def accept(h: WeightedCompleteGraph, p: RingElem) -> bool:
         coeffs = _dense_x_constants(p, size)
         head = coeffs[:n]
@@ -245,7 +265,6 @@ def antimagic_family(
     pairwise distinct head coefficients whose remaining coefficients cover
     {1..|E|}; |E| is each member's count of nonzero weights.
     """
-    t0 = time.perf_counter()
     n = fam.n
     if n < 2:
         raise PreconditionError("antimagic needs at least two vertices")
@@ -253,12 +272,14 @@ def antimagic_family(
     for h in fam:
         _require_constant_nonneg(h)
     limits.check_steps(len(fam) * math.factorial(n), "antimagic family search")
-    size = n + n * (n - 1) // 2
-    stats = SearchStats()
-    parts = _search(
-        fam, _antimagic_gadget(n), n, _antimagic_accept(n, size), limits, exhaustive, stats
+    return _search(
+        fam,
+        _antimagic_gadget(n),
+        identity_pair_maps(n),
+        _antimagic_accept(n),
+        limits,
+        exhaustive,
     )
-    return _finish(parts, stats, exhaustive, t0)
 
 
 def antimagic_unweighted(
@@ -272,28 +293,30 @@ def antimagic_unweighted(
     product of the indicator with the all-colorings family, an identity the
     verification suite checks on small orders.
     """
-    t0 = time.perf_counter()
     if any(g.degree(v) == 0 for v in range(1, g.n + 1)):
         raise PreconditionError("antimagic needs a graph without isolated vertices")
     m = g.m
     limits.check_n(g.n)
     limits.check_family(m**m, f"{m}-colorings of {m} edges")
     limits.check_steps(m**m * math.factorial(g.n), "antimagic search")
-    size = g.n + g.n * (g.n - 1) // 2
-    stats = SearchStats()
-    parts = _search(
+    return _search(
         iter_colorings(g, integer_palette(m)),
         _antimagic_gadget(g.n),
-        g.n,
-        _antimagic_accept(g.n, size),
+        identity_pair_maps(g.n),
+        _antimagic_accept(g.n),
         limits,
         exhaustive,
-        stats,
     )
-    return _finish(parts, stats, exhaustive, t0)
 
 
 # -- irregular labelings --------------------------------------------------------
+
+
+def _strength_accept(n: int):
+    def accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
+        return len(set(_dense_x_constants(p, n))) == n
+
+    return accept
 
 
 def irregular_weighted(g: WeightedCompleteGraph) -> Verdict:
@@ -325,7 +348,6 @@ def strength_at_most(
     Holds exactly when the irregularity strength is at most k.  Coefficients
     are compared over all n positions, zeros included.
     """
-    t0 = time.perf_counter()
     if k < 1:
         raise PreconditionError("the label bound k must be positive")
     if any(g.degree(v) == 0 for v in range(1, g.n + 1)):
@@ -333,23 +355,14 @@ def strength_at_most(
     limits.check_n(g.n)
     limits.check_family(k**g.m, f"{k}-colorings of {g.m} edges")
     limits.check_steps(k**g.m * math.factorial(g.n), "strength search")
-    n = g.n
-
-    def accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
-        coeffs = _dense_x_constants(p, n)
-        return len(set(coeffs)) == n
-
-    stats = SearchStats()
-    parts = _search(
+    return _search(
         iter_colorings(g, integer_palette(k)),
-        degree_reader(n),
-        n,
-        accept,
+        degree_reader(g.n),
+        identity_pair_maps(g.n),
+        _strength_accept(g.n),
         limits,
         exhaustive,
-        stats,
     )
-    return _finish(parts, stats, exhaustive, t0)
 
 
 # -- local irregularity / 1-2-3 ---------------------------------------------------
@@ -379,6 +392,15 @@ def local_irregular_weighted(g: WeightedCompleteGraph) -> Verdict:
     return Verdict(True, witness_graph=g, stats=stats)
 
 
+def _one_two_three_accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
+    # No nonzero purely imaginary x-coefficient; same test as running
+    # classify() over every coefficient.
+    for (_dx, _dy), (re, im) in p._terms.items():
+        if re == 0 and im != 0:
+            return False
+    return True
+
+
 def one_two_three(
     g: SimpleGraph,
     limits: Limits = DEFAULT_LIMITS,
@@ -390,7 +412,6 @@ def one_two_three(
     when no coefficient of its contrast-reader polynomial is a nonzero purely
     imaginary number (zero coefficients, from absent pairs, are fine).
     """
-    t0 = time.perf_counter()
     orders = component_orders(g)
     if orders[0] < 3:
         raise PreconditionError(
@@ -399,26 +420,14 @@ def one_two_three(
     limits.check_n(g.n)
     limits.check_family(3**g.m, f"3-colorings of {g.m} edges")
     limits.check_steps(3**g.m * math.factorial(g.n), "1-2-3 search")
-
-    def accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
-        # No nonzero purely imaginary x-coefficient; same test as running
-        # classify() over every coefficient.
-        for (_dx, _dy), (re, im) in p._terms.items():
-            if re == 0 and im != 0:
-                return False
-        return True
-
-    stats = SearchStats()
-    parts = _search(
+    return _search(
         iter_colorings(g, integer_palette(3)),
         contrast_reader(g.n),
-        g.n,
-        accept,
+        identity_pair_maps(g.n),
+        _one_two_three_accept,
         limits,
         exhaustive,
-        stats,
     )
-    return _finish(parts, stats, exhaustive, t0)
 
 
 # -- domination -------------------------------------------------------------------
@@ -428,6 +437,16 @@ def dominating_set_of(f: Sequence[int], n: int, k: int) -> frozenset:
     """The candidate dominating set selected by a bijection: the f-image of
     the k tail vertices."""
     return frozenset(f[i - 1] for i in range(n - k + 1, n + 1))
+
+
+def _domination_accept(n: int, k: int):
+    needed = n - k
+
+    def accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
+        present = {dx for (dx, _dy) in p._terms}
+        return len(present) >= needed and all(j in present for j in range(needed))
+
+    return accept
 
 
 def dominating_k(
@@ -440,31 +459,23 @@ def dominating_k(
 
     Searches bijections of the domination probe against the indicator; a
     witness needs every coefficient x^0..x^(n-k-1) nonzero.  Coefficients at
-    x^(n-k) and above are structurally zero and excluded from the test.
+    x^(n-k) and above are structurally zero and excluded from the test.  The
+    verdict depends only on the image of the tail, so one bijection per
+    k-subset is scanned (:func:`domination_pair_maps`).
     """
-    t0 = time.perf_counter()
     n = g.n
     if not 1 <= k <= n - 1:
         raise PreconditionError(f"k must be in 1..{n - 1}, got {k}")
     limits.check_n(n)
     limits.check_steps(math.factorial(n), "domination search")
-    needed = n - k
-
-    def accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
-        present = {dx for (dx, _dy) in p._terms}
-        return len(present) >= needed and all(j in present for j in range(needed))
-
-    stats = SearchStats()
-    parts = _search(
+    return _search(
         (domination_probe(k, n),),
         indicator(g),
-        n,
-        accept,
+        domination_pair_maps(k, n),
+        _domination_accept(n, k),
         limits,
         exhaustive,
-        stats,
     )
-    return _finish(parts, stats, exhaustive, t0)
 
 
 # -- edge Roman domination -----------------------------------------------------------
@@ -489,6 +500,35 @@ def decode_edge_roman(
     return out
 
 
+def _edge_roman_accept(n: int, m: int, k: int):
+    divisor = GaussInt(2 * n - 4, 1)
+
+    def accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
+        # Substituting x=1 collapses the reader to (2n-4+i) times the
+        # complete indicator, so the quotient is the coloring's total weight
+        # at y=1, the same for every bijection (property-tested).
+        quotient = p.eval(1, 1).exact_div(divisor)
+        if quotient.im != 0:
+            raise NotDivisibleError(
+                f"weight quotient {quotient} is not a real integer"
+            )
+        if m + quotient.re > k:
+            return False
+        # A coefficient lies in -i + Z exactly when its y-free part has
+        # imaginary part -1 and no y term rescues it; same test as
+        # classify() per coefficient.
+        minus_i: set[int] = set()
+        has_y: set[int] = set()
+        for (dx, dy), (_re, im) in p._terms.items():
+            if dy:
+                has_y.add(dx)
+            elif im == -1:
+                minus_i.add(dx)
+        return not (minus_i - has_y)
+
+    return accept
+
+
 def edge_roman_at_most(
     g: SimpleGraph,
     k: int,
@@ -506,7 +546,6 @@ def edge_roman_at_most(
     enumeration decides the (then trivially true) bound, since labeling every
     edge 1 always has weight |E|.
     """
-    t0 = time.perf_counter()
     n, m = g.n, g.m
     if m < 1:
         raise PreconditionError("edge Roman domination needs at least one edge")
@@ -515,55 +554,14 @@ def edge_roman_at_most(
     limits.check_n(n)
     limits.check_family(3**m, f"3-colorings of {m} edges")
     limits.check_steps(3**m * math.factorial(n), "edge Roman search")
-
-    reader = cover_reader(n)
-    divisor = GaussInt(2 * n - 4, 1)
-    maps = bijection_pair_maps(n)
-    stats = SearchStats()
-    first = None
-    count = 0
-    for h in iter_colorings(g, ROMAN_PALETTE):
-        stats.members += 1
-        # The weight bound depends only on the coloring: substituting x=1
-        # collapses the reader to (2n-4+i) times the complete indicator, so
-        # p(1,1) is the same for every bijection (property-tested).
-        p_id = star_sum(h, reader, maps[0][1])
-        stats.bijections += 1
-        if not stats.bijections % 2048:
-            limits.check_time()
-        quotient = p_id.eval(1, 1).exact_div(divisor)
-        if quotient.im != 0:
-            raise NotDivisibleError(
-                f"weight quotient {quotient} is not a real integer"
-            )
-        if m + quotient.re > k:
-            continue
-        for idx, (f, pmap) in enumerate(maps):
-            if idx == 0:
-                p = p_id
-            else:
-                p = star_sum(h, reader, pmap)
-                stats.bijections += 1
-            if _no_minus_i_integer_coefficient(p):
-                count += 1
-                if first is None:
-                    first = (h, f, p)
-                if not exhaustive:
-                    return _finish((first, count), stats, exhaustive, t0)
-    return _finish((first, count), stats, exhaustive, t0)
-
-
-def _no_minus_i_integer_coefficient(p: RingElem) -> bool:
-    # A coefficient lies in -i + Z exactly when its y-free part has imaginary
-    # part -1 and no y term rescues it; same test as classify() per coefficient.
-    minus_i: set[int] = set()
-    has_y: set[int] = set()
-    for (dx, dy), (_re, im) in p._terms.items():
-        if dy:
-            has_y.add(dx)
-        elif im == -1:
-            minus_i.add(dx)
-    return not (minus_i - has_y)
+    return _search(
+        iter_colorings(g, ROMAN_PALETTE),
+        cover_reader(n),
+        identity_pair_maps(n),
+        _edge_roman_accept(n, m, k),
+        limits,
+        exhaustive,
+    )
 
 
 # -- Hamiltonian spectra ---------------------------------------------------------------

@@ -123,6 +123,32 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _orders(spec: str) -> list[int]:
+    """Parse ``3..6`` or ``3,5`` into a nonempty list of orders >= 2."""
+    spec = spec.strip()
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            ns = list(range(int(lo), int(hi) + 1))
+        else:
+            ns = [int(part) for part in spec.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of orders: {spec!r}") from None
+    if not ns or min(ns) < 2:
+        raise argparse.ArgumentTypeError(f"orders must be at least 2, got {spec!r}")
+    return ns
+
+
+def _trials(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"need at least one trial, got {trials}")
+    return trials
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", default=False,
                    help="emit machine-readable JSON")
@@ -175,20 +201,12 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--identity", choices=ver.IDENTITY_SUBJECTS)
     p_verify.add_argument("--k", type=int, action="append", default=None,
                           help="label bound(s) for colorings / irregular-strength")
-    p_verify.add_argument("--n", default="3..6",
-                          help="orders for identity suites, e.g. 3..6 or 3,5")
-    p_verify.add_argument("--trials", type=int, default=1000,
-                          help="randomized trials for ring-axioms")
+    p_verify.add_argument("--n", type=_orders, default="3..6",
+                          help="orders (at least 2) for identity suites, e.g. 3..6 or 3,5")
+    p_verify.add_argument("--trials", type=_trials, default=1000,
+                          help="randomized trials (at least 1) for ring-axioms and orbit")
     _add_common(p_verify)
     return parser
-
-
-def _parse_n_range(spec: str) -> list[int]:
-    spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in spec.split(",") if part.strip()]
 
 
 def _load_graphs(path: str) -> list[tuple[str, SimpleGraph]]:
@@ -392,9 +410,10 @@ def _run_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         report = ver.run_identity(
             args.identity,
-            ns=tuple(_parse_n_range(args.n)),
+            ns=tuple(args.n),
             trials=args.trials,
             seed=cfg.seed,
+            limits=limits,
         )
     lines = [f"verify {report['subject']} ({report['kind']})"]
     lines.extend(_row_text(row) for row in report["rows"])

@@ -10,6 +10,7 @@ first-seen order, which makes the corpus deterministic.
 
 from __future__ import annotations
 
+import warnings
 from functools import lru_cache
 from itertools import combinations
 
@@ -39,19 +40,27 @@ def connected_graphs(n: int) -> tuple[SimpleGraph, ...]:
         return (SimpleGraph(1),)
     reps: list[SimpleGraph] = []
     buckets: dict[str, list] = {}
-    for parent in connected_graphs(n - 1):
-        others = range(1, n)
-        for size in range(1, n):
-            for neighbors in combinations(others, size):
-                edges = set(parent.edges)
-                edges.update((v, n) for v in neighbors)
-                candidate = SimpleGraph(n, edges)
-                cx = _to_nx(candidate)
-                key = nx.weisfeiler_lehman_graph_hash(cx, iterations=3)
-                bucket = buckets.setdefault(key, [])
-                if not any(nx.is_isomorphic(cx, seen) for seen in bucket):
-                    bucket.append(cx)
-                    reps.append(candidate)
+    with warnings.catch_warnings():
+        # networkx >= 3.5 warns that attribute-free hashes changed; the hash
+        # only buckets candidates for the exact isomorphism check.
+        warnings.filterwarnings(
+            "ignore",
+            message="The hashes produced for graphs without",
+            category=UserWarning,
+        )
+        for parent in connected_graphs(n - 1):
+            others = range(1, n)
+            for size in range(1, n):
+                for neighbors in combinations(others, size):
+                    edges = set(parent.edges)
+                    edges.update((v, n) for v in neighbors)
+                    candidate = SimpleGraph(n, edges)
+                    cx = _to_nx(candidate)
+                    key = nx.weisfeiler_lehman_graph_hash(cx, iterations=3)
+                    bucket = buckets.setdefault(key, [])
+                    if not any(nx.is_isomorphic(cx, seen) for seen in bucket):
+                        bucket.append(cx)
+                        reps.append(candidate)
     expected = _EXPECTED_COUNTS.get(n)
     if expected is not None and len(reps) != expected:
         raise AssertionError(

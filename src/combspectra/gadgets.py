@@ -37,6 +37,8 @@ __all__ = [
     "pairs_in_rank_order",
     "all_bijections",
     "bijection_pair_maps",
+    "domination_pair_maps",
+    "identity_pair_maps",
     "identity_bijection",
     "indicator",
     "weighted_embedding",
@@ -94,26 +96,6 @@ def all_bijections(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def bijection_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """For each bijection f (lex order), the induced map on pair ranks.
-
-    Entry ``(f, m)`` satisfies: the pair at rank p maps to the pair at rank
-    ``m[p]`` under f.  Precomputed once per n and reused by every search.
-    """
-    pairs = pairs_in_rank_order(n)
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        m = []
-        for u, v in pairs:
-            fu, fv = perm[u - 1], perm[v - 1]
-            if fu > fv:
-                fu, fv = fv, fu
-            m.append((fv - 1) * (fv - 2) // 2 + fu - 1)
-        out.append((perm, tuple(m)))
-    return tuple(out)
-
-
 def _pair_map_of(f: Sequence[int], n: int) -> tuple[int, ...]:
     m = []
     for u, v in pairs_in_rank_order(n):
@@ -122,6 +104,49 @@ def _pair_map_of(f: Sequence[int], n: int) -> tuple[int, ...]:
             fu, fv = fv, fu
         m.append((fv - 1) * (fv - 2) // 2 + fu - 1)
     return tuple(m)
+
+
+@lru_cache(maxsize=None)
+def bijection_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """For each bijection f (lex order), the induced map on pair ranks.
+
+    Entry ``(f, m)`` satisfies: the pair at rank p maps to the pair at rank
+    ``m[p]`` under f.  Precomputed once per n and reused by every search.
+    """
+    return tuple((f, _pair_map_of(f, n)) for f in all_bijections(n))
+
+
+@lru_cache(maxsize=None)
+def domination_pair_maps(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """One ``(f, m)`` entry per k-subset T of {1..n}, in lex order of f.
+
+    f is the lexicographically least bijection with tail image T: the heads
+    1..n-k go to the sorted complement of T, the tails to sorted T.  Against
+    a graph indicator, permuting the tails leaves the product with
+    :func:`domination_probe` unchanged and permuting the heads only permutes
+    its coefficients x^0..x^(n-k-1), so the domination verdict depends on T
+    alone and each entry stands for (n-k)! * k! bijections.
+    """
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
+    vertices = range(1, n + 1)
+    reps = sorted(
+        tuple(v for v in vertices if v not in tail) + tail
+        for tail in itertools.combinations(vertices, k)
+    )
+    return tuple((f, _pair_map_of(f, n)) for f in reps)
+
+
+def identity_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The identity bijection alone, in the form of :func:`bijection_pair_maps`.
+
+    Starring a graph with a reader gadget along f only permutes the
+    x-coefficients of the total; for the contrast reader it may also negate
+    their real parts, when all weights are real.  The reader-gadget
+    characterizations test properties invariant under both, so the identity
+    stands for all n! bijections.
+    """
+    return ((identity_bijection(n), tuple(range(n * (n - 1) // 2))),)
 
 
 class WeightedCompleteGraph:

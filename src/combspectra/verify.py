@@ -9,6 +9,7 @@ order, so the emitted JSON is byte-identical across runs and worker counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from random import Random
 from typing import Sequence
@@ -16,7 +17,7 @@ from typing import Sequence
 from . import characterize as ch
 from . import oracles as orc
 from . import ring
-from .corpus import connected_graphs_up_to
+from .corpus import connected_graphs, connected_graphs_up_to
 from .errors import PreconditionError
 from .families import (
     ROMAN_PALETTE,
@@ -31,10 +32,15 @@ from .families import (
 )
 from .gadgets import (
     WeightedCompleteGraph,
+    bijection_pair_maps,
+    contrast_reader,
     cover_reader,
     degree_reader,
+    domination_probe,
+    identity_pair_maps,
     indicator,
     pair_reader,
+    pairs_in_rank_order,
 )
 from .graphs import SimpleGraph, complete_graph, parse_graph6, to_graph6
 from .limits import DEFAULT_LIMITS, Limits
@@ -61,7 +67,7 @@ THEOREM_SUBJECTS = (
     "hamiltonian",
 )
 
-IDENTITY_SUBJECTS = ("ring-axioms", "S1", "E1", "R1", "all")
+IDENTITY_SUBJECTS = ("ring-axioms", "S1", "E1", "R1", "orbit", "all")
 
 
 # -- per-graph row builders ------------------------------------------------------
@@ -459,19 +465,97 @@ def _reader_at_one(reader: WeightedCompleteGraph) -> WeightedCompleteGraph:
     )
 
 
-def _identity_rows(subject: str, ns: Sequence[int], trials: int, seed: int) -> list[dict]:
+def _domination_orbit_failures(n: int, limits: Limits) -> tuple[int, int]:
+    """Reduced against full domination scans on every (graph, k) of order n:
+    the verdict, the first witness bijection and the exhaustive count."""
+    checks = failures = 0
+    for g in connected_graphs(n):
+        for k in range(1, n):
+            reduced = ch.dominating_k(g, k, limits, exhaustive=True)
+            first, witnesses = ch.scan(
+                (domination_probe(k, n),),
+                indicator(g),
+                bijection_pair_maps(n),
+                ch._domination_accept(n, k),
+                limits,
+                exhaustive=True,
+            )
+            checks += 1
+            failures += (
+                reduced.holds != (first is not None)
+                or reduced.witness_bijection != (first and first[1])
+                or reduced.stats.witnesses != witnesses
+            )
+    return checks, failures
+
+
+def _reader_searches(g: SimpleGraph, rng: Random) -> list[tuple]:
+    """(name, palette, gadget, accept) of each reader-gadget search on g,
+    with a random bound where the search takes one."""
+    n, m = g.n, g.m
+    return [
+        ("strength", integer_palette(rng.randint(1, 3)), degree_reader(n),
+         ch._strength_accept(n)),
+        ("one-two-three", integer_palette(3), contrast_reader(n),
+         ch._one_two_three_accept),
+        ("antimagic", integer_palette(m), ch._antimagic_gadget(n),
+         ch._antimagic_accept(n)),
+        ("edge-roman", ROMAN_PALETTE, cover_reader(n),
+         ch._edge_roman_accept(n, m, rng.randint(0, 2 * m))),
+    ]
+
+
+def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> list[dict]:
+    """Check that scanning one bijection per orbit decides like the full n!
+    scan: domination over the whole corpus, each reader gadget on ``trials``
+    random members colored from its own palette."""
+    rng = Random(seed)
+    rows = []
+    for n in ns:
+        limits.check_n(n)
+        checks, failures = _domination_orbit_failures(n, limits)
+        rows.append(_check_row("orbit", checks, failures, n=n, search="domination"))
+        graphs = connected_graphs(n)
+        reader_failures: Counter[str] = Counter()
+        for _ in range(trials):
+            g = rng.choice(graphs)
+            for name, palette, gadget, accept in _reader_searches(g, rng):
+                member = WeightedCompleteGraph(
+                    n,
+                    [rng.choice(palette) if pair in g.edges else ring.ZERO
+                     for pair in pairs_in_rank_order(n)],
+                )
+                counts = [
+                    ch.scan((member,), gadget, maps, accept, limits, exhaustive=True)[1]
+                    for maps in (identity_pair_maps(n), bijection_pair_maps(n))
+                ]
+                reader_failures[name] += counts[0] != counts[1]
+        rows.extend(
+            _check_row("orbit", trials, failed, n=n, search=name)
+            for name, failed in reader_failures.items()
+        )
+    return rows
+
+
+def _check_row(identity: str, checks: int, failures: int, **params) -> dict:
+    # A suite that checked nothing does not agree.
+    return {
+        "identity": identity,
+        **params,
+        "checks": checks,
+        "failures": failures,
+        "agree": failures == 0 and checks > 0,
+    }
+
+
+def _identity_rows(
+    subject: str, ns: Sequence[int], trials: int, seed: int, limits: Limits
+) -> list[dict]:
     rows = []
     if subject in ("ring-axioms", "all"):
         checks, failures = _ring_axiom_failures(trials, seed)
         rows.append(
-            {
-                "identity": "ring-axioms",
-                "trials": trials,
-                "seed": seed,
-                "checks": checks,
-                "failures": failures,
-                "agree": failures == 0,
-            }
+            _check_row("ring-axioms", checks, failures, trials=trials, seed=seed)
         )
     for name, build, scale_of in (
         ("S1", degree_reader, lambda n: ring.const(2)),
@@ -489,6 +573,8 @@ def _identity_rows(subject: str, ns: Sequence[int], trials: int, seed: int) -> l
                     "agree": _reader_at_one(build(n)) == expected,
                 }
             )
+    if subject in ("orbit", "all"):
+        rows.extend(_orbit_rows(ns, trials, seed, limits))
     return rows
 
 
@@ -497,11 +583,14 @@ def run_identity(
     ns: Sequence[int] = (3, 4, 5, 6),
     trials: int = 1000,
     seed: int = 1,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> dict:
     """Run an algebraic identity suite; deterministic for a fixed seed."""
     if subject not in IDENTITY_SUBJECTS:
         raise ValueError(f"unknown identity subject {subject!r}")
-    rows = _identity_rows(subject, ns, trials, seed)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    rows = _identity_rows(subject, ns, trials, seed, limits)
     disagreements = sum(1 for row in rows if not row["agree"])
     return {
         "schema": REPORT_SCHEMA,

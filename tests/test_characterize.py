@@ -84,7 +84,7 @@ def test_antimagic_family_examples():
     )
     v = antimagic_family(singleton(embed(P3, (1, 1))), exhaustive=True)
     assert not v.holds
-    assert v.stats.bijections == 6 and v.stats.witnesses == 0
+    assert v.stats.bijections == 1 and v.stats.witnesses == 0
 
 
 def test_antimagic_family_empty_fails():
@@ -327,8 +327,10 @@ def test_exhaustive_mode_counts_witnesses():
     v = dominating_k(P3, 1, exhaustive=True)
     assert v.holds
     assert v.stats.witnesses == 2  # f maps vertex 2 into the tail in two ways
+    assert v.stats.bijections == 3  # one representative per tail set
     first = dominating_k(P3, 1)
-    assert first.witness_bijection == v.witness_bijection  # same first witness
+    assert first.witness_bijection == v.witness_bijection == (1, 3, 2)
+    assert first.stats.bijections == 2  # (1, 2, 3) is scanned and rejected first
 
 
 def test_verdict_json_shape():
@@ -342,7 +344,7 @@ def test_verdict_json_shape():
 def test_stats_counters():
     v = antimagic_family(singleton(embed(P3, (1, 1))), exhaustive=True)
     assert v.stats.members == 1
-    assert v.stats.bijections == 6
+    assert v.stats.bijections == 1  # the identity decides the member
     assert v.stats.elapsed >= 0.0
 
 

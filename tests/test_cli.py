@@ -146,6 +146,41 @@ def test_verify_identity(capsys):
     assert [row["n"] for row in data["rows"]] == [3, 4]
 
 
+def test_verify_orbit_identity(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--identity", "orbit", "--n", "3..5", "--trials", "20", "--json"
+    )
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [(row["n"], row["search"]) for row in rows[:5]] == [
+        (3, "domination"), (3, "strength"), (3, "one-two-three"),
+        (3, "antimagic"), (3, "edge-roman"),
+    ]
+    assert len(rows) == 15
+    assert all(row["agree"] and row["checks"] > 0 for row in rows)
+    assert [row["checks"] for row in rows if row["search"] == "domination"] == [4, 18, 84]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--trials", "-5"), ("--trials", "0"), ("--trials", "x"),
+     ("--n", "abc"), ("--n", "1..3"), ("--n", "5..3")],
+)
+def test_verify_bad_flags_exit_usage(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--identity", "ring-axioms", *flags])
+    assert exc.value.code == EXIT_USAGE
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_run_identity_rejects_no_trials():
+    from combspectra.verify import run_identity
+
+    for trials in (0, -5):
+        with pytest.raises(ValueError):
+            run_identity("ring-axioms", trials=trials)
+
+
 def test_verify_theorem_and_worker_determinism(capsys):
     code, out1, _ = run(
         capsys, "verify", "--theorem", "domination", "--max-n", "4",

@@ -1,5 +1,7 @@
 """Connected-graph corpus: exact counts and determinism."""
 
+import warnings
+
 from combspectra.corpus import connected_graphs, connected_graphs_up_to
 from combspectra.graphs import is_connected, to_graph6
 
@@ -34,3 +36,12 @@ def test_deterministic_order():
     a = [to_graph6(g) for g in connected_graphs(5)]
     b = [to_graph6(g) for g in connected_graphs(5)]
     assert a == b
+
+
+def test_generation_records_no_warnings():
+    # networkx >= 3.5 warns on every attribute-free WL hash
+    connected_graphs.cache_clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        connected_graphs(4)
+    assert caught == []
