@@ -37,6 +37,7 @@ from .gadgets import (
     contrast_pair,
     contrast_reader,
     cover_reader,
+    cycle_pair_maps,
     degree_reader,
     distance_weighting,
     domination_pair_maps,
@@ -65,6 +66,7 @@ __all__ = [
     "dominating_k",
     "edge_roman_at_most",
     "hamiltonian_spectrum",
+    "hamiltonian_cycle_spectrum",
     "hamiltonian_number",
     "decode_edge_roman",
     "dominating_set_of",
@@ -162,6 +164,7 @@ def scan(
     orbit = math.factorial(gadget.n) // len(reps)
     first = None
     count = 0
+    limits.check_time()
     for h in members:
         stats.members += 1
         for f, pmap in reps:
@@ -504,26 +507,29 @@ def _edge_roman_accept(n: int, m: int, k: int):
     divisor = GaussInt(2 * n - 4, 1)
 
     def accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
+        # A coefficient lies in -i + Z exactly when its y-free part has
+        # imaginary part -1 and no y term rescues it; same test as
+        # classify() per coefficient.  The coefficient sum is p(1, 1).
+        total_re = total_im = 0
+        minus_i: set[int] = set()
+        has_y: set[int] = set()
+        for (dx, dy), (re, im) in p._terms.items():
+            total_re += re
+            total_im += im
+            if dy:
+                has_y.add(dx)
+            elif im == -1:
+                minus_i.add(dx)
         # Substituting x=1 collapses the reader to (2n-4+i) times the
         # complete indicator, so the quotient is the coloring's total weight
         # at y=1, the same for every bijection (property-tested).
-        quotient = p.eval(1, 1).exact_div(divisor)
+        quotient = GaussInt(total_re, total_im).exact_div(divisor)
         if quotient.im != 0:
             raise NotDivisibleError(
                 f"weight quotient {quotient} is not a real integer"
             )
         if m + quotient.re > k:
             return False
-        # A coefficient lies in -i + Z exactly when its y-free part has
-        # imaginary part -1 and no y term rescues it; same test as
-        # classify() per coefficient.
-        minus_i: set[int] = set()
-        has_y: set[int] = set()
-        for (dx, dy), (_re, im) in p._terms.items():
-            if dy:
-                has_y.add(dx)
-            elif im == -1:
-                minus_i.add(dx)
         return not (minus_i - has_y)
 
     return accept
@@ -567,23 +573,48 @@ def edge_roman_at_most(
 # -- Hamiltonian spectra ---------------------------------------------------------------
 
 
-def hamiltonian_spectrum(h: SimpleGraph, g: SimpleGraph) -> Spectrum:
-    """All values of the distance sum of g over bijective placements of h."""
-    if h.n != g.n:
+def hamiltonian_spectrum(
+    h: SimpleGraph, g: SimpleGraph, limits: Limits = DEFAULT_LIMITS
+) -> Spectrum:
+    """All values of the distance sum of g over bijective placements of h.
+
+    These are the total weights of the family product of h's indicator with
+    g's distance weighting, summed with :func:`star_sum` without building the
+    products.  When h is the labelled cycle 1-2-...-n, one bijection per coset
+    of its automorphisms is scanned (:func:`cycle_pair_maps`); otherwise all
+    n!.  The size guards count all n! bijections."""
+    n = g.n
+    if h.n != n:
         raise PreconditionError(
-            f"graphs must share one order, got {h.n} and {g.n}"
+            f"graphs must share one order, got {h.n} and {n}"
         )
     if not is_connected(g):
         raise PreconditionError("the Hamiltonian spectrum needs a connected graph")
-    return spectrum_of(
-        family_product(singleton(indicator(h)), singleton(distance_weighting(g)))
-    )
+    limits.check_n(n)
+    limits.check_steps(math.factorial(n), "family product")
+    limits.check_time()
+    on_cycle = n >= 3 and h == cycle_graph(n)
+    maps = cycle_pair_maps(n) if on_cycle else bijection_pair_maps(n)
+    pattern, distances = indicator(h), distance_weighting(g)
+    totals: set[RingElem] = set()
+    for step, (_f, pmap) in enumerate(maps, 1):
+        totals.add(star_sum(pattern, distances, pmap))
+        if len(totals) > limits.max_family:
+            limits.check_family(len(totals), "Hamiltonian spectrum")
+        if not step % 4096:
+            limits.check_time()
+    return Spectrum(totals)
 
 
-def hamiltonian_number(g: SimpleGraph) -> int:
-    """Minimum length of a closed walk through all vertices, via the cycle
-    spectrum."""
+def hamiltonian_cycle_spectrum(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Spectrum:
+    """The Hamiltonian spectrum of the n-cycle in g; its minimum is the
+    Hamiltonian number."""
     if g.n < 3:
         raise PreconditionError("the Hamiltonian number needs at least 3 vertices")
-    spec = hamiltonian_spectrum(cycle_graph(g.n), g)
-    return min(spec.as_integers())
+    return hamiltonian_spectrum(cycle_graph(g.n), g, limits)
+
+
+def hamiltonian_number(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> int:
+    """Minimum length of a closed walk through all vertices, via the cycle
+    spectrum."""
+    return min(hamiltonian_cycle_spectrum(g, limits).as_integers())

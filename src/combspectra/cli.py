@@ -39,7 +39,7 @@ from .errors import (
     TimeLimitError,
 )
 from .gadgets import WeightedCompleteGraph
-from .graphs import SimpleGraph, cycle_graph, parse_graph, parse_graph6, to_graph6
+from .graphs import SimpleGraph, parse_graph, parse_graph6, to_graph6
 from .limits import Limits
 
 EXIT_OK = 0
@@ -295,16 +295,12 @@ def _run_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_USAGE
     for gid, g in _load_graphs(args.graph):
         if subject == "hamiltonian":
-            if args.by is not None:
+            if args.by is None:
+                spec = ch.hamiltonian_cycle_spectrum(g, limits)
+            else:
                 (_, h) = _load_graphs(args.by)[0]
-            else:
-                h = None
-            if h is None:
-                number = ch.hamiltonian_number(g)
-                spec = ch.hamiltonian_spectrum(cycle_graph(g.n), g)
-            else:
-                spec = ch.hamiltonian_spectrum(h, g)
-                number = min(spec.as_integers())
+                spec = ch.hamiltonian_spectrum(h, g, limits)
+            number = min(spec.as_integers())
             payload = {
                 "schema": ver.REPORT_SCHEMA,
                 "command": "check",

@@ -8,6 +8,12 @@ graphs sharing one vertex count.  The three family operations are
 * power fixpoint: iterate ``F, F*F, (F*F)*F, ...`` until two consecutive
   powers agree as sets.
 
+When the right factor of a product is closed under vertex relabelings (the
+edge-deleted indicators, their powers and the all-colorings families are),
+starring along f only walks the right family onto itself, so the pointwise
+products along the identity bijection already give every member of the
+product and the other n! - 1 bijections are skipped.
+
 Members are kept in a canonical sorted order so that every downstream result
 is deterministic regardless of construction order or worker interleaving.
 """
@@ -24,6 +30,8 @@ from .gadgets import (
     WeightedCompleteGraph,
     bijection_pair_maps,
     edge_indicator,
+    generator_pair_maps,
+    identity_pair_maps,
     indicator,
     pairs_in_rank_order,
 )
@@ -36,6 +44,7 @@ __all__ = [
     "Spectrum",
     "FixpointResult",
     "singleton",
+    "is_relabel_closed",
     "family_product",
     "family_sum",
     "power_fixpoint",
@@ -149,10 +158,29 @@ def spectrum_of(family: GraphFamily | Iterable[WeightedCompleteGraph]) -> Spectr
     return Spectrum(m.total_weight() for m in family)
 
 
+def is_relabel_closed(family: GraphFamily) -> bool:
+    """Does every relabeling of every member lie in the family?
+
+    The transposition (1 2) and the n-cycle (1 2 ... n) generate all
+    bijections, so closure under those two is enough: 2 * |family|
+    relabel-and-lookup steps, stopping at the first miss."""
+    for _f, pair_map in generator_pair_maps(family.n):
+        for g in family.members:
+            ws = g.weights
+            if WeightedCompleteGraph(g.n, tuple(ws[q] for q in pair_map)) not in family:
+                return False
+    return True
+
+
 def family_product(
     left: GraphFamily, right: GraphFamily, limits: Limits = DEFAULT_LIMITS
 ) -> GraphFamily:
-    """All star products left *_f right over members and bijections."""
+    """All star products left *_f right over members and bijections.
+
+    A right family closed under relabelings is scanned along the identity
+    alone: g∘f ranges over the right family again, so every product
+    h *_f g equals some pointwise product h * g'.  The size guards still
+    count all n! bijections."""
     if left.n != right.n:
         raise PreconditionError(
             f"family product needs equal orders, got {left.n} and {right.n}"
@@ -162,15 +190,16 @@ def family_product(
     limits.check_steps(
         len(left) * len(right) * math.factorial(n), "family product"
     )
-    maps = bijection_pair_maps(n)
-    out: set[WeightedCompleteGraph] = set()
-    for h in left.members:
-        for g in right.members:
-            for _f, pair_map in maps:
-                out.add(h.star_with_map(g, pair_map))
-                if len(out) > limits.max_family:
-                    limits.check_family(len(out), "family product")
     limits.check_time()
+    maps = identity_pair_maps(n) if is_relabel_closed(right) else bijection_pair_maps(n)
+    out: set[WeightedCompleteGraph] = set()
+    triples = itertools.product(left.members, right.members, maps)
+    for step, (h, g, (_f, pair_map)) in enumerate(triples, 1):
+        out.add(h.star_with_map(g, pair_map))
+        if len(out) > limits.max_family:
+            limits.check_family(len(out), "family product")
+        if not step % 4096:
+            limits.check_time()
     return GraphFamily(n, out)
 
 
@@ -183,13 +212,15 @@ def family_sum(
             f"family sum needs equal orders, got {left.n} and {right.n}"
         )
     limits.check_steps(len(left) * len(right), "family sum")
-    out: set[WeightedCompleteGraph] = set()
-    for h in left.members:
-        for g in right.members:
-            out.add(h + g)
-            if len(out) > limits.max_family:
-                limits.check_family(len(out), "family sum")
     limits.check_time()
+    out: set[WeightedCompleteGraph] = set()
+    pairs = itertools.product(left.members, right.members)
+    for step, (h, g) in enumerate(pairs, 1):
+        out.add(h + g)
+        if len(out) > limits.max_family:
+            limits.check_family(len(out), "family sum")
+        if not step % 4096:
+            limits.check_time()
     return GraphFamily(left.n, out)
 
 

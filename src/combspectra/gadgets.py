@@ -38,7 +38,9 @@ __all__ = [
     "all_bijections",
     "bijection_pair_maps",
     "domination_pair_maps",
+    "cycle_pair_maps",
     "identity_pair_maps",
+    "generator_pair_maps",
     "identity_bijection",
     "indicator",
     "weighted_embedding",
@@ -135,6 +137,37 @@ def domination_pair_maps(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[i
         for tail in itertools.combinations(vertices, k)
     )
     return tuple((f, _pair_map_of(f, n)) for f in reps)
+
+
+@lru_cache(maxsize=None)
+def cycle_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """One ``(f, m)`` entry per coset f∘D, in lex order of f, where D is the
+    dihedral automorphism group (2n rotations and reflections) of the labelled
+    cycle 1-2-...-n.
+
+    A total over the cycle's edges, such as its star sum against any weighted
+    graph, is the same for f and f∘σ with σ in D.  The lexicographically least
+    bijection of a coset maps 1 to 1 and has f(2) < f(n), which leaves
+    (n-1)!/2 entries, each standing for 2n bijections.
+    """
+    if n < 3:
+        raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
+    reps = (
+        (1, *rest)
+        for rest in itertools.permutations(range(2, n + 1))
+        if rest[0] < rest[-1]
+    )
+    return tuple((f, _pair_map_of(f, n)) for f in reps)
+
+
+def generator_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The transposition (1 2) and the n-cycle (1 2 ... n), which generate
+    all bijections of {1..n}, in the form of :func:`bijection_pair_maps`;
+    empty for n < 2, where the identity is the only bijection."""
+    if n < 2:
+        return ()
+    gens = ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1))
+    return tuple((f, _pair_map_of(f, n)) for f in gens)
 
 
 def identity_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:

@@ -18,8 +18,10 @@ from .errors import SizeGuardError, TimeLimitError
 class Limits:
     """Hard caps on enumeration size.
 
-    ``deadline`` is an absolute ``time.time()`` timestamp; long searches poll
-    it periodically and abort with :class:`TimeLimitError` once passed.
+    ``deadline`` is an absolute ``time.time()`` timestamp.  Spectrum scans,
+    family products and sums and the Hamiltonian spectrum poll it at the
+    start of every loop and every 4096 steps; corpus sweeps poll it between
+    tasks.  Once it has passed they abort with :class:`TimeLimitError`.
     """
 
     max_n: int = 7

@@ -21,14 +21,17 @@ from .corpus import connected_graphs, connected_graphs_up_to
 from .errors import PreconditionError
 from .families import (
     ROMAN_PALETTE,
+    GraphFamily,
     all_colorings_family,
     colorings_of_graph,
     edge_deleted_family,
     family_product,
     integer_palette,
+    is_relabel_closed,
     iter_colorings,
     power_fixpoint,
     singleton,
+    spectrum_of,
 )
 from .gadgets import (
     WeightedCompleteGraph,
@@ -36,13 +39,14 @@ from .gadgets import (
     contrast_reader,
     cover_reader,
     degree_reader,
+    distance_weighting,
     domination_probe,
     identity_pair_maps,
     indicator,
     pair_reader,
     pairs_in_rank_order,
 )
-from .graphs import SimpleGraph, complete_graph, parse_graph6, to_graph6
+from .graphs import SimpleGraph, complete_graph, cycle_graph, parse_graph6, to_graph6
 from .limits import DEFAULT_LIMITS, Limits
 from .ring import GaussInt, random_element, random_gauss_int
 
@@ -310,7 +314,7 @@ def _rows_edge_roman(g: SimpleGraph, limits: Limits) -> list[dict]:
 
 def _rows_hamiltonian(g: SimpleGraph, limits: Limits) -> list[dict]:
     g6 = to_graph6(g)
-    spectral = ch.hamiltonian_number(g)
+    spectral = ch.hamiltonian_number(g, limits)
     oracle = orc.hamiltonian_oracle(g, limits).value
     return [
         {
@@ -505,10 +509,61 @@ def _reader_searches(g: SimpleGraph, rng: Random) -> list[tuple]:
     ]
 
 
+def _full_product(left: GraphFamily, right: GraphFamily) -> GraphFamily:
+    """The family product by its definition, over all n! bijections."""
+    maps = bijection_pair_maps(left.n)
+    return GraphFamily(
+        left.n, (h.star_with_map(g, m) for h in left for g in right for _f, m in maps)
+    )
+
+
+def _family_product_orbit_failures(
+    n: int, graphs: Sequence[SimpleGraph], trials: int, rng: Random, limits: Limits
+) -> tuple[int, int]:
+    """Reduced against full family products, a random corpus indicator on the
+    left.  On the right: the closed families of the fixpoint and colorings
+    routes, and a random corpus indicator, closed only for the complete
+    graph.  The closure test must also agree with its definition: starring
+    the complete indicator with a closed family returns the family."""
+    closed = [edge_deleted_family(n)]
+    if n <= 4:
+        closed.append(all_colorings_family(n, 2, limits))
+    complete = singleton(indicator(complete_graph(n)))
+    is_closed: dict[GraphFamily, bool] = {}
+    checks = failures = 0
+    for _ in range(trials):
+        left = singleton(indicator(rng.choice(graphs)))
+        for right in (*closed, singleton(indicator(rng.choice(graphs)))):
+            if right not in is_closed:
+                is_closed[right] = _full_product(complete, right) == right
+            checks += 1
+            failures += (
+                is_relabel_closed(right) != is_closed[right]
+                or family_product(left, right, limits) != _full_product(left, right)
+            )
+    return checks, failures
+
+
+def _hamiltonian_orbit_failures(
+    n: int, graphs: Sequence[SimpleGraph], limits: Limits
+) -> tuple[int, int]:
+    """The cycle spectrum over one bijection per coset of the cycle's
+    automorphisms against the full product spectrum, on every corpus graph."""
+    cycle = cycle_graph(n)
+    checks = failures = 0
+    for g in graphs:
+        full = _full_product(singleton(indicator(cycle)), singleton(distance_weighting(g)))
+        checks += 1
+        failures += ch.hamiltonian_spectrum(cycle, g, limits) != spectrum_of(full)
+    return checks, failures
+
+
 def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> list[dict]:
     """Check that scanning one bijection per orbit decides like the full n!
     scan: domination over the whole corpus, each reader gadget on ``trials``
-    random members colored from its own palette."""
+    random members colored from its own palette, family products with a
+    relabel-closed right factor on ``trials`` random left members, and the
+    Hamiltonian cycle spectrum over the whole corpus."""
     rng = Random(seed)
     rows = []
     for n in ns:
@@ -534,6 +589,11 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
             _check_row("orbit", trials, failed, n=n, search=name)
             for name, failed in reader_failures.items()
         )
+        checks, failures = _family_product_orbit_failures(n, graphs, trials, rng, limits)
+        rows.append(_check_row("orbit", checks, failures, n=n, search="family-product"))
+        if n >= 3:
+            checks, failures = _hamiltonian_orbit_failures(n, graphs, limits)
+            rows.append(_check_row("orbit", checks, failures, n=n, search="hamiltonian"))
     return rows
 
 

@@ -20,13 +20,15 @@ from combspectra.characterize import (
     one_two_three,
     strength_at_most,
 )
-from combspectra.errors import PreconditionError, SizeGuardError
+from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
 from combspectra.families import ROMAN_PALETTE, iter_colorings, singleton
 from combspectra.gadgets import (
+    all_bijections,
     bijection_pair_maps,
     cover_reader,
     domination_probe,
     edge_indicator,
+    hamiltonian_sum,
     indicator,
     star_indicator,
     star_sum,
@@ -272,6 +274,25 @@ def test_hamiltonian_examples():
         hamiltonian_spectrum(C4, P3)
     with pytest.raises(PreconditionError):
         hamiltonian_number(K2)
+
+
+def test_hamiltonian_honours_limits():
+    c8 = cycle_graph(8)
+    assert hamiltonian_number(c8, Limits(max_n=8)) == 8
+    with pytest.raises(SizeGuardError):
+        hamiltonian_number(c8)
+    with pytest.raises(SizeGuardError):
+        hamiltonian_spectrum(C4, C4, Limits(max_steps=23))
+    with pytest.raises(TimeLimitError):
+        hamiltonian_spectrum(C4, C4, Limits(deadline=0.0))
+
+
+def test_hamiltonian_spectrum_of_other_patterns_scans_all_bijections():
+    # a pattern that is not the labelled cycle 1-2-...-n, also a relabelled cycle
+    for h in (path_graph(5), SimpleGraph(5, [(1, 3), (3, 5), (5, 2), (2, 4), (4, 1)])):
+        for g in (path_graph(5), star_graph(5), cycle_graph(5)):
+            expected = {hamiltonian_sum(h, g, f) for f in all_bijections(5)}
+            assert set(hamiltonian_spectrum(h, g).as_integers()) == expected
 
 
 # -- coefficient structure of the combined reader ---------------------------------------

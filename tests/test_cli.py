@@ -152,13 +152,17 @@ def test_verify_orbit_identity(capsys):
     )
     assert code == EXIT_OK
     rows = json.loads(out)["rows"]
-    assert [(row["n"], row["search"]) for row in rows[:5]] == [
+    assert [(row["n"], row["search"]) for row in rows[:7]] == [
         (3, "domination"), (3, "strength"), (3, "one-two-three"),
-        (3, "antimagic"), (3, "edge-roman"),
+        (3, "antimagic"), (3, "edge-roman"), (3, "family-product"), (3, "hamiltonian"),
     ]
-    assert len(rows) == 15
+    assert len(rows) == 21
     assert all(row["agree"] and row["checks"] > 0 for row in rows)
     assert [row["checks"] for row in rows if row["search"] == "domination"] == [4, 18, 84]
+    # closed right families (two up to n=4, one above) plus a random indicator, per trial
+    assert [row["checks"] for row in rows if row["search"] == "family-product"] == [60, 60, 40]
+    # every connected graph of each order
+    assert [row["checks"] for row in rows if row["search"] == "hamiltonian"] == [2, 6, 21]
 
 
 @pytest.mark.parametrize(
@@ -235,6 +239,31 @@ def test_verify_timeout_exit(capsys):
         capsys, "verify", "--theorem", "domination", "--max-n", "5",
         "--workers", "1", "--timeout-seconds", "0.000001",
     )
+    assert code == EXIT_TIMEOUT
+    assert "deadline" in err
+
+
+def test_check_hamiltonian_honours_max_n(capsys, monkeypatch):
+    import io
+
+    from combspectra.graphs import cycle_graph
+
+    assert to_graph6(cycle_graph(8)) == "GhCGKC"
+    monkeypatch.setattr("sys.stdin", io.StringIO("GhCGKC\n"))
+    code, out, _ = run(capsys, "check", "hamiltonian", "-", "--max-n", "8", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["number"] == 8
+    monkeypatch.setattr("sys.stdin", io.StringIO("GhCGKC\n"))
+    code, _out, err = run(capsys, "check", "hamiltonian", "-")
+    assert code == EXIT_SIZE_GUARD
+    assert "max_n=7" in err
+
+
+def test_check_timeout_before_first_bijection(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+    code, _out, err = run(capsys, "check", "antimagic", "-", "--timeout-seconds", "0")
     assert code == EXIT_TIMEOUT
     assert "deadline" in err
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from combspectra import ring
-from combspectra.errors import PreconditionError, SizeGuardError
+from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
 from combspectra.families import (
     GraphFamily,
     ROMAN_PALETTE,
@@ -15,12 +15,19 @@ from combspectra.families import (
     family_product,
     family_sum,
     integer_palette,
+    is_relabel_closed,
     iter_colorings,
     power_fixpoint,
     singleton,
     spectrum_of,
 )
-from combspectra.gadgets import WeightedCompleteGraph, distance_weighting, indicator
+from combspectra.gadgets import (
+    WeightedCompleteGraph,
+    bijection_pair_maps,
+    distance_weighting,
+    indicator,
+    star_indicator,
+)
 from combspectra.graphs import complete_graph, cycle_graph, path_graph
 from combspectra.limits import Limits
 from combspectra.ring import const
@@ -230,6 +237,38 @@ def test_product_is_not_symmetric():
         WeightedCompleteGraph(3, [const(0), const(1), const(1)])
     )
     assert family_product(probe, pinned) != family_product(pinned, probe)
+
+
+def test_relabel_closure_check():
+    from combspectra.ring import x_pow
+
+    for n in (3, 4):
+        deleted = edge_deleted_family(n)
+        assert is_relabel_closed(deleted)
+        assert is_relabel_closed(power_fixpoint(deleted).family)
+        for k in (1, 2, 3):
+            assert is_relabel_closed(all_colorings_family(n, k))
+        assert not is_relabel_closed(singleton(star_indicator(1, n)))
+    # the pair of test_product_is_not_symmetric
+    assert not is_relabel_closed(singleton(WeightedCompleteGraph(3, [x_pow(1), x_pow(2), x_pow(3)])))
+    assert not is_relabel_closed(singleton(WeightedCompleteGraph(3, [const(0), const(1), const(1)])))
+
+
+def test_product_with_closed_right_factor_matches_definition():
+    maps = bijection_pair_maps(4)
+    left = GraphFamily(4, [indicator(path_graph(4)), indicator(cycle_graph(4))])
+    for right in (edge_deleted_family(4), all_colorings_family(4, 2)):
+        full = GraphFamily(4, (h.star_with_map(g, m) for h in left for g in right for _f, m in maps))
+        assert family_product(left, right) == full
+
+
+def test_family_operations_poll_the_deadline_before_their_loop():
+    past = Limits(deadline=0.0)
+    one = singleton(WeightedCompleteGraph(2, [const(1)]))
+    with pytest.raises(TimeLimitError):
+        family_product(one, one, past)
+    with pytest.raises(TimeLimitError):
+        family_sum(one, one, past)
 
 
 def test_in_palette_family_matches_direct_weight_check():

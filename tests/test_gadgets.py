@@ -14,11 +14,13 @@ from combspectra.gadgets import (
     contrast_reader,
     cover_pair,
     cover_reader,
+    cycle_pair_maps,
     degree_reader,
     distance_weighting,
     domination_pair_maps,
     domination_probe,
     edge_indicator,
+    generator_pair_maps,
     hamiltonian_sum,
     identity_pair_maps,
     indicator,
@@ -269,6 +271,32 @@ def test_domination_pair_maps_are_least_coset_representatives():
         for f, pmap in reps:
             least = min(g for g in full if frozenset(g[5 - k:]) == frozenset(f[5 - k:]))
             assert f == least and pmap == full[f]
+
+
+def test_cycle_pair_maps_are_least_coset_representatives():
+    for n in (3, 4, 5, 6):
+        full = dict(bijection_pair_maps(n))
+        # the dihedral automorphisms of the cycle 1-2-...-n, as tuples
+        rotations = [tuple((i + r) % n + 1 for i in range(n)) for r in range(n)]
+        dihedral = rotations + [tuple(reversed(s)) for s in rotations]
+        reps = cycle_pair_maps(n)
+        fs = [f for f, _m in reps]
+        assert fs == sorted(fs) and len(fs) == math.factorial(n - 1) // 2
+        cosets = set()
+        for f, pmap in reps:
+            coset = frozenset(tuple(f[s[i] - 1] for i in range(n)) for s in dihedral)
+            assert f == min(coset) and pmap == full[f]
+            cosets.add(coset)
+        assert len(cosets) == len(reps)
+    with pytest.raises(ValueError):
+        cycle_pair_maps(2)
+
+
+def test_generator_pair_maps():
+    assert [f for f, _m in generator_pair_maps(4)] == [(2, 1, 3, 4), (2, 3, 4, 1)]
+    full = dict(bijection_pair_maps(4))
+    assert all(m == full[f] for f, m in generator_pair_maps(4))
+    assert generator_pair_maps(1) == ()
 
 
 def test_wcg_json_round_trip():
