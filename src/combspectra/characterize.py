@@ -205,7 +205,9 @@ def _search(members, gadget, reps, accept, limits, exhaustive) -> Verdict:
 
 
 def antimagic_weighted(
-    g: WeightedCompleteGraph, is_complete: bool | None = None
+    g: WeightedCompleteGraph,
+    is_complete: bool | None = None,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> Verdict:
     """Single-graph antimagic test via the two spectrum conditions.
 
@@ -224,8 +226,12 @@ def antimagic_weighted(
     m = g.nonzero_count()
     stats = SearchStats()
     fam = singleton(g)
-    vertex_spec = spectrum_of(family_product(fam, singleton(star_indicator(1, n))))
-    pair_spec = spectrum_of(family_product(fam, singleton(edge_indicator(1, 2, n))))
+    vertex_spec = spectrum_of(
+        family_product(fam, singleton(star_indicator(1, n)), limits)
+    )
+    pair_spec = spectrum_of(
+        family_product(fam, singleton(edge_indicator(1, 2, n)), limits)
+    )
     stats.members = 1
     stats.bijections = 2 * math.factorial(n)
     lo = 1 if is_complete else 0
@@ -322,7 +328,9 @@ def _strength_accept(n: int):
     return accept
 
 
-def irregular_weighted(g: WeightedCompleteGraph) -> Verdict:
+def irregular_weighted(
+    g: WeightedCompleteGraph, limits: Limits = DEFAULT_LIMITS
+) -> Verdict:
     """Are all endpoint sums of this weighting distinct?"""
     t0 = time.perf_counter()
     _require_constant_nonneg(g)
@@ -330,7 +338,7 @@ def irregular_weighted(g: WeightedCompleteGraph) -> Verdict:
     if n < 2:
         raise PreconditionError("irregularity needs at least two vertices")
     vertex_spec = spectrum_of(
-        family_product(singleton(g), singleton(star_indicator(1, n)))
+        family_product(singleton(g), singleton(star_indicator(1, n)), limits)
     )
     stats = SearchStats(members=1, bijections=math.factorial(n))
     holds = len(vertex_spec) == n

@@ -99,18 +99,23 @@ def _env(name: str) -> str | None:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Raises ValueError, naming the variable, on a malformed environment value."""
+
     def pick(flag_value, env_name, default, cast):
         if flag_value is not None:
             return flag_value
         raw = _env(env_name)
-        if raw is not None:
+        if raw is None:
+            return default
+        try:
             return cast(raw)
-        return default
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{_ENV_PREFIX}{env_name}: {exc}") from None
 
     return RunConfig(
-        max_n=pick(args.max_n, "MAX_N", 7, int),
-        max_family=pick(args.max_family, "MAX_FAMILY", 10_000_000, int),
-        max_steps=pick(args.max_steps, "MAX_STEPS", 1_000_000_000, int),
+        max_n=pick(args.max_n, "MAX_N", 7, _positive_int),
+        max_family=pick(args.max_family, "MAX_FAMILY", 10_000_000, _positive_int),
+        max_steps=pick(args.max_steps, "MAX_STEPS", 1_000_000_000, _positive_int),
         workers=pick(args.workers, "WORKERS", os.cpu_count() or 1, int),
         json_output=pick(
             True if args.json else None,
@@ -139,23 +144,24 @@ def _orders(spec: str) -> list[int]:
     return ns
 
 
-def _trials(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
-        trials = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if trials < 1:
-        raise argparse.ArgumentTypeError(f"need at least one trial, got {trials}")
-    return trials
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", default=False,
                    help="emit machine-readable JSON")
-    p.add_argument("--max-n", type=int, default=None, help="vertex-count guard")
-    p.add_argument("--max-family", type=int, default=None,
+    p.add_argument("--max-n", type=_positive_int, default=None,
+                   help="vertex-count guard")
+    p.add_argument("--max-family", type=_positive_int, default=None,
                    help="family cardinality guard")
-    p.add_argument("--max-steps", type=int, default=None,
+    p.add_argument("--max-steps", type=_positive_int, default=None,
                    help="enumeration step guard")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for corpus sweeps")
@@ -203,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="label bound(s) for colorings / irregular-strength")
     p_verify.add_argument("--n", type=_orders, default="3..6",
                           help="orders (at least 2) for identity suites, e.g. 3..6 or 3,5")
-    p_verify.add_argument("--trials", type=_trials, default=1000,
+    p_verify.add_argument("--trials", type=_positive_int, default=1000,
                           help="randomized trials (at least 1) for ring-axioms and orbit")
     _add_common(p_verify)
     return parser
@@ -431,7 +437,11 @@ def _error_payload(code: str, message: str) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _resolve_config(args)
+    try:
+        cfg = _resolve_config(args)
+    except ValueError as exc:
+        print(f"error (usage): {exc}", file=sys.stderr)
+        return EXIT_USAGE
     handlers = {
         "check": _run_check,
         "oracle": _run_oracle,

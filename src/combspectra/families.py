@@ -292,7 +292,9 @@ ROMAN_PALETTE: tuple[RingElem, ...] = (ring.ZERO, ring.const(-1), ring.Y)
 
 
 def in_palette_family(
-    h: WeightedCompleteGraph, palette: Sequence[RingElem]
+    h: WeightedCompleteGraph,
+    palette: Sequence[RingElem],
+    limits: Limits = DEFAULT_LIMITS,
 ) -> bool:
     """Definitional membership test for the family of palette-weighted
     complete graphs: the spectrum of h against the single-edge probe (the set
@@ -304,7 +306,7 @@ def in_palette_family(
     if h.n < 2:
         return True
     probe = singleton(edge_indicator(1, 2, h.n))
-    spec = spectrum_of(family_product(singleton(h), probe))
+    spec = spectrum_of(family_product(singleton(h), probe, limits))
     return set(spec) <= set(palette)
 
 

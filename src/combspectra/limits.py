@@ -19,9 +19,10 @@ class Limits:
     """Hard caps on enumeration size.
 
     ``deadline`` is an absolute ``time.time()`` timestamp.  Spectrum scans,
-    family products and sums and the Hamiltonian spectrum poll it at the
-    start of every loop and every 4096 steps; corpus sweeps poll it between
-    tasks.  Once it has passed they abort with :class:`TimeLimitError`.
+    family products and sums, the Hamiltonian spectrum and the brute-force
+    oracles poll it at the start of every loop and every 4096 steps; corpus
+    sweeps poll it between tasks.  Once it has passed they abort with
+    :class:`TimeLimitError`.
     """
 
     max_n: int = 7

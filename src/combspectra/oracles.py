@@ -67,9 +67,12 @@ def antimagic_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> OracleR
     edges = g.sorted_edges()
     m = len(edges)
     limits.check_steps(math.factorial(m), "antimagic oracle")
+    limits.check_time()
     enumerated = 0
     for perm in permutations(range(1, m + 1)):
         enumerated += 1
+        if not enumerated % 4096:
+            limits.check_time()
         labels = dict(zip(edges, perm))
         degrees = _weighted_degrees(g, labels)
         if len(set(degrees)) == g.n:
@@ -89,8 +92,11 @@ def strength_oracle(
     enumerated = 0
     for k in range(1, k_max + 1):
         limits.check_steps(k**m, f"strength oracle at k={k}")
+        limits.check_time()
         for combo in product(range(1, k + 1), repeat=m):
             enumerated += 1
+            if not enumerated % 4096:
+                limits.check_time()
             labels = dict(zip(edges, combo))
             degrees = _weighted_degrees(g, labels)
             if len(set(degrees)) == g.n:
@@ -110,9 +116,12 @@ def chi_sigma_oracle(
     edges = g.sorted_edges()
     m = len(edges)
     limits.check_steps(k**m, "vertex-coloring labeling oracle")
+    limits.check_time()
     enumerated = 0
     for combo in product(range(1, k + 1), repeat=m):
         enumerated += 1
+        if not enumerated % 4096:
+            limits.check_time()
         labels = dict(zip(edges, combo))
         degrees = _weighted_degrees(g, labels)
         if all(degrees[u - 1] != degrees[v - 1] for u, v in edges):
@@ -128,9 +137,12 @@ def domination_oracle(
         raise PreconditionError(f"k must be in 1..{g.n}, got {k}")
     adj = _adjacency(g)
     limits.check_steps(math.comb(g.n, k), "domination oracle")
+    limits.check_time()
     enumerated = 0
     for subset in combinations(range(1, g.n + 1), k):
         enumerated += 1
+        if not enumerated % 4096:
+            limits.check_time()
         chosen = set(subset)
         if all(v in chosen or adj[v] & chosen for v in range(1, g.n + 1)):
             return OracleResult(True, frozenset(subset), enumerated)
@@ -151,9 +163,12 @@ def edge_roman_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Oracle
     ]
     best: int | None = None
     best_fn = None
+    limits.check_time()
     enumerated = 0
     for combo in product((0, 1, 2), repeat=m):
         enumerated += 1
+        if not enumerated % 4096:
+            limits.check_time()
         if best is not None and sum(combo) >= best:
             continue
         ok = all(
@@ -182,10 +197,13 @@ def hamiltonian_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Oracl
     best_order = None
     enumerated = 0
     rest = list(range(2, g.n + 1))
+    limits.check_time()
     for perm in permutations(rest):
         if perm[0] > perm[-1]:  # each cycle once, not its reflection
             continue
         enumerated += 1
+        if not enumerated % 4096:
+            limits.check_time()
         order = (1, *perm)
         total = sum(
             dist[order[i]][order[(i + 1) % g.n]] for i in range(g.n)

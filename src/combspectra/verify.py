@@ -155,7 +155,7 @@ def _rows_antimagic_variants(g: SimpleGraph, limits: Limits) -> list[dict]:
     members = 0
     for h in iter_colorings(g, integer_palette(m)):
         members += 1
-        exact = ch.antimagic_weighted(h).holds
+        exact = ch.antimagic_weighted(h, limits=limits).holds
         superset = ch.antimagic_family(singleton(h), limits).holds
         if exact != superset:
             disagreements += 1

@@ -287,6 +287,22 @@ def test_hamiltonian_honours_limits():
         hamiltonian_spectrum(C4, C4, Limits(deadline=0.0))
 
 
+def test_weighted_characterizations_honour_limits():
+    from combspectra.families import in_palette_family
+
+    h = embed(P3, (1, 2))
+    calls = (
+        lambda limits: antimagic_weighted(h, limits=limits),
+        lambda limits: irregular_weighted(h, limits),
+        lambda limits: in_palette_family(h, ROMAN_PALETTE, limits),
+    )
+    for call in calls:
+        with pytest.raises(TimeLimitError):
+            call(Limits(deadline=0.0))
+        with pytest.raises(SizeGuardError):
+            call(Limits(max_n=2))
+
+
 def test_hamiltonian_spectrum_of_other_patterns_scans_all_bijections():
     # a pattern that is not the labelled cycle 1-2-...-n, also a relabelled cycle
     for h in (path_graph(5), SimpleGraph(5, [(1, 3), (3, 5), (5, 2), (2, 4), (4, 1)])):

@@ -177,6 +177,27 @@ def test_verify_bad_flags_exit_usage(capsys, flags):
     assert "error: argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--max-n", "--max-family", "--max-steps"])
+def test_nonpositive_cap_flag_exits_usage(capsys, p3_file, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "domination", "--k", "1", p3_file, flag, "0"])
+    assert exc.value.code == EXIT_USAGE
+    assert f"error: argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("MAX_N", "abc"), ("MAX_N", "0"), ("MAX_STEPS", "-1"), ("TIMEOUT_SECONDS", "soon")],
+)
+def test_bad_environment_value_exits_usage(capsys, monkeypatch, p3_file, name, value):
+    monkeypatch.setenv("COMBSPECTRA_" + name, value)
+    code, out, err = run(capsys, "check", "domination", "--k", "1", p3_file)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error (usage): COMBSPECTRA_{name}: ")
+    assert err.count("\n") == 1
+
+
 def test_run_identity_rejects_no_trials():
     from combspectra.verify import run_identity
 
@@ -265,6 +286,18 @@ def test_check_timeout_before_first_bijection(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
     code, _out, err = run(capsys, "check", "antimagic", "-", "--timeout-seconds", "0")
     assert code == EXIT_TIMEOUT
+    assert "deadline" in err
+
+
+@pytest.mark.parametrize("subject", ["edge-roman", "hamiltonian"])
+def test_oracle_timeout_exit(capsys, monkeypatch, subject):
+    import io
+
+    # K5: 3^10 edge functions, 12 cyclic orders
+    monkeypatch.setattr("sys.stdin", io.StringIO("D~{\n"))
+    code, out, err = run(capsys, "oracle", subject, "-", "--timeout-seconds", "0")
+    assert code == EXIT_TIMEOUT
+    assert out == ""
     assert "deadline" in err
 
 

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from combspectra.errors import PreconditionError, SizeGuardError
+from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
 from combspectra.graphs import (
     SimpleGraph,
     complete_graph,
@@ -115,3 +115,19 @@ def test_oracle_size_guard():
         edge_roman_oracle(complete_graph(5), Limits(max_steps=100))
     with pytest.raises(SizeGuardError):
         antimagic_oracle(complete_graph(5), Limits(max_steps=100))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda limits: antimagic_oracle(P3, limits),
+        lambda limits: strength_oracle(P3, 2, limits),
+        lambda limits: chi_sigma_oracle(P3, 2, limits),
+        lambda limits: domination_oracle(P3, 1, limits),
+        lambda limits: edge_roman_oracle(P3, limits),
+        lambda limits: hamiltonian_oracle(C4, limits),
+    ],
+)
+def test_oracles_poll_the_deadline_before_their_loop(call):
+    with pytest.raises(TimeLimitError):
+        call(Limits(deadline=0.0))
