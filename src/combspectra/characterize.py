@@ -3,19 +3,18 @@
 Each predicate searches a combinatorial spectrum (total weights of star
 products over colorings and bijections) for a polynomial whose coefficients
 certify the property, and returns a :class:`Verdict` carrying the witness.
-Every search goes through :func:`scan`, which visits one bijection per orbit
-of a symmetry group that leaves the verdict unchanged: the identity alone for
-the reader gadgets, one bijection per tail set for domination.  Scans run in
-a fixed lexicographic order (colorings first, bijections second) and
-short-circuit on the first witness, which is also the first witness of the
-full n! scan, so results are fully deterministic; pass ``exhaustive=True`` to
-count every witness instead.
+Every search goes through :func:`scan`, which returns the verdict and visits
+one bijection per orbit of a symmetry group that leaves the verdict
+unchanged: the identity alone for the reader gadgets, one bijection per tail
+set for domination.  Scans run in a fixed lexicographic order (colorings
+first, bijections second) and short-circuit on the first witness, which is
+also the first witness of the full n! scan, so results are fully
+deterministic; pass ``exhaustive=True`` to count every witness instead.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -34,7 +33,6 @@ from .families import (
 from .gadgets import (
     WeightedCompleteGraph,
     bijection_pair_maps,
-    contrast_pair,
     contrast_reader,
     cover_reader,
     cycle_pair_maps,
@@ -78,12 +76,9 @@ __all__ = [
 class SearchStats:
     members: int = 0
     bijections: int = 0
-    elapsed: float = 0.0
     witnesses: int | None = None
 
     def to_json(self) -> dict:
-        # elapsed is intentionally omitted: reported output must be
-        # byte-identical across runs and worker counts.
         out = {"members": self.members, "bijections": self.bijections}
         if self.witnesses is not None:
             out["witnesses"] = self.witnesses
@@ -147,23 +142,21 @@ def scan(
     accept: Callable[[WeightedCompleteGraph, RingElem], bool],
     limits: Limits = DEFAULT_LIMITS,
     exhaustive: bool = False,
-    stats: SearchStats | None = None,
-):
+) -> Verdict:
     """Scan s(H *_f gadget) over members H and the ``(f, pair map)`` entries
-    of ``reps``, members outermost, both in the given order.
+    of ``reps``, members outermost, both in the given order, and return the
+    :class:`Verdict`.
 
     ``reps`` holds one bijection per orbit of a group under which ``accept``
     is invariant, the orbits splitting all n! bijections into ``len(reps)``
-    equal parts; ``bijection_pair_maps(n)`` is the full scan.  Returns
-    ``(first, witnesses)``: the first accepted ``(h, f, p)`` or None, and the
-    accepted bijections, each accepted entry counting for its whole orbit.
-    Without ``exhaustive`` the scan stops at the first witness.
+    equal parts; ``bijection_pair_maps(n)`` is the full scan.  The first
+    accepted ``(h, f, p)`` is the witness.  Without ``exhaustive`` the scan
+    stops there; with it, ``stats.witnesses`` counts the accepted bijections,
+    each accepted entry counting for its whole orbit.
     """
-    if stats is None:
-        stats = SearchStats()
+    stats = SearchStats(witnesses=0 if exhaustive else None)
     orbit = math.factorial(gadget.n) // len(reps)
     first = None
-    count = 0
     limits.check_time()
     for h in members:
         stats.members += 1
@@ -173,32 +166,18 @@ def scan(
             if not stats.bijections % 4096:
                 limits.check_time()
             if accept(h, p):
-                count += orbit
                 if first is None:
-                    first = (h, f, p)
+                    first = Verdict(
+                        True,
+                        witness_polynomial=p,
+                        witness_graph=h,
+                        witness_bijection=f,
+                        stats=stats,
+                    )
                 if not exhaustive:
-                    return first, count
-    return first, count
-
-
-def _search(members, gadget, reps, accept, limits, exhaustive) -> Verdict:
-    """Run :func:`scan` and turn its outcome into a verdict."""
-    t0 = time.perf_counter()
-    stats = SearchStats()
-    first, witnesses = scan(members, gadget, reps, accept, limits, exhaustive, stats)
-    stats.elapsed = time.perf_counter() - t0
-    if exhaustive:
-        stats.witnesses = witnesses
-    if first is None:
-        return Verdict(False, stats=stats)
-    h, f, p = first
-    return Verdict(
-        True,
-        witness_polynomial=p,
-        witness_graph=h,
-        witness_bijection=f,
-        stats=stats,
-    )
+                    return first
+                stats.witnesses += orbit
+    return first if first is not None else Verdict(False, stats=stats)
 
 
 # -- antimagic ----------------------------------------------------------------
@@ -216,7 +195,6 @@ def antimagic_weighted(
     complete weighting and {0,1,..,|E|} otherwise.  ``is_complete`` defaults
     to whether every pair weight is nonzero.
     """
-    t0 = time.perf_counter()
     _require_constant_nonneg(g)
     n = g.n
     if n < 2:
@@ -224,7 +202,6 @@ def antimagic_weighted(
     if is_complete is None:
         is_complete = g.is_complete_weighting()
     m = g.nonzero_count()
-    stats = SearchStats()
     fam = singleton(g)
     vertex_spec = spectrum_of(
         family_product(fam, singleton(star_indicator(1, n)), limits)
@@ -232,12 +209,10 @@ def antimagic_weighted(
     pair_spec = spectrum_of(
         family_product(fam, singleton(edge_indicator(1, 2, n)), limits)
     )
-    stats.members = 1
-    stats.bijections = 2 * math.factorial(n)
+    stats = SearchStats(members=1, bijections=2)  # one family product per probe
     lo = 1 if is_complete else 0
     expected = Spectrum(ring.const(c) for c in range(lo, m + 1))
     holds = len(vertex_spec) == n and pair_spec == expected
-    stats.elapsed = time.perf_counter() - t0
     if holds:
         return Verdict(True, witness_graph=g, stats=stats)
     return Verdict(False, stats=stats)
@@ -281,7 +256,7 @@ def antimagic_family(
     for h in fam:
         _require_constant_nonneg(h)
     limits.check_steps(len(fam) * math.factorial(n), "antimagic family search")
-    return _search(
+    return scan(
         fam,
         _antimagic_gadget(n),
         identity_pair_maps(n),
@@ -308,7 +283,7 @@ def antimagic_unweighted(
     limits.check_n(g.n)
     limits.check_family(m**m, f"{m}-colorings of {m} edges")
     limits.check_steps(m**m * math.factorial(g.n), "antimagic search")
-    return _search(
+    return scan(
         iter_colorings(g, integer_palette(m)),
         _antimagic_gadget(g.n),
         identity_pair_maps(g.n),
@@ -332,7 +307,6 @@ def irregular_weighted(
     g: WeightedCompleteGraph, limits: Limits = DEFAULT_LIMITS
 ) -> Verdict:
     """Are all endpoint sums of this weighting distinct?"""
-    t0 = time.perf_counter()
     _require_constant_nonneg(g)
     n = g.n
     if n < 2:
@@ -340,10 +314,8 @@ def irregular_weighted(
     vertex_spec = spectrum_of(
         family_product(singleton(g), singleton(star_indicator(1, n)), limits)
     )
-    stats = SearchStats(members=1, bijections=math.factorial(n))
-    holds = len(vertex_spec) == n
-    stats.elapsed = time.perf_counter() - t0
-    if holds:
+    stats = SearchStats(members=1, bijections=1)  # one family product
+    if len(vertex_spec) == n:
         return Verdict(True, witness_graph=g, stats=stats)
     return Verdict(False, stats=stats)
 
@@ -366,7 +338,7 @@ def strength_at_most(
     limits.check_n(g.n)
     limits.check_family(k**g.m, f"{k}-colorings of {g.m} edges")
     limits.check_steps(k**g.m * math.factorial(g.n), "strength search")
-    return _search(
+    return scan(
         iter_colorings(g, integer_palette(k)),
         degree_reader(g.n),
         identity_pair_maps(g.n),
@@ -379,28 +351,25 @@ def strength_at_most(
 # -- local irregularity / 1-2-3 ---------------------------------------------------
 
 
-def local_irregular_weighted(g: WeightedCompleteGraph) -> Verdict:
+def local_irregular_weighted(
+    g: WeightedCompleteGraph, limits: Limits = DEFAULT_LIMITS
+) -> Verdict:
     """Do adjacent vertices always get different endpoint sums?
 
-    Scans every bijection against the single contrast probe; a nonzero purely
-    imaginary total marks an adjacent tie.
+    Scans the weighting against the contrast reader, one endpoint-sum
+    contrast per x-coefficient; a nonzero purely imaginary coefficient marks
+    an adjacent tie.  The identity bijection decides, as in
+    :func:`one_two_three`.
     """
-    t0 = time.perf_counter()
     _require_constant_nonneg(g)
     n = g.n
-    stats = SearchStats(members=1)
+    limits.check_n(n)
     if n < 2:
-        stats.elapsed = time.perf_counter() - t0
-        return Verdict(True, witness_graph=g, stats=stats)
-    probe = contrast_pair(1, 2, n)
-    for _f, pmap in bijection_pair_maps(n):
-        stats.bijections += 1
-        p = star_sum(g, probe, pmap)
-        if p.classify().is_nonzero_pure_imaginary:
-            stats.elapsed = time.perf_counter() - t0
-            return Verdict(False, stats=stats)
-    stats.elapsed = time.perf_counter() - t0
-    return Verdict(True, witness_graph=g, stats=stats)
+        return Verdict(True, witness_graph=g, stats=SearchStats(members=1))
+    limits.check_steps(math.factorial(n), "local irregularity search")
+    return scan(
+        (g,), contrast_reader(n), identity_pair_maps(n), _one_two_three_accept, limits
+    )
 
 
 def _one_two_three_accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
@@ -431,7 +400,7 @@ def one_two_three(
     limits.check_n(g.n)
     limits.check_family(3**g.m, f"3-colorings of {g.m} edges")
     limits.check_steps(3**g.m * math.factorial(g.n), "1-2-3 search")
-    return _search(
+    return scan(
         iter_colorings(g, integer_palette(3)),
         contrast_reader(g.n),
         identity_pair_maps(g.n),
@@ -479,7 +448,7 @@ def dominating_k(
         raise PreconditionError(f"k must be in 1..{n - 1}, got {k}")
     limits.check_n(n)
     limits.check_steps(math.factorial(n), "domination search")
-    return _search(
+    return scan(
         (domination_probe(k, n),),
         indicator(g),
         domination_pair_maps(k, n),
@@ -568,7 +537,7 @@ def edge_roman_at_most(
     limits.check_n(n)
     limits.check_family(3**m, f"3-colorings of {m} edges")
     limits.check_steps(3**m * math.factorial(n), "edge Roman search")
-    return _search(
+    return scan(
         iter_colorings(g, ROMAN_PALETTE),
         cover_reader(n),
         identity_pair_maps(n),

@@ -5,7 +5,7 @@ accepted behind one parse entry point:
 
 * edge-list text: first line ``n m``, then ``m`` lines ``u v``; blank lines
   and ``#`` comments are ignored;
-* graph6 (one line per graph, n <= 62).
+* graph6 (one line per graph); both formats take n <= 62.
 """
 
 from __future__ import annotations
@@ -194,6 +194,8 @@ def parse_edge_list(text: str) -> SimpleGraph:
         raise ParseError(f"line {lineno}: non-integer header fields in {header!r}") from None
     if n < 1:
         raise ParseError(f"line {lineno}: vertex count must be at least 1")
+    if n > 62:
+        raise ParseError(f"line {lineno}: inputs with n > 62 are not supported")
     if m < 0:
         raise ParseError(f"line {lineno}: negative edge count")
     edges: set[tuple[int, int]] = set()

@@ -41,10 +41,12 @@ from .gadgets import (
     degree_reader,
     distance_weighting,
     domination_probe,
+    edge_indicator,
     identity_pair_maps,
     indicator,
     pair_reader,
     pairs_in_rank_order,
+    star_indicator,
 )
 from .graphs import SimpleGraph, complete_graph, cycle_graph, parse_graph6, to_graph6
 from .limits import DEFAULT_LIMITS, Limits
@@ -476,7 +478,7 @@ def _domination_orbit_failures(n: int, limits: Limits) -> tuple[int, int]:
     for g in connected_graphs(n):
         for k in range(1, n):
             reduced = ch.dominating_k(g, k, limits, exhaustive=True)
-            first, witnesses = ch.scan(
+            full = ch.scan(
                 (domination_probe(k, n),),
                 indicator(g),
                 bijection_pair_maps(n),
@@ -486,9 +488,9 @@ def _domination_orbit_failures(n: int, limits: Limits) -> tuple[int, int]:
             )
             checks += 1
             failures += (
-                reduced.holds != (first is not None)
-                or reduced.witness_bijection != (first and first[1])
-                or reduced.stats.witnesses != witnesses
+                reduced.holds != full.holds
+                or reduced.witness_bijection != full.witness_bijection
+                or reduced.stats.witnesses != full.stats.witnesses
             )
     return checks, failures
 
@@ -520,20 +522,22 @@ def _full_product(left: GraphFamily, right: GraphFamily) -> GraphFamily:
 def _family_product_orbit_failures(
     n: int, graphs: Sequence[SimpleGraph], trials: int, rng: Random, limits: Limits
 ) -> tuple[int, int]:
-    """Reduced against full family products, a random corpus indicator on the
-    left.  On the right: the closed families of the fixpoint and colorings
-    routes, and a random corpus indicator, closed only for the complete
-    graph.  The closure test must also agree with its definition: starring
-    the complete indicator with a closed family returns the family."""
-    closed = [edge_deleted_family(n)]
+    """Closure products against full family products, a random corpus
+    indicator on the left.  On the right: the closed families of the fixpoint
+    and colorings routes, the star and edge probes, and a random corpus
+    indicator, closed only for the complete graph.  The closure test must
+    also agree with its definition: starring the complete indicator with a
+    closed family returns the family."""
+    fixed = [edge_deleted_family(n)]
     if n <= 4:
-        closed.append(all_colorings_family(n, 2, limits))
+        fixed.append(all_colorings_family(n, 2, limits))
+    fixed += [singleton(star_indicator(1, n)), singleton(edge_indicator(1, 2, n))]
     complete = singleton(indicator(complete_graph(n)))
     is_closed: dict[GraphFamily, bool] = {}
     checks = failures = 0
     for _ in range(trials):
         left = singleton(indicator(rng.choice(graphs)))
-        for right in (*closed, singleton(indicator(rng.choice(graphs)))):
+        for right in (*fixed, singleton(indicator(rng.choice(graphs)))):
             if right not in is_closed:
                 is_closed[right] = _full_product(complete, right) == right
             checks += 1
@@ -561,8 +565,8 @@ def _hamiltonian_orbit_failures(
 def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> list[dict]:
     """Check that scanning one bijection per orbit decides like the full n!
     scan: domination over the whole corpus, each reader gadget on ``trials``
-    random members colored from its own palette, family products with a
-    relabel-closed right factor on ``trials`` random left members, and the
+    random members colored from its own palette, family products by the
+    right factor's relabel closure on ``trials`` random left members, and the
     Hamiltonian cycle spectrum over the whole corpus."""
     rng = Random(seed)
     rows = []
@@ -581,7 +585,7 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
                      for pair in pairs_in_rank_order(n)],
                 )
                 counts = [
-                    ch.scan((member,), gadget, maps, accept, limits, exhaustive=True)[1]
+                    ch.scan((member,), gadget, maps, accept, limits, True).stats.witnesses
                     for maps in (identity_pair_maps(n), bijection_pair_maps(n))
                 ]
                 reader_failures[name] += counts[0] != counts[1]

@@ -23,8 +23,10 @@ from combspectra.characterize import (
 from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
 from combspectra.families import ROMAN_PALETTE, iter_colorings, singleton
 from combspectra.gadgets import (
+    WeightedCompleteGraph,
     all_bijections,
     bijection_pair_maps,
+    contrast_pair,
     cover_reader,
     domination_probe,
     edge_indicator,
@@ -143,6 +145,22 @@ def test_local_irregular_examples():
     assert not local_irregular_weighted(indicator(K2)).holds
     assert not local_irregular_weighted(indicator(C4)).holds
     assert local_irregular_weighted(embed(C4, (1, 2, 1, 2))).holds
+
+
+def test_local_irregular_matches_contrast_pair_over_all_bijections():
+    # the definition: some relabeling of the contrast probe of {1, 2} shows a
+    # nonzero purely imaginary total exactly when adjacent sums tie
+    rng = Random(7)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        weights = [const(rng.randint(0, 3)) for _ in range(n * (n - 1) // 2)]
+        g = WeightedCompleteGraph(n, weights)
+        probe = contrast_pair(1, 2, n)
+        tie = any(
+            star_sum(g, probe, pmap).classify().is_nonzero_pure_imaginary
+            for _f, pmap in bijection_pair_maps(n)
+        )
+        assert local_irregular_weighted(g).holds == (not tie)
 
 
 def test_one_two_three_examples():
@@ -295,12 +313,16 @@ def test_weighted_characterizations_honour_limits():
         lambda limits: antimagic_weighted(h, limits=limits),
         lambda limits: irregular_weighted(h, limits),
         lambda limits: in_palette_family(h, ROMAN_PALETTE, limits),
+        lambda limits: local_irregular_weighted(h, limits),
     )
     for call in calls:
         with pytest.raises(TimeLimitError):
             call(Limits(deadline=0.0))
         with pytest.raises(SizeGuardError):
             call(Limits(max_n=2))
+    # the all-ones star on 8 vertices is over the default max_n=7
+    with pytest.raises(SizeGuardError):
+        local_irregular_weighted(indicator(star_graph(8)))
 
 
 def test_hamiltonian_spectrum_of_other_patterns_scans_all_bijections():
@@ -382,7 +404,11 @@ def test_stats_counters():
     v = antimagic_family(singleton(embed(P3, (1, 1))), exhaustive=True)
     assert v.stats.members == 1
     assert v.stats.bijections == 1  # the identity decides the member
-    assert v.stats.elapsed >= 0.0
+    # one family product per probe
+    h = embed(P3, (1, 2))
+    assert antimagic_weighted(h).stats.bijections == 2
+    assert irregular_weighted(h).stats.bijections == 1
+    assert local_irregular_weighted(h).stats.bijections == 1
 
 
 # -- cross-route consistency: family search vs single-weighting checks ------------

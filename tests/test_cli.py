@@ -88,6 +88,15 @@ def test_parse_error_exit(capsys, tmp_path):
     assert "loop" in err
 
 
+@pytest.mark.parametrize("command", [("check", "antimagic"), ("oracle", "antimagic")])
+def test_order_above_62_exits_parse(capsys, tmp_path, command):
+    big = tmp_path / "big.edges"
+    big.write_text("63 0\n")
+    code, _out, err = run(capsys, *command, str(big))
+    assert code == EXIT_PARSE
+    assert "n > 62" in err
+
+
 def test_parse_error_json_payload(capsys, tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_text("nonsense\n")
@@ -159,8 +168,9 @@ def test_verify_orbit_identity(capsys):
     assert len(rows) == 21
     assert all(row["agree"] and row["checks"] > 0 for row in rows)
     assert [row["checks"] for row in rows if row["search"] == "domination"] == [4, 18, 84]
-    # closed right families (two up to n=4, one above) plus a random indicator, per trial
-    assert [row["checks"] for row in rows if row["search"] == "family-product"] == [60, 60, 40]
+    # closed right families (two up to n=4, one above), the two singleton
+    # probes and a random indicator, per trial
+    assert [row["checks"] for row in rows if row["search"] == "family-product"] == [100, 100, 80]
     # every connected graph of each order
     assert [row["checks"] for row in rows if row["search"] == "hamiltonian"] == [2, 6, 21]
 

@@ -1,10 +1,12 @@
 """Family products, sums, power fixpoints and coloring families."""
 
 import math
+from random import Random
 
 import pytest
 
 from combspectra import ring
+from combspectra.corpus import connected_graphs
 from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
 from combspectra.families import (
     GraphFamily,
@@ -25,6 +27,7 @@ from combspectra.gadgets import (
     WeightedCompleteGraph,
     bijection_pair_maps,
     distance_weighting,
+    edge_indicator,
     indicator,
     star_indicator,
 )
@@ -255,11 +258,34 @@ def test_relabel_closure_check():
 
 
 def test_product_with_closed_right_factor_matches_definition():
+    # closed right factors, and the singleton probes and a random corpus
+    # indicator, which are not closed
     maps = bijection_pair_maps(4)
     left = GraphFamily(4, [indicator(path_graph(4)), indicator(cycle_graph(4))])
-    for right in (edge_deleted_family(4), all_colorings_family(4, 2)):
+    random_graph = Random(3).choice(connected_graphs(4))
+    for right in (
+        edge_deleted_family(4),
+        all_colorings_family(4, 2),
+        singleton(star_indicator(1, 4)),
+        singleton(edge_indicator(1, 2, 4)),
+        singleton(indicator(random_graph)),
+    ):
         full = GraphFamily(4, (h.star_with_map(g, m) for h in left for g in right for _f, m in maps))
         assert family_product(left, right) == full
+
+
+def test_relabel_closure_honours_limits():
+    # the star probe has n relabelings, the edge probe C(n,2)
+    n = 5
+    star, edge = singleton(star_indicator(1, n)), singleton(edge_indicator(1, 2, n))
+    one = singleton(indicator(complete_graph(n)))
+    assert len(family_product(one, star, Limits(max_family=n))) == n
+    with pytest.raises(SizeGuardError, match="relabel closure"):
+        family_product(one, star, Limits(max_family=n - 1))
+    with pytest.raises(SizeGuardError, match="relabel closure"):
+        family_product(one, edge, Limits(max_family=9))
+    with pytest.raises(TimeLimitError):  # the walk polls before its first step
+        family_product(one, edge, Limits(deadline=0.0))
 
 
 def test_family_operations_poll_the_deadline_before_their_loop():

@@ -1,7 +1,11 @@
 """Graph parsing, distances, components, and the two input formats."""
 
+import itertools
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combspectra.errors import ParseError, PreconditionError
 from combspectra.graphs import (
@@ -101,6 +105,50 @@ def test_graph6_header_and_errors():
         parse_graph6("")
     with pytest.raises(ParseError):
         parse_graph6("B")  # truncated data
+
+
+@st.composite
+def simple_graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph(n, (pair for pair, keep in zip(pairs, chosen) if keep))
+
+
+@given(simple_graphs())
+@settings(max_examples=200, deadline=None)
+def test_graph6_and_edge_list_round_trip(g):
+    g6, text = to_graph6(g), to_edge_list(g)
+    assert parse_graph(g6) == parse_graph(text) == g
+    assert to_graph6(parse_edge_list(text)) == g6
+    assert to_edge_list(parse_graph6(g6)) == text
+
+
+_number = st.integers(-3, 70).map(str)
+_line = st.one_of(
+    st.tuples(_number, _number).map(" ".join),
+    st.lists(_number, max_size=3).map(" ".join),
+    st.sampled_from(["", "# note", "Bw", "?", "~", ">>graph6<<"]),
+    st.text(max_size=6),
+)
+
+
+@given(st.one_of(st.text(max_size=30), st.lists(_line, max_size=5).map("\n".join)))
+@settings(max_examples=500, deadline=None)
+def test_parse_graph_raises_only_parse_errors(text):
+    try:
+        g = parse_graph(text)
+    except ParseError:
+        return
+    assert 1 <= g.n <= 62
+
+
+def test_parse_rejects_orders_above_62():
+    with pytest.raises(ParseError, match="n > 62"):
+        parse_edge_list("63 0\n")
+    with pytest.raises(ParseError, match="n > 62"):
+        parse_graph("100 0")
+    assert parse_edge_list("62 0\n").n == 62
 
 
 def test_parse_graph_auto_detects():
