@@ -116,7 +116,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         max_n=pick(args.max_n, "MAX_N", 7, _positive_int),
         max_family=pick(args.max_family, "MAX_FAMILY", 10_000_000, _positive_int),
         max_steps=pick(args.max_steps, "MAX_STEPS", 1_000_000_000, _positive_int),
-        workers=pick(args.workers, "WORKERS", os.cpu_count() or 1, int),
+        workers=pick(args.workers, "WORKERS", os.cpu_count() or 1, _positive_int),
         json_output=pick(
             True if args.json else None,
             "JSON",
@@ -163,7 +163,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="family cardinality guard")
     p.add_argument("--max-steps", type=_positive_int, default=None,
                    help="enumeration step guard")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_positive_int, default=None,
                    help="worker processes for corpus sweeps")
     p.add_argument("--timeout-seconds", type=float, default=None,
                    help="wall-clock limit")

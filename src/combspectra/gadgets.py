@@ -445,11 +445,15 @@ def cover_pair(a: int, b: int, n: int) -> WeightedCompleteGraph:
     return WeightedCompleteGraph(n, weights)
 
 
+@lru_cache(maxsize=None)
 def domination_probe(k: int, n: int) -> WeightedCompleteGraph:
     """Probe for dominating sets of size k: a pair (j, l) with j <= n-k < l
     carries x^(j-1), everything else 0.  In a product with a graph indicator,
     the coefficient of x^(j-1) counts the neighbors of the j-th head vertex
-    among the k tail vertices."""
+    among the k tail vertices.
+
+    Cached like the reader gadgets: one entry per (k, n) with 1 <= k < n, so
+    fewer than max_n² entries under a size guard of max_n."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
     cut = n - k

@@ -371,6 +371,29 @@ _MIN_N = {
 
 _DEFAULT_KS = {"colorings": (2, 3), "irregular-strength": (1, 2, 3)}
 
+# Pool batches per worker: enough that the small tail of a largest-first
+# order still balances the workers, few enough that the per-batch pickling
+# and queue traffic stays below the work of sub-millisecond tasks.
+_BATCHES_PER_WORKER = 8
+
+
+def _pool_results(
+    tasks: list[tuple], sizes: list[tuple[int, int]], workers: int
+) -> list[list[dict]]:
+    """Each task's rows, computed in a process pool and listed in task order.
+
+    The tasks go out largest (n, m) first, so the longest one starts at once
+    instead of last (Graham's largest-first list schedule), in batches of
+    ``len(tasks) // (_BATCHES_PER_WORKER * workers)``, and the pool starts no
+    more processes than there are batches."""
+    order = sorted(range(len(tasks)), key=lambda i: sizes[i], reverse=True)
+    chunksize = max(1, len(tasks) // (_BATCHES_PER_WORKER * workers))
+    batches = -(-len(tasks) // chunksize)
+    with ProcessPoolExecutor(max_workers=min(workers, batches)) as pool:
+        done = pool.map(_theorem_task, [tasks[i] for i in order], chunksize=chunksize)
+        rows_at = dict(zip(order, done))
+    return [rows_at[i] for i in range(len(tasks))]
+
 
 def run_theorem(
     subject: str,
@@ -381,6 +404,11 @@ def run_theorem(
 ) -> dict:
     """Sweep a theorem subject over the connected-graph corpus.
 
+    With ``workers > 1`` the per-graph tasks run in a process pool: largest
+    (n, m) first, in batches, on at most one process per batch, and each
+    task's rows are put back at its corpus index, so the report is the same
+    at every worker count.
+
     Returns a deterministic report dict; ``summary.disagreements`` counts rows
     where the two routes differ or a witness failed its own definition.
     """
@@ -390,18 +418,17 @@ def run_theorem(
         ks = _DEFAULT_KS.get(subject, ())
     limits_fields = (limits.max_n, limits.max_family, limits.max_steps, limits.deadline)
     if subject == "fixpoint":
-        tasks = [
-            (subject, n, tuple(ks), limits_fields) for n in range(2, max_n + 1)
-        ]
+        sizes = [(n, n * (n - 1) // 2) for n in range(2, max_n + 1)]
+        tasks = [(subject, n, tuple(ks), limits_fields) for n, _ in sizes]
     else:
         graphs = connected_graphs_up_to(max_n, min_n=_MIN_N[subject])
+        sizes = [(g.n, g.m) for g in graphs]
         tasks = [
             (subject, to_graph6(g), tuple(ks), limits_fields) for g in graphs
         ]
     limits.check_time()
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_theorem_task, tasks, chunksize=1))
+        results = _pool_results(tasks, sizes, workers)
         limits.check_time()
     else:
         results = []

@@ -187,7 +187,7 @@ def test_verify_bad_flags_exit_usage(capsys, flags):
     assert "error: argument" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--max-n", "--max-family", "--max-steps"])
+@pytest.mark.parametrize("flag", ["--max-n", "--max-family", "--max-steps", "--workers"])
 def test_nonpositive_cap_flag_exits_usage(capsys, p3_file, flag):
     with pytest.raises(SystemExit) as exc:
         main(["check", "domination", "--k", "1", p3_file, flag, "0"])
@@ -197,7 +197,8 @@ def test_nonpositive_cap_flag_exits_usage(capsys, p3_file, flag):
 
 @pytest.mark.parametrize(
     "name, value",
-    [("MAX_N", "abc"), ("MAX_N", "0"), ("MAX_STEPS", "-1"), ("TIMEOUT_SECONDS", "soon")],
+    [("MAX_N", "abc"), ("MAX_N", "0"), ("MAX_STEPS", "-1"), ("TIMEOUT_SECONDS", "soon"),
+     ("WORKERS", "0")],
 )
 def test_bad_environment_value_exits_usage(capsys, monkeypatch, p3_file, name, value):
     monkeypatch.setenv("COMBSPECTRA_" + name, value)
