@@ -37,6 +37,7 @@ from .errors import (
     PreconditionError,
     SizeGuardError,
     TimeLimitError,
+    UsageError,
 )
 from .gadgets import WeightedCompleteGraph
 from .graphs import SimpleGraph, parse_graph, parse_graph6, to_graph6
@@ -195,8 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("subject", choices=ORACLE_SUBJECTS)
     p_oracle.add_argument("graph")
     p_oracle.add_argument("--k", type=int, default=None)
-    p_oracle.add_argument("--k-max", type=int, default=3,
-                          help="largest label bound tried by the strength oracle")
+    p_oracle.add_argument("--k-max", type=_positive_int, default=3,
+                          help="largest label bound (at least 1) tried by the strength oracle")
     _add_common(p_oracle)
 
     p_verify = sub.add_parser(
@@ -205,8 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--theorem", choices=ver.THEOREM_SUBJECTS)
     group.add_argument("--identity", choices=ver.IDENTITY_SUBJECTS)
-    p_verify.add_argument("--k", type=int, action="append", default=None,
-                          help="label bound(s) for colorings / irregular-strength")
+    p_verify.add_argument("--k", type=_positive_int, action="append", default=None,
+                          help="label bound(s), at least 1, for colorings / irregular-strength")
     p_verify.add_argument("--n", type=_orders, default="3..6",
                           help="orders (at least 2) for identity suites, e.g. 3..6 or 3,5")
     p_verify.add_argument("--trials", type=_positive_int, default=1000,
@@ -449,6 +450,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, cfg)
+    except UsageError as exc:
+        print(f"error (usage): {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ParseError as exc:
         _report_error(cfg, "parse", exc)
         return EXIT_PARSE

@@ -31,3 +31,8 @@ class StabilizationError(CombSpectraError):
 
 class TimeLimitError(CombSpectraError):
     """A configured wall-clock deadline was exceeded."""
+
+
+class UsageError(ValueError):
+    """An argument outside what an entry point accepts, found before any
+    work starts; the command line reports it as a usage error."""

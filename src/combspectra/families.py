@@ -13,15 +13,27 @@ the right factor's relabel closure: no more than the factor itself when it
 is closed (edge-deleted indicators, their powers, all-colorings families),
 and n or C(n,2) relabelings of a single probe, never all n! bijections.
 
-Members are kept in a canonical sorted order so that every downstream result
-is deterministic regardless of construction order or worker interleaving.
+Families and spectra hold their members as a set and sort them, in one
+canonical order, only when the order is read (``members``, iteration,
+``to_json``), so every downstream result is deterministic regardless of
+construction order or worker interleaving.  Products, sums, closures and
+spectra work on the sets and sort nothing.
+
+Two bounded LRU caches keep what depends only on its inputs: the
+all-colorings family per (n, k) and the caller's caps, and the relabel
+closure per right factor and ``max_family``.  Each holds
+``_CACHE_ENTRIES`` entries of at most ``max_family`` members, a size the
+caller's guard already admitted; a hit still applies the guards and polls
+the deadline.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from collections import OrderedDict
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import ring
 from .errors import PreconditionError, StabilizationError
@@ -57,9 +69,12 @@ __all__ = [
 
 
 class GraphFamily:
-    """A deduplicated set of weighted complete graphs of one order."""
+    """A deduplicated set of weighted complete graphs of one order.
 
-    __slots__ = ("n", "members", "_member_set")
+    Length, membership, equality and hashing use the set; ``members`` is the
+    canonical sorted order, computed on first read."""
+
+    __slots__ = ("n", "_member_set", "_members")
 
     def __init__(self, n: int, members: Iterable[WeightedCompleteGraph]):
         member_set = frozenset(members)
@@ -69,11 +84,17 @@ class GraphFamily:
                     f"family of order {n} cannot contain a graph of order {m.n}"
                 )
         self.n = n
-        self.members = tuple(sorted(member_set, key=WeightedCompleteGraph.sort_key))
         self._member_set = member_set
+        self._members: tuple[WeightedCompleteGraph, ...] | None = None
+
+    @property
+    def members(self) -> tuple[WeightedCompleteGraph, ...]:
+        if self._members is None:
+            self._members = tuple(sorted(self._member_set, key=WeightedCompleteGraph.sort_key))
+        return self._members
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._member_set)
 
     def __iter__(self) -> Iterator[WeightedCompleteGraph]:
         return iter(self.members)
@@ -92,38 +113,46 @@ class GraphFamily:
         return hash((self.n, self._member_set))
 
     def __repr__(self) -> str:
-        return f"GraphFamily(n={self.n}, members={len(self.members)})"
+        return f"GraphFamily(n={self.n}, members={len(self)})"
 
     def to_json(self, member_threshold: int = 1000) -> dict:
         """Count always present; members listed only up to the threshold."""
-        out: dict = {"n": self.n, "count": len(self.members)}
-        if len(self.members) <= member_threshold:
+        out: dict = {"n": self.n, "count": len(self)}
+        if len(self) <= member_threshold:
             out["members"] = [m.to_json() for m in self.members]
         return out
 
 
 class Spectrum:
-    """The deduplicated set of total weights of a family, canonically sorted."""
+    """The deduplicated set of total weights of a family; ``values`` is the
+    canonical sorted order, computed on first read."""
 
-    __slots__ = ("values",)
+    __slots__ = ("_value_set", "_values")
 
     def __init__(self, values: Iterable[RingElem]):
-        self.values = tuple(sorted(set(values), key=RingElem.sort_key))
+        self._value_set = frozenset(values)
+        self._values: tuple[RingElem, ...] | None = None
+
+    @property
+    def values(self) -> tuple[RingElem, ...]:
+        if self._values is None:
+            self._values = tuple(sorted(self._value_set, key=RingElem.sort_key))
+        return self._values
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._value_set)
 
     def __iter__(self) -> Iterator[RingElem]:
         return iter(self.values)
 
     def __contains__(self, item: object) -> bool:
-        return item in set(self.values)
+        return item in self._value_set
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Spectrum) and set(self.values) == set(other.values)
+        return isinstance(other, Spectrum) and self._value_set == other._value_set
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.values))
+        return hash(self._value_set)
 
     def as_integers(self) -> tuple[int, ...]:
         """Sorted integer values; raises unless every member is a real integer constant."""
@@ -152,16 +181,54 @@ def singleton(member: WeightedCompleteGraph) -> GraphFamily:
 
 
 def spectrum_of(family: GraphFamily | Iterable[WeightedCompleteGraph]) -> Spectrum:
-    return Spectrum(m.total_weight() for m in family)
+    members = family._member_set if isinstance(family, GraphFamily) else family
+    return Spectrum(m.total_weight() for m in members)
 
 
-def _relabel_closure(family: GraphFamily, limits: Limits) -> list[WeightedCompleteGraph]:
+# Entries per family cache.  A constant, not an option: each entry holds at
+# most max_family members, a size the caller's own guard already admitted.
+_CACHE_ENTRIES = 16
+
+
+def _bounded_cache(key: Callable[..., Hashable]):
+    """Memoize a family-building function in an LRU of ``_CACHE_ENTRIES``
+    entries, looked up by ``key(*args)``.  A call that raises caches
+    nothing.  The wrapper has ``cache_clear()`` and ``cache_len()``."""
+
+    def decorate(build):
+        entries: OrderedDict = OrderedDict()
+
+        @functools.wraps(build)
+        def cached(*args):
+            k = key(*args)
+            if k in entries:
+                entries.move_to_end(k)
+                return entries[k]
+            value = entries[k] = build(*args)
+            if len(entries) > _CACHE_ENTRIES:
+                entries.popitem(last=False)
+            return value
+
+        cached.cache_clear = entries.clear
+        cached.cache_len = entries.__len__
+        return cached
+
+    return decorate
+
+
+@_bounded_cache(lambda family, limits: (family, limits.max_family))
+def _relabel_closure(
+    family: GraphFamily, limits: Limits
+) -> tuple[WeightedCompleteGraph, ...]:
     """Every relabeling g∘f of every member g: a breadth-first orbit walk
     along the generators (1 2) and (1 2 ... n) of all bijections (Holt, Eick
     & O'Brien, Handbook of Computational Group Theory, 2005, §4.1), 2 steps
-    per closure member.  The closure size counts against ``max_family``."""
+    per closure member.  The closure size counts against ``max_family``.
+
+    Cached per (family, max_family) in a bounded LRU; the deadline is not
+    part of the key, so a hit does not poll it and callers must."""
     gens = [pair_map for _f, pair_map in generator_pair_maps(family.n)]
-    closure = list(family.members)
+    closure = list(family._member_set)
     seen = set(closure)
     limits.check_time()
     # the loop also visits the relabelings it appends, in the order found
@@ -176,13 +243,13 @@ def _relabel_closure(family: GraphFamily, limits: Limits) -> list[WeightedComple
             limits.check_family(len(closure), "relabel closure")
         if not step % 4096:
             limits.check_time()
-    return closure
+    return tuple(closure)
 
 
-def is_relabel_closed(family: GraphFamily) -> bool:
+def is_relabel_closed(family: GraphFamily, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Does every relabeling of every member lie in the family?  Exactly when
     the relabel closure is no larger than the family."""
-    return len(_relabel_closure(family, DEFAULT_LIMITS)) == len(family)
+    return len(_relabel_closure(family, limits)) == len(family)
 
 
 def family_product(
@@ -202,8 +269,10 @@ def family_product(
     limits.check_steps(
         len(left) * len(right) * math.factorial(n), "family product"
     )
+    closure = _relabel_closure(right, limits)
+    limits.check_time()
     out: set[WeightedCompleteGraph] = set()
-    pairs = itertools.product(left.members, _relabel_closure(right, limits))
+    pairs = itertools.product(left._member_set, closure)
     for step, (h, g) in enumerate(pairs, 1):
         out.add(WeightedCompleteGraph(n, tuple(a * b for a, b in zip(h.weights, g.weights))))
         if len(out) > limits.max_family:
@@ -224,7 +293,7 @@ def family_sum(
     limits.check_steps(len(left) * len(right), "family sum")
     limits.check_time()
     out: set[WeightedCompleteGraph] = set()
-    pairs = itertools.product(left.members, right.members)
+    pairs = itertools.product(left._member_set, right._member_set)
     for step, (h, g) in enumerate(pairs, 1):
         out.add(h + g)
         if len(out) > limits.max_family:
@@ -275,15 +344,26 @@ def all_colorings_family(
 
     Built from the power fixpoint of the edge-deleted indicators: k-1 family
     sums of (fixpoint plus the complete indicator) and one final shift by the
-    complete indicator."""
+    complete indicator.  Every call checks ``max_n`` and the family size and
+    polls the deadline; the family itself is built once per (n, k) and caps,
+    see :func:`_all_colorings`."""
     if n < 2 or k < 1:
         raise PreconditionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
     limits.check_n(n)
     limits.check_family(k ** (n * (n - 1) // 2), f"all {k}-colorings of order {n}")
+    limits.check_time()
+    return _all_colorings(n, k, limits)
+
+
+@_bounded_cache(lambda n, k, limits: (n, k, limits.max_n, limits.max_family, limits.max_steps))
+def _all_colorings(n: int, k: int, limits: Limits) -> GraphFamily:
+    """The all-colorings family, cached per (n, k, max_n, max_family,
+    max_steps) in a bounded LRU.  The deadline is not part of the key; a
+    miss builds under the caller's own limits, so every loop polls it."""
     full = indicator(complete_graph(n))
     acc = singleton(WeightedCompleteGraph.zero(n))
     if k > 1:
-        base_members = set(power_fixpoint(edge_deleted_family(n), limits).family)
+        base_members = set(power_fixpoint(edge_deleted_family(n), limits).family._member_set)
         base_members.add(full)
         base = GraphFamily(n, base_members)
         for _ in range(k - 1):
@@ -317,7 +397,7 @@ def in_palette_family(
         return True
     probe = singleton(edge_indicator(1, 2, h.n))
     spec = spectrum_of(family_product(singleton(h), probe, limits))
-    return set(spec) <= set(palette)
+    return spec._value_set <= set(palette)
 
 
 def iter_colorings(

@@ -18,7 +18,7 @@ from . import characterize as ch
 from . import oracles as orc
 from . import ring
 from .corpus import connected_graphs, connected_graphs_up_to
-from .errors import PreconditionError
+from .errors import PreconditionError, UsageError
 from .families import (
     ROMAN_PALETTE,
     GraphFamily,
@@ -360,6 +360,7 @@ def _theorem_task(args: tuple) -> list[dict]:
 
 _MIN_N = {
     "colorings": 2,
+    "fixpoint": 2,
     "antimagic": 2,
     "antimagic-variants": 2,
     "irregular-strength": 2,
@@ -411,9 +412,14 @@ def run_theorem(
 
     Returns a deterministic report dict; ``summary.disagreements`` counts rows
     where the two routes differ or a witness failed its own definition.
+    Raises :class:`UsageError`, a ``ValueError``, before any work for an
+    unknown subject or a ``max_n`` below the subject's least order.
     """
     if subject not in THEOREM_SUBJECTS:
-        raise ValueError(f"unknown theorem subject {subject!r}")
+        raise UsageError(f"unknown theorem subject {subject!r}")
+    if max_n < _MIN_N[subject]:
+        # a sweep over no graph would report agreement having checked nothing
+        raise UsageError(f"{subject} needs max_n >= {_MIN_N[subject]}, got {max_n}")
     if ks is None:
         ks = _DEFAULT_KS.get(subject, ())
     limits_fields = (limits.max_n, limits.max_family, limits.max_steps, limits.deadline)
@@ -569,7 +575,7 @@ def _family_product_orbit_failures(
                 is_closed[right] = _full_product(complete, right) == right
             checks += 1
             failures += (
-                is_relabel_closed(right) != is_closed[right]
+                is_relabel_closed(right, limits) != is_closed[right]
                 or family_product(left, right, limits) != _full_product(left, right)
             )
     return checks, failures
@@ -678,9 +684,9 @@ def run_identity(
 ) -> dict:
     """Run an algebraic identity suite; deterministic for a fixed seed."""
     if subject not in IDENTITY_SUBJECTS:
-        raise ValueError(f"unknown identity subject {subject!r}")
+        raise UsageError(f"unknown identity subject {subject!r}")
     if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+        raise UsageError(f"need at least one trial, got {trials}")
     rows = _identity_rows(subject, ns, trials, seed, limits)
     disagreements = sum(1 for row in rows if not row["agree"])
     return {

@@ -178,13 +178,38 @@ def test_verify_orbit_identity(capsys):
 @pytest.mark.parametrize(
     "flags",
     [("--trials", "-5"), ("--trials", "0"), ("--trials", "x"),
-     ("--n", "abc"), ("--n", "1..3"), ("--n", "5..3")],
+     ("--n", "abc"), ("--n", "1..3"), ("--n", "5..3"),
+     # orders below the subject's least one: a sweep of nothing
+     ("--theorem", "domination", "--max-n", "1"),
+     ("--theorem", "fixpoint", "--max-n", "1"),
+     ("--theorem", "hamiltonian", "--max-n", "2"),
+     # label bounds below 1
+     ("--theorem", "irregular-strength", "--max-n", "3", "--k", "0"),
+     ("--theorem", "colorings", "--k", "0")],
 )
 def test_verify_bad_flags_exit_usage(capsys, flags):
+    by_parser = "--theorem" not in flags or "--k" in flags
+    if "--theorem" not in flags:
+        flags = ("--identity", "ring-axioms", *flags)
+    try:
+        code = main(["verify", *flags])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    if by_parser:
+        assert "error: argument" in out.err
+    else:  # rejected by run_theorem before any work, in one line
+        assert out.err.startswith("error (usage): ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k_max", ["0", "-2"])
+def test_oracle_nonpositive_k_max_exits_usage(capsys, p3_file, k_max):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--identity", "ring-axioms", *flags])
+        main(["oracle", "strength", p3_file, "--k-max", k_max])
     assert exc.value.code == EXIT_USAGE
-    assert "error: argument" in capsys.readouterr().err
+    assert f"error: argument --k-max: must be at least 1, got {k_max}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--max-n", "--max-family", "--max-steps", "--workers"])
@@ -215,6 +240,15 @@ def test_run_identity_rejects_no_trials():
     for trials in (0, -5):
         with pytest.raises(ValueError):
             run_identity("ring-axioms", trials=trials)
+
+
+def test_run_theorem_rejects_orders_below_the_subject_minimum():
+    from combspectra.verify import run_theorem
+
+    for subject, max_n in (("domination", 1), ("fixpoint", 1), ("hamiltonian", 2), ("one-two-three", 2)):
+        with pytest.raises(ValueError, match="needs max_n"):
+            run_theorem(subject, max_n)
+    assert run_theorem("hamiltonian", 3)["summary"]["rows"] == 2
 
 
 def test_verify_theorem_and_worker_determinism(capsys):

@@ -9,8 +9,12 @@ from combspectra import ring
 from combspectra.corpus import connected_graphs
 from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
 from combspectra.families import (
+    _CACHE_ENTRIES,
     GraphFamily,
     ROMAN_PALETTE,
+    Spectrum,
+    _all_colorings,
+    _relabel_closure,
     all_colorings_family,
     colorings_of_graph,
     edge_deleted_family,
@@ -305,3 +309,72 @@ def test_in_palette_family_matches_direct_weight_check():
     outsider = WeightedCompleteGraph(3, [const(2), const(0), const(-1)])
     assert not in_palette_family(outsider, ROMAN_PALETTE)
     assert in_palette_family(outsider, (const(2), const(0), const(-1)))
+
+
+def _clear_family_caches():
+    _all_colorings.cache_clear()
+    _relabel_closure.cache_clear()
+
+
+def test_cache_hits_still_apply_the_callers_limits():
+    _clear_family_caches()
+    with pytest.raises(SizeGuardError) as cold:
+        all_colorings_family(4, 3, Limits(max_steps=1000))
+    all_colorings_family(4, 3)  # fills both caches
+    with pytest.raises(SizeGuardError, match="family-size guard"):
+        all_colorings_family(4, 3, Limits(max_family=100))
+    with pytest.raises(SizeGuardError) as warm:
+        all_colorings_family(4, 3, Limits(max_steps=1000))
+    assert str(warm.value) == str(cold.value)
+    past = Limits(deadline=0.0)
+    with pytest.raises(TimeLimitError):  # hit
+        all_colorings_family(4, 3, past)
+    _clear_family_caches()
+    with pytest.raises(TimeLimitError):  # miss
+        all_colorings_family(4, 3, past)
+    one = singleton(indicator(complete_graph(4)))
+    edge = singleton(edge_indicator(1, 2, 4))
+    family_product(one, edge)  # caches the probe's closure
+    with pytest.raises(TimeLimitError):
+        family_product(one, edge, past)
+
+
+def test_cached_families_equal_fresh_ones():
+    probes = [singleton(star_indicator(1, 4)), singleton(edge_indicator(1, 2, 4))]
+    left = singleton(indicator(path_graph(4)))
+    cached = [all_colorings_family(n, k) for n in (2, 3, 4) for k in (1, 2, 3)]
+    products = [family_product(left, p) for p in probes]
+    _clear_family_caches()
+    assert _all_colorings.cache_len() == _relabel_closure.cache_len() == 0
+    fresh = [all_colorings_family(n, k) for n in (2, 3, 4) for k in (1, 2, 3)]
+    assert all(a == b and a is not b for a, b in zip(cached, fresh))
+    assert [a.members for a in cached] == [b.members for b in fresh]
+    assert products == [family_product(left, p) for p in probes]
+
+
+def test_family_caches_stay_bounded():
+    _clear_family_caches()
+    keys = _CACHE_ENTRIES + 5
+    for steps in range(keys):
+        all_colorings_family(2, 2, Limits(max_steps=1000 + steps))
+    for c in range(keys):
+        is_relabel_closed(singleton(WeightedCompleteGraph(3, [const(c), const(0), const(0)])))
+    assert _all_colorings.cache_len() == _CACHE_ENTRIES
+    assert _relabel_closure.cache_len() == _CACHE_ENTRIES
+
+
+def test_member_order_does_not_depend_on_construction_order():
+    from combspectra.characterize import antimagic_family
+
+    members = list(colorings_of_graph(path_graph(4), integer_palette(3)))
+    shuffled = members[:]
+    Random(5).shuffle(shuffled)
+    ordered = sorted(members, key=WeightedCompleteGraph.sort_key)
+    a, b = GraphFamily(4, ordered), GraphFamily(4, shuffled)
+    assert a.members == b.members == tuple(ordered)
+    assert a.to_json() == b.to_json()
+    verdict = antimagic_family(a)
+    assert verdict.holds and verdict.to_json() == antimagic_family(b).to_json()
+    totals = [m.total_weight() for m in shuffled]
+    assert spectrum_of(b).values == spectrum_of(ordered).values
+    assert Spectrum(totals).to_json() == Spectrum(totals[::-1]).to_json() == spectrum_of(a).to_json()
