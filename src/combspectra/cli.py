@@ -8,13 +8,18 @@ Three command groups:
 * ``verify`` - sweep a theorem subject over the connected-graph corpus or run
   an identity suite, and exit nonzero on any disagreement.
 
+Each command reads its subjects from one table: ``_CHECKS`` and ``_ORACLES``
+below, the theorem and identity tables in :mod:`combspectra.verify`.  A flag
+that the subject's entry does not take (``--k``, ``--by``) is a usage error.
+
 Exit codes: 0 ok, 1 internal error, 2 usage, 3 graph parse error,
 4 precondition violation, 5 size guard exceeded, 6 verification disagreement,
 7 time limit.  Flags override environment variables (COMBSPECTRA_MAX_N,
 COMBSPECTRA_MAX_FAMILY, COMBSPECTRA_MAX_STEPS, COMBSPECTRA_WORKERS,
 COMBSPECTRA_TIMEOUT_SECONDS, COMBSPECTRA_SEED, COMBSPECTRA_JSON), which
-override the defaults.  Output contains no timing, so identical inputs give
-byte-identical output at any worker count.
+override the defaults; ``verify --theorem`` sweeps n <= 4 unless ``--max-n``
+or COMBSPECTRA_MAX_N sets the order.  Output contains no timing, so identical
+inputs give byte-identical output at any worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import characterize as ch
 from . import oracles as orc
@@ -39,9 +44,8 @@ from .errors import (
     TimeLimitError,
     UsageError,
 )
-from .gadgets import WeightedCompleteGraph
 from .graphs import SimpleGraph, parse_graph, parse_graph6, to_graph6
-from .limits import Limits
+from .limits import DEFAULT_LIMITS, Limits
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -54,37 +58,21 @@ EXIT_TIMEOUT = 7
 
 _ENV_PREFIX = "COMBSPECTRA_"
 
-CHECK_SUBJECTS = (
-    "antimagic",
-    "irregular-strength",
-    "one-two-three",
-    "domination",
-    "edge-roman",
-    "hamiltonian",
-)
-
-ORACLE_SUBJECTS = (
-    "antimagic",
-    "strength",
-    "chi-sigma",
-    "domination",
-    "edge-roman",
-    "hamiltonian",
-)
-
 
 @dataclass
 class RunConfig:
     """Resolved run options: flags take precedence over environment variables,
-    which take precedence over the defaults."""
+    which take precedence over the defaults.  ``max_n`` is None when neither
+    sets it: the guard is then the default one, and ``verify`` picks its own
+    sweep order."""
 
-    max_n: int = 7
-    max_family: int = 10_000_000
-    max_steps: int = 1_000_000_000
-    workers: int = 1
-    json_output: bool = False
-    seed: int = 1
-    timeout_seconds: float | None = None
+    max_n: int | None
+    max_family: int
+    max_steps: int
+    workers: int
+    json_output: bool
+    seed: int
+    timeout_seconds: float | None
 
     def limits(self) -> Limits:
         deadline = (
@@ -92,7 +80,8 @@ class RunConfig:
             if self.timeout_seconds is not None
             else None
         )
-        return Limits(self.max_n, self.max_family, self.max_steps, deadline)
+        max_n = DEFAULT_LIMITS.max_n if self.max_n is None else self.max_n
+        return Limits(max_n, self.max_family, self.max_steps, deadline)
 
 
 def _env(name: str) -> str | None:
@@ -114,9 +103,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"{_ENV_PREFIX}{env_name}: {exc}") from None
 
     return RunConfig(
-        max_n=pick(args.max_n, "MAX_N", 7, _positive_int),
-        max_family=pick(args.max_family, "MAX_FAMILY", 10_000_000, _positive_int),
-        max_steps=pick(args.max_steps, "MAX_STEPS", 1_000_000_000, _positive_int),
+        max_n=pick(args.max_n, "MAX_N", None, _positive_int),
+        max_family=pick(args.max_family, "MAX_FAMILY", DEFAULT_LIMITS.max_family, _positive_int),
+        max_steps=pick(args.max_steps, "MAX_STEPS", DEFAULT_LIMITS.max_steps, _positive_int),
         workers=pick(args.workers, "WORKERS", os.cpu_count() or 1, _positive_int),
         json_output=pick(
             True if args.json else None,
@@ -182,18 +171,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check", help="run a spectrum characterization on a graph"
     )
-    p_check.add_argument("subject", choices=CHECK_SUBJECTS)
+    p_check.add_argument("subject", choices=tuple(_CHECKS))
     p_check.add_argument(
         "graph", help="edge-list or graph6 file, or '-' for graph6 lines on stdin"
     )
-    p_check.add_argument("--k", type=int, default=None,
-                         help="bound for irregular-strength / domination / edge-roman")
+    takes_k = [subject for subject, check in _CHECKS.items() if check.takes_k]
+    p_check.add_argument("--k", type=int, default=None, help="bound for " + " / ".join(takes_k))
     p_check.add_argument("--by", default=None,
                          help="pattern graph file for the hamiltonian spectrum")
     _add_common(p_check)
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force oracle")
-    p_oracle.add_argument("subject", choices=ORACLE_SUBJECTS)
+    p_oracle.add_argument("subject", choices=tuple(_ORACLES))
     p_oracle.add_argument("graph")
     p_oracle.add_argument("--k", type=int, default=None)
     p_oracle.add_argument("--k-max", type=_positive_int, default=3,
@@ -244,96 +233,109 @@ def _emit(payload: dict, cfg: RunConfig, text_lines: list[str]) -> None:
             print(line)
 
 
-def _format_labels(g: SimpleGraph, wcg: WeightedCompleteGraph) -> str:
-    parts = []
-    for u, v in g.sorted_edges():
-        parts.append(f"{{{u},{v}}}->{wcg.weight(u, v)}")
-    return " ".join(parts)
+def _edge_map(key: str, label: str, values: dict) -> tuple[str, dict, str]:
+    """A witness that maps each edge to a value: JSON key, JSON object, text line."""
+    items = sorted(values.items())
+    text = " ".join(f"{{{u},{v}}}->{val}" for (u, v), val in items)
+    return key, {f"{u}-{v}": val for (u, v), val in items}, f"  {label}: {text}"
 
 
-def _labels_json(g: SimpleGraph, wcg: WeightedCompleteGraph) -> dict:
-    return {f"{u}-{v}": str(wcg.weight(u, v)) for u, v in g.sorted_edges()}
+def _labeling(g: SimpleGraph, _k: int | None, verdict: ch.Verdict) -> tuple[str, dict, str]:
+    wcg = verdict.witness_graph
+    return _edge_map("labeling", "labeling", {e: str(wcg.weight(*e)) for e in g.sorted_edges()})
 
 
-def _verdict_payload(
-    subject: str, gid: str, g: SimpleGraph, k: int | None, verdict: ch.Verdict
+def _edge_function(g: SimpleGraph, _k: int, verdict: ch.Verdict) -> tuple[str, dict, str]:
+    fn = ch.decode_edge_roman(verdict.witness_graph, g)
+    return _edge_map("edge_function", "edge function", fn)
+
+
+def _dominating_set(g: SimpleGraph, k: int, verdict: ch.Verdict) -> tuple[str, list, str]:
+    chosen = sorted(ch.dominating_set_of(verdict.witness_bijection, g.n, k))
+    return "dominating_set", chosen, f"  dominating set: {set(chosen)}"
+
+
+def _no_bound(func: Callable) -> Callable:
+    """``func(graph, limits)`` as a ``(graph, bound, limits)`` callable."""
+    return lambda g, _bound, limits: func(g, limits)
+
+
+def _hamiltonian_spectrum(g: SimpleGraph, pattern: SimpleGraph | None, limits: Limits):
+    if pattern is None:
+        return ch.hamiltonian_cycle_spectrum(g, limits)
+    return ch.hamiltonian_spectrum(pattern, g, limits)
+
+
+@dataclass(frozen=True)
+class _Check:
+    """A ``check`` subject: ``characterize(graph, k, limits)`` returns a verdict
+    (every one that holds comes from :func:`characterize.scan` and carries all
+    three witnesses), and ``witness(graph, k, verdict)`` renders it as (JSON
+    key, JSON value, text line).  A subject without a renderer reports a
+    spectrum and its least value; its ``characterize`` takes the ``--by``
+    pattern graph, or None for the cycle, in place of k."""
+
+    characterize: Callable
+    takes_k: bool
+    witness: Callable | None
+
+
+_CHECKS = {
+    "antimagic": _Check(_no_bound(ch.antimagic_unweighted), False, _labeling),
+    "irregular-strength": _Check(ch.strength_at_most, True, _labeling),
+    "one-two-three": _Check(_no_bound(ch.one_two_three), False, _labeling),
+    "domination": _Check(ch.dominating_k, True, _dominating_set),
+    "edge-roman": _Check(ch.edge_roman_at_most, True, _edge_function),
+    "hamiltonian": _Check(_hamiltonian_spectrum, False, None),
+}
+
+
+def _check_k_flag(command: str, takes_k: bool, k: object) -> None:
+    """``--k`` must be given exactly when the subject takes it."""
+    if takes_k and k is None:
+        raise UsageError(f"{command} requires --k")
+    if k is not None and not takes_k:
+        raise UsageError(f"{command} takes no --k")
+
+
+def _verdict_report(
+    subject: str, g: SimpleGraph, k: int | None, verdict: ch.Verdict, witness: Callable
 ) -> tuple[dict, list[str]]:
-    payload: dict = {
-        "schema": ver.REPORT_SCHEMA,
-        "command": "check",
-        "subject": subject,
-        "graph": gid,
-        "verdict": verdict.to_json(),
-    }
+    fields: dict = {"verdict": verdict.to_json()}
     if k is not None:
-        payload["k"] = k
+        fields["k"] = k
     heading = f"check {subject}" + (f" k={k}" if k is not None else "")
-    lines = [f"graph {gid}: n={g.n} m={g.m}", f"{heading}: {'holds' if verdict.holds else 'does not hold'}"]
+    lines = [f"{heading}: {'holds' if verdict.holds else 'does not hold'}"]
     if verdict.holds:
-        if subject == "domination" and verdict.witness_bijection:
-            chosen = sorted(ch.dominating_set_of(verdict.witness_bijection, g.n, k))
-            payload["dominating_set"] = chosen
-            lines.append(f"  dominating set: {set(chosen)}")
-        if subject == "edge-roman" and verdict.witness_graph is not None:
-            fn = ch.decode_edge_roman(verdict.witness_graph, g)
-            payload["edge_function"] = {f"{u}-{v}": val for (u, v), val in sorted(fn.items())}
-            lines.append(
-                "  edge function: "
-                + " ".join(f"{{{u},{v}}}->{val}" for (u, v), val in sorted(fn.items()))
-            )
-        if subject in ("antimagic", "irregular-strength", "one-two-three") and verdict.witness_graph is not None:
-            payload["labeling"] = _labels_json(g, verdict.witness_graph)
-            lines.append(f"  labeling: {_format_labels(g, verdict.witness_graph)}")
-        if verdict.witness_bijection is not None:
-            lines.append(f"  bijection: {verdict.witness_bijection}")
-        if verdict.witness_polynomial is not None:
-            lines.append(f"  polynomial: {verdict.witness_polynomial}")
+        key, value, line = witness(g, k, verdict)
+        fields[key] = value
+        lines.append(line)
+        lines.append(f"  bijection: {verdict.witness_bijection}")
+        lines.append(f"  polynomial: {verdict.witness_polynomial}")
     stats = verdict.stats
     lines.append(f"  searched: members={stats.members} bijections={stats.bijections}")
-    return payload, lines
+    return fields, lines
 
 
 def _run_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     limits = cfg.limits()
     subject = args.subject
-    needs_k = {"irregular-strength", "domination", "edge-roman"}
-    if subject in needs_k and args.k is None:
-        print(f"error: check {subject} requires --k", file=sys.stderr)
-        return EXIT_USAGE
+    check = _CHECKS[subject]
+    _check_k_flag(f"check {subject}", check.takes_k, args.k)
+    if args.by is not None and check.witness is not None:
+        raise UsageError(f"check {subject} takes no --by")
     for gid, g in _load_graphs(args.graph):
-        if subject == "hamiltonian":
-            if args.by is None:
-                spec = ch.hamiltonian_cycle_spectrum(g, limits)
-            else:
-                (_, h) = _load_graphs(args.by)[0]
-                spec = ch.hamiltonian_spectrum(h, g, limits)
-            number = min(spec.as_integers())
-            payload = {
-                "schema": ver.REPORT_SCHEMA,
-                "command": "check",
-                "subject": subject,
-                "graph": gid,
-                "spectrum": list(spec.as_integers()),
-                "number": number,
-            }
-            _emit(payload, cfg, [
-                f"graph {gid}: n={g.n} m={g.m}",
-                f"hamiltonian spectrum: {sorted(spec.as_integers())}",
-                f"hamiltonian number: {number}",
-            ])
-            continue
-        if subject == "antimagic":
-            verdict = ch.antimagic_unweighted(g, limits)
-        elif subject == "irregular-strength":
-            verdict = ch.strength_at_most(g, args.k, limits)
-        elif subject == "one-two-three":
-            verdict = ch.one_two_three(g, limits)
-        elif subject == "domination":
-            verdict = ch.dominating_k(g, args.k, limits)
+        if check.witness is None:
+            pattern = None if args.by is None else _load_graphs(args.by)[0][1]
+            values = check.characterize(g, pattern, limits).as_integers()
+            fields = {"spectrum": list(values), "number": min(values)}
+            lines = [f"{subject} spectrum: {list(values)}", f"{subject} number: {min(values)}"]
         else:
-            verdict = ch.edge_roman_at_most(g, args.k, limits)
-        payload, lines = _verdict_payload(subject, gid, g, args.k, verdict)
-        _emit(payload, cfg, lines)
+            verdict = check.characterize(g, args.k, limits)
+            fields, lines = _verdict_report(subject, g, args.k, verdict, check.witness)
+        payload = {"schema": ver.REPORT_SCHEMA, "command": "check", "subject": subject,
+                   "graph": gid, **fields}
+        _emit(payload, cfg, [f"graph {gid}: n={g.n} m={g.m}", *lines])
     return EXIT_OK
 
 
@@ -364,26 +366,33 @@ def _oracle_payload(subject: str, gid: str, result: orc.OracleResult) -> tuple[d
     return payload, lines
 
 
+@dataclass(frozen=True)
+class _Oracle:
+    """An ``oracle`` subject: ``run(graph, bound, limits)``, where the bound
+    is ``--k`` for a subject that takes it and ``--k-max`` otherwise, which
+    only the strength oracle reads."""
+
+    run: Callable
+    takes_k: bool
+
+
+_ORACLES = {
+    "antimagic": _Oracle(_no_bound(orc.antimagic_oracle), False),
+    "strength": _Oracle(orc.strength_oracle, False),
+    "chi-sigma": _Oracle(orc.chi_sigma_oracle, True),
+    "domination": _Oracle(orc.domination_oracle, True),
+    "edge-roman": _Oracle(_no_bound(orc.edge_roman_oracle), False),
+    "hamiltonian": _Oracle(_no_bound(orc.hamiltonian_oracle), False),
+}
+
+
 def _run_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     limits = cfg.limits()
-    subject = args.subject
-    if subject in ("chi-sigma", "domination") and args.k is None:
-        print(f"error: oracle {subject} requires --k", file=sys.stderr)
-        return EXIT_USAGE
+    oracle = _ORACLES[args.subject]
+    _check_k_flag(f"oracle {args.subject}", oracle.takes_k, args.k)
+    bound = args.k if oracle.takes_k else args.k_max
     for gid, g in _load_graphs(args.graph):
-        if subject == "antimagic":
-            result = orc.antimagic_oracle(g, limits)
-        elif subject == "strength":
-            result = orc.strength_oracle(g, args.k_max, limits)
-        elif subject == "chi-sigma":
-            result = orc.chi_sigma_oracle(g, args.k, limits)
-        elif subject == "domination":
-            result = orc.domination_oracle(g, args.k, limits)
-        elif subject == "edge-roman":
-            result = orc.edge_roman_oracle(g, limits)
-        else:
-            result = orc.hamiltonian_oracle(g, limits)
-        payload, lines = _oracle_payload(subject, gid, result)
+        payload, lines = _oracle_payload(args.subject, gid, oracle.run(g, bound, limits))
         _emit(payload, cfg, lines)
     return EXIT_OK
 
@@ -402,15 +411,16 @@ def _row_text(row: dict) -> str:
 def _run_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     limits = cfg.limits()
     if args.theorem:
-        max_n = cfg.max_n if args.max_n is not None else min(cfg.max_n, 4)
         report = ver.run_theorem(
             args.theorem,
-            max_n=max_n,
+            # sweeps stop at n = 4 unless --max-n or COMBSPECTRA_MAX_N sets the order
+            max_n=4 if cfg.max_n is None else cfg.max_n,
             ks=tuple(args.k) if args.k else None,
             workers=cfg.workers,
             limits=limits,
         )
     else:
+        _check_k_flag(f"verify --identity {args.identity}", False, args.k)
         report = ver.run_identity(
             args.identity,
             ns=tuple(args.n),
@@ -476,10 +486,6 @@ def _report_error(cfg: RunConfig, code: str, exc: Exception) -> None:
                          separators=(",", ":")))
     else:
         print(f"error ({code}): {exc}", file=sys.stderr)
-
-
-def run() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -3,16 +3,21 @@
 Each theorem subject sweeps every connected graph up to a size cap, runs the
 spectrum characterization and the matching oracle, and reports per-graph
 agreement rows; identity subjects check the algebraic identities the
-constructions rely on.  Reports contain no timing and keep a canonical row
-order, so the emitted JSON is byte-identical across runs and worker counts.
+constructions rely on.  Each kind reads its subjects from one table:
+``_THEOREMS`` gives a theorem subject's row builder, least order and default
+label bounds (None when it takes none), ``_IDENTITIES`` an identity subject's
+suite.  Reports contain no timing and keep a canonical row order, so the
+emitted JSON is byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import partial
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import characterize as ch
 from . import oracles as orc
@@ -61,22 +66,26 @@ __all__ = [
 
 REPORT_SCHEMA = "1"
 
-THEOREM_SUBJECTS = (
-    "colorings",
-    "fixpoint",
-    "antimagic",
-    "antimagic-variants",
-    "irregular-strength",
-    "one-two-three",
-    "domination",
-    "edge-roman",
-    "hamiltonian",
-)
-
-IDENTITY_SUBJECTS = ("ring-axioms", "S1", "E1", "R1", "orbit", "all")
-
-
 # -- per-graph row builders ------------------------------------------------------
+#
+# Each takes (graph, ks, limits), the fixpoint builder the order for the graph.
+
+
+def _agreement_row(
+    g6: str, g: SimpleGraph, spectral: object, oracle: object, **fields: object
+) -> dict:
+    """The row comparing the spectral answer on g, whose graph6 is g6, with the
+    oracle's; where a ``witness_ok`` field is given, it must hold too for the
+    row to agree."""
+    return {
+        "graph": g6,
+        "n": g.n,
+        "m": g.m,
+        **fields,
+        "spectral": spectral,
+        "oracle": oracle,
+        "agree": spectral == oracle and fields.get("witness_ok", True),
+    }
 
 
 def _rows_colorings(g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
@@ -102,7 +111,7 @@ def _rows_colorings(g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[d
     return rows
 
 
-def _rows_fixpoint(n: int, limits: Limits) -> list[dict]:
+def _rows_fixpoint(n: int, _ks: Sequence[int], limits: Limits) -> list[dict]:
     result = power_fixpoint(edge_deleted_family(n), limits)
     # Direct description of the fixed point: every 0/1 weighting of the
     # complete graph that keeps at least one zero pair.
@@ -125,7 +134,7 @@ def _rows_fixpoint(n: int, limits: Limits) -> list[dict]:
     ]
 
 
-def _rows_antimagic(g: SimpleGraph, limits: Limits) -> list[dict]:
+def _rows_antimagic(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     g6 = to_graph6(g)
     try:
         spectral = ch.antimagic_unweighted(g, limits).holds
@@ -135,19 +144,10 @@ def _rows_antimagic(g: SimpleGraph, limits: Limits) -> list[dict]:
         oracle = orc.antimagic_oracle(g, limits).value
     except PreconditionError:
         oracle = None
-    return [
-        {
-            "graph": g6,
-            "n": g.n,
-            "m": g.m,
-            "spectral": spectral,
-            "oracle": oracle,
-            "agree": spectral == oracle,
-        }
-    ]
+    return [_agreement_row(g6, g, spectral, oracle)]
 
 
-def _rows_antimagic_variants(g: SimpleGraph, limits: Limits) -> list[dict]:
+def _rows_antimagic_variants(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     """Compare the exact-set single-graph reading with the coefficient-superset
     family reading on every |E|-coloring of the graph."""
     g6 = to_graph6(g)
@@ -190,34 +190,15 @@ def _rows_strength(g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[di
             oracle = None
         else:
             oracle = minimum is not None and minimum <= k
-        rows.append(
-            {
-                "graph": g6,
-                "n": g.n,
-                "m": g.m,
-                "k": k,
-                "spectral": spectral,
-                "oracle": oracle,
-                "agree": spectral == oracle,
-            }
-        )
+        rows.append(_agreement_row(g6, g, spectral, oracle, k=k))
     return rows
 
 
-def _rows_one_two_three(g: SimpleGraph, limits: Limits) -> list[dict]:
+def _rows_one_two_three(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     g6 = to_graph6(g)
     spectral = ch.one_two_three(g, limits).holds
     oracle = orc.chi_sigma_oracle(g, 3, limits).value
-    return [
-        {
-            "graph": g6,
-            "n": g.n,
-            "m": g.m,
-            "spectral": spectral,
-            "oracle": oracle,
-            "agree": spectral == oracle,
-        }
-    ]
+    return [_agreement_row(g6, g, spectral, oracle)]
 
 
 def _dominates(g: SimpleGraph, chosen: frozenset) -> bool:
@@ -226,7 +207,7 @@ def _dominates(g: SimpleGraph, chosen: frozenset) -> bool:
     )
 
 
-def _rows_domination(g: SimpleGraph, limits: Limits) -> list[dict]:
+def _rows_domination(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     g6 = to_graph6(g)
     rows = []
     for k in range(1, g.n):
@@ -237,18 +218,7 @@ def _rows_domination(g: SimpleGraph, limits: Limits) -> list[dict]:
             assert verdict.witness_bijection is not None
             chosen = ch.dominating_set_of(verdict.witness_bijection, g.n, k)
             witness_ok = _dominates(g, chosen)
-        rows.append(
-            {
-                "graph": g6,
-                "n": g.n,
-                "m": g.m,
-                "k": k,
-                "spectral": verdict.holds,
-                "oracle": oracle,
-                "witness_ok": witness_ok,
-                "agree": verdict.holds == oracle and witness_ok,
-            }
-        )
+        rows.append(_agreement_row(g6, g, verdict.holds, oracle, k=k, witness_ok=witness_ok))
     return rows
 
 
@@ -263,7 +233,7 @@ def _roman_valid(g: SimpleGraph, fn: dict[tuple[int, int], int]) -> bool:
     return True
 
 
-def _rows_edge_roman(g: SimpleGraph, limits: Limits) -> list[dict]:
+def _rows_edge_roman(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     g6 = to_graph6(g)
     if g.m < 1:
         return []
@@ -299,35 +269,40 @@ def _rows_edge_roman(g: SimpleGraph, limits: Limits) -> list[dict]:
             assert verdict.witness_graph is not None
             fn = ch.decode_edge_roman(verdict.witness_graph, g)
             witness_ok = _roman_valid(g, fn) and sum(fn.values()) <= k
-        rows.append(
-            {
-                "graph": g6,
-                "n": g.n,
-                "m": g.m,
-                "k": k,
-                "spectral": verdict.holds,
-                "oracle": oracle,
-                "witness_ok": witness_ok,
-                "agree": verdict.holds == oracle and witness_ok,
-            }
-        )
+        rows.append(_agreement_row(g6, g, verdict.holds, oracle, k=k, witness_ok=witness_ok))
     return rows
 
 
-def _rows_hamiltonian(g: SimpleGraph, limits: Limits) -> list[dict]:
+def _rows_hamiltonian(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     g6 = to_graph6(g)
     spectral = ch.hamiltonian_number(g, limits)
     oracle = orc.hamiltonian_oracle(g, limits).value
-    return [
-        {
-            "graph": g6,
-            "n": g.n,
-            "m": g.m,
-            "spectral": spectral,
-            "oracle": oracle,
-            "agree": spectral == oracle,
-        }
-    ]
+    return [_agreement_row(g6, g, spectral, oracle)]
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """A theorem sweep: its row builder, its least order, and its default
+    label bounds, or None for a sweep that takes none."""
+
+    rows: Callable[[SimpleGraph | int, Sequence[int], Limits], list[dict]]
+    min_n: int
+    ks: tuple[int, ...] | None = None
+
+
+_THEOREMS = {
+    "colorings": _Theorem(_rows_colorings, 2, (2, 3)),
+    "fixpoint": _Theorem(_rows_fixpoint, 2),
+    "antimagic": _Theorem(_rows_antimagic, 2),
+    "antimagic-variants": _Theorem(_rows_antimagic_variants, 2),
+    "irregular-strength": _Theorem(_rows_strength, 2, (1, 2, 3)),
+    "one-two-three": _Theorem(_rows_one_two_three, 3),
+    "domination": _Theorem(_rows_domination, 2),
+    "edge-roman": _Theorem(_rows_edge_roman, 2),
+    "hamiltonian": _Theorem(_rows_hamiltonian, 3),
+}
+
+THEOREM_SUBJECTS = tuple(_THEOREMS)
 
 
 # -- worker plumbing ---------------------------------------------------------------
@@ -335,42 +310,10 @@ def _rows_hamiltonian(g: SimpleGraph, limits: Limits) -> list[dict]:
 
 def _theorem_task(args: tuple) -> list[dict]:
     subject, payload, ks, limits_fields = args
-    limits = Limits(*limits_fields)
-    if subject == "fixpoint":
-        return _rows_fixpoint(payload, limits)
-    g = parse_graph6(payload)
-    if subject == "colorings":
-        return _rows_colorings(g, ks, limits)
-    if subject == "antimagic":
-        return _rows_antimagic(g, limits)
-    if subject == "antimagic-variants":
-        return _rows_antimagic_variants(g, limits)
-    if subject == "irregular-strength":
-        return _rows_strength(g, ks, limits)
-    if subject == "one-two-three":
-        return _rows_one_two_three(g, limits)
-    if subject == "domination":
-        return _rows_domination(g, limits)
-    if subject == "edge-roman":
-        return _rows_edge_roman(g, limits)
-    if subject == "hamiltonian":
-        return _rows_hamiltonian(g, limits)
-    raise ValueError(f"unknown theorem subject {subject!r}")
+    # the payload is a graph6 string, or the order of a per-order sweep
+    graph = parse_graph6(payload) if isinstance(payload, str) else payload
+    return _THEOREMS[subject].rows(graph, ks, Limits(*limits_fields))
 
-
-_MIN_N = {
-    "colorings": 2,
-    "fixpoint": 2,
-    "antimagic": 2,
-    "antimagic-variants": 2,
-    "irregular-strength": 2,
-    "one-two-three": 3,
-    "domination": 2,
-    "edge-roman": 2,
-    "hamiltonian": 3,
-}
-
-_DEFAULT_KS = {"colorings": (2, 3), "irregular-strength": (1, 2, 3)}
 
 # Pool batches per worker: enough that the small tail of a largest-first
 # order still balances the workers, few enough that the per-batch pickling
@@ -413,28 +356,30 @@ def run_theorem(
     Returns a deterministic report dict; ``summary.disagreements`` counts rows
     where the two routes differ or a witness failed its own definition.
     Raises :class:`UsageError`, a ``ValueError``, before any work for an
-    unknown subject or a ``max_n`` below the subject's least order.
+    unknown subject, a ``max_n`` below the subject's least order, or label
+    bounds for a subject that takes none.
     """
-    if subject not in THEOREM_SUBJECTS:
+    theorem = _THEOREMS.get(subject)
+    if theorem is None:
         raise UsageError(f"unknown theorem subject {subject!r}")
-    if max_n < _MIN_N[subject]:
+    if max_n < theorem.min_n:
         # a sweep over no graph would report agreement having checked nothing
-        raise UsageError(f"{subject} needs max_n >= {_MIN_N[subject]}, got {max_n}")
+        raise UsageError(f"{subject} needs max_n >= {theorem.min_n}, got {max_n}")
     if ks is None:
-        ks = _DEFAULT_KS.get(subject, ())
+        ks = theorem.ks or ()
+    elif ks and theorem.ks is None:
+        raise UsageError(f"{subject} takes no label bounds (--k), got {list(ks)}")
     limits_fields = (limits.max_n, limits.max_family, limits.max_steps, limits.deadline)
+    # task payload -> its (n, m)
     if subject == "fixpoint":
-        sizes = [(n, n * (n - 1) // 2) for n in range(2, max_n + 1)]
-        tasks = [(subject, n, tuple(ks), limits_fields) for n, _ in sizes]
+        sizes = {n: (n, n * (n - 1) // 2) for n in range(theorem.min_n, max_n + 1)}
     else:
-        graphs = connected_graphs_up_to(max_n, min_n=_MIN_N[subject])
-        sizes = [(g.n, g.m) for g in graphs]
-        tasks = [
-            (subject, to_graph6(g), tuple(ks), limits_fields) for g in graphs
-        ]
+        graphs = connected_graphs_up_to(max_n, min_n=theorem.min_n)
+        sizes = {to_graph6(g): (g.n, g.m) for g in graphs}
+    tasks = [(subject, payload, tuple(ks), limits_fields) for payload in sizes]
     limits.check_time()
     if workers > 1 and len(tasks) > 1:
-        results = _pool_results(tasks, sizes, workers)
+        results = _pool_results(tasks, list(sizes.values()), workers)
         limits.check_time()
     else:
         results = []
@@ -460,7 +405,7 @@ def run_theorem(
 # -- identity suites -----------------------------------------------------------------
 
 
-def _ring_axiom_failures(trials: int, seed: int) -> tuple[int, int]:
+def _ring_axiom_rows(_ns: Sequence[int], trials: int, seed: int, _limits: Limits) -> list[dict]:
     rng = Random(seed)
     failures = 0
     checks = 0
@@ -494,7 +439,7 @@ def _ring_axiom_failures(trials: int, seed: int) -> tuple[int, int]:
             rebuilt = rebuilt + coeff * ring.x_pow(j)
         expect(rebuilt == a)
         expect((a * ring.const(d.re, d.im)).exact_div(d) == a)
-    return checks, failures
+    return [_check_row("ring-axioms", checks, failures, trials=trials, seed=seed)]
 
 
 def _reader_at_one(reader: WeightedCompleteGraph) -> WeightedCompleteGraph:
@@ -645,34 +590,37 @@ def _check_row(identity: str, checks: int, failures: int, **params) -> dict:
     }
 
 
-def _identity_rows(
-    subject: str, ns: Sequence[int], trials: int, seed: int, limits: Limits
+def _reader_rows(
+    name: str,
+    build: Callable[[int], WeightedCompleteGraph],
+    scale_of: Callable[[int], ring.RingElem],
+    ns: Sequence[int],
+    _trials: int,
+    _seed: int,
+    _limits: Limits,
 ) -> list[dict]:
-    rows = []
-    if subject in ("ring-axioms", "all"):
-        checks, failures = _ring_axiom_failures(trials, seed)
-        rows.append(
-            _check_row("ring-axioms", checks, failures, trials=trials, seed=seed)
-        )
-    for name, build, scale_of in (
-        ("S1", degree_reader, lambda n: ring.const(2)),
-        ("E1", pair_reader, lambda n: ring.ONE),
-        ("R1", cover_reader, lambda n: ring.const(2 * n - 4, 1)),
-    ):
-        if subject not in (name, "all"):
-            continue
-        for n in ns:
-            expected = indicator(complete_graph(n)).scale(scale_of(n))
-            rows.append(
-                {
-                    "identity": name,
-                    "n": n,
-                    "agree": _reader_at_one(build(n)) == expected,
-                }
-            )
-    if subject in ("orbit", "all"):
-        rows.extend(_orbit_rows(ns, trials, seed, limits))
-    return rows
+    """Check at every order that ``build(n)`` collapsed at ``x = y = 1`` is
+    the complete indicator scaled by ``scale_of(n)``."""
+    return [
+        {
+            "identity": name,
+            "n": n,
+            "agree": _reader_at_one(build(n)) == indicator(complete_graph(n)).scale(scale_of(n)),
+        }
+        for n in ns
+    ]
+
+
+# Each suite takes (ns, trials, seed, limits); "all" runs them in this order.
+_IDENTITIES = {
+    "ring-axioms": _ring_axiom_rows,
+    "S1": partial(_reader_rows, "S1", degree_reader, lambda n: ring.const(2)),
+    "E1": partial(_reader_rows, "E1", pair_reader, lambda n: ring.ONE),
+    "R1": partial(_reader_rows, "R1", cover_reader, lambda n: ring.const(2 * n - 4, 1)),
+    "orbit": _orbit_rows,
+}
+
+IDENTITY_SUBJECTS = (*_IDENTITIES, "all")
 
 
 def run_identity(
@@ -687,7 +635,8 @@ def run_identity(
         raise UsageError(f"unknown identity subject {subject!r}")
     if trials < 1:
         raise UsageError(f"need at least one trial, got {trials}")
-    rows = _identity_rows(subject, ns, trials, seed, limits)
+    suites = _IDENTITIES.values() if subject == "all" else [_IDENTITIES[subject]]
+    rows = [row for suite in suites for row in suite(ns, trials, seed, limits)]
     disagreements = sum(1 for row in rows if not row["agree"])
     return {
         "schema": REPORT_SCHEMA,

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, JSON shape, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -185,11 +187,17 @@ def test_verify_orbit_identity(capsys):
      ("--theorem", "hamiltonian", "--max-n", "2"),
      # label bounds below 1
      ("--theorem", "irregular-strength", "--max-n", "3", "--k", "0"),
-     ("--theorem", "colorings", "--k", "0")],
+     ("--theorem", "colorings", "--k", "0"),
+     # label bounds for a subject that takes none
+     ("--theorem", "domination", "--max-n", "3", "--k", "3"),
+     ("--theorem", "hamiltonian", "--k", "1"),
+     ("--identity", "R1", "--k", "1")],
 )
 def test_verify_bad_flags_exit_usage(capsys, flags):
-    by_parser = "--theorem" not in flags or "--k" in flags
-    if "--theorem" not in flags:
+    # The parser rejects malformed values, the command well-formed ones that
+    # the subject cannot take.
+    by_parser = bool({"-5", "0", "x", "abc", "1..3", "5..3"} & set(flags))
+    if "--theorem" not in flags and "--identity" not in flags:
         flags = ("--identity", "ring-axioms", *flags)
     try:
         code = main(["verify", *flags])
@@ -202,6 +210,24 @@ def test_verify_bad_flags_exit_usage(capsys, flags):
         assert "error: argument" in out.err
     else:  # rejected by run_theorem before any work, in one line
         assert out.err.startswith("error (usage): ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "antimagic", "--k", "5"),
+     ("check", "one-two-three", "--k", "1"),
+     ("check", "hamiltonian", "--k", "1"),
+     ("check", "domination", "--k", "1", "--by", "x"),
+     ("check", "antimagic", "--by", "x"),
+     ("oracle", "edge-roman", "--k", "1"),
+     ("oracle", "strength", "--k", "2"),
+     ("oracle", "hamiltonian", "--k", "1")],
+)
+def test_flag_the_subject_does_not_take_exits_usage(capsys, p3_file, argv):
+    code, out, err = run(capsys, *argv, p3_file, "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error (usage): {argv[0]} {argv[1]} takes no {argv[-2]}\n"
 
 
 @pytest.mark.parametrize("k_max", ["0", "-2"])
@@ -283,6 +309,45 @@ def test_verify_text_output_deterministic(capsys):
     assert code == code2 == EXIT_OK
     assert out1 == out2
     assert "disagreements=0" in out1
+
+
+def test_max_n_variable_sets_the_verify_order(capsys, monkeypatch):
+    monkeypatch.delenv("COMBSPECTRA_MAX_N", raising=False)
+    argv = ("verify", "--theorem", "domination", "--workers", "1", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["params"]["max_n"] == 4
+    monkeypatch.setenv("COMBSPECTRA_MAX_N", "5")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["params"]["max_n"] == 5
+    assert max(row["n"] for row in data["rows"]) == 5
+
+
+def test_readme_command_line_examples_exit_ok(capsys, monkeypatch, tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("combspectra ")]
+    assert len(examples) >= 10
+
+    def agreeing(kind):
+        return lambda subject, *a, **kw: {
+            "schema": "1",
+            "kind": kind,
+            "subject": subject,
+            "params": {},
+            "rows": [{"agree": True}],
+            "summary": {"rows": 1, "disagreements": 0},
+        }
+
+    monkeypatch.setattr("combspectra.cli.ver.run_theorem", agreeing("theorem"))
+    monkeypatch.setattr("combspectra.cli.ver.run_identity", agreeing("identity"))
+    (tmp_path / "p3.edges").write_text(to_edge_list(path_graph(3)))
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        code, _out, err = run(capsys, *argv[1:])
+        assert code == EXIT_OK, (argv, err)
 
 
 def test_verify_disagreement_exit(capsys, monkeypatch):
