@@ -3,19 +3,22 @@
 Each predicate searches a combinatorial spectrum (total weights of star
 products over colorings and bijections) for a polynomial whose coefficients
 certify the property, and returns a :class:`Verdict` carrying the witness.
-Every search goes through :func:`scan`, which returns the verdict and visits
-one bijection per orbit of a symmetry group that leaves the verdict
-unchanged: the identity alone for the reader gadgets, one bijection per tail
-set for domination.  Scans run in a fixed lexicographic order (colorings
-first, bijections second) and short-circuit on the first witness, which is
-also the first witness of the full n! scan, so results are fully
-deterministic; pass ``exhaustive=True`` to count every witness instead.
+Every verdict comes from one :func:`scan`, which visits one bijection per
+orbit of a symmetry group that leaves the verdict unchanged: the identity
+alone for the reader gadgets, one bijection per tail set for domination.  A
+single weighting is scanned as it is (:func:`_weighting_scan`), a graph
+through every coloring of its edges (:func:`_coloring_scan`).  Scans run in a
+fixed lexicographic order (colorings first, bijections second) and
+short-circuit on the first witness, which is also the first witness of the
+full n! scan, so results are fully deterministic; pass ``exhaustive=True`` to
+count every witness instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import ring
@@ -24,11 +27,8 @@ from .families import (
     GraphFamily,
     ROMAN_PALETTE,
     Spectrum,
-    family_product,
     integer_palette,
     iter_colorings,
-    singleton,
-    spectrum_of,
 )
 from .gadgets import (
     WeightedCompleteGraph,
@@ -40,11 +40,9 @@ from .gadgets import (
     distance_weighting,
     domination_pair_maps,
     domination_probe,
-    edge_indicator,
     identity_pair_maps,
     indicator,
     pair_reader,
-    star_indicator,
     star_sum,
 )
 from .graphs import SimpleGraph, component_orders, cycle_graph, is_connected
@@ -89,9 +87,9 @@ class SearchStats:
 class Verdict:
     """Outcome of a characterization check.
 
-    When ``holds`` is true at least one witness field is populated; for the
-    single-weighting checks the input weighting is its own certificate and
-    appears as ``witness_graph``.
+    When ``holds`` is true every witness field is populated: the accepted
+    polynomial, the member that gave it (for the single-weighting checks, the
+    input weighting itself) and the bijection.
     """
 
     holds: bool
@@ -180,6 +178,43 @@ def scan(
     return first if first is not None else Verdict(False, stats=stats)
 
 
+def _weighting_scan(
+    g: WeightedCompleteGraph,
+    gadget: Callable[[int], WeightedCompleteGraph],
+    accept: Callable[[WeightedCompleteGraph, RingElem], bool],
+    what: str,
+    limits: Limits,
+) -> Verdict:
+    """Scan the single weighting g against ``gadget(n)`` along the identity,
+    after the guards: constant nonnegative weights, the order, and the n!
+    bijections of the full scan."""
+    _require_constant_nonneg(g)
+    limits.check_n(g.n)
+    limits.check_steps(math.factorial(g.n), what)
+    return scan((g,), gadget(g.n), identity_pair_maps(g.n), accept, limits)
+
+
+def _coloring_scan(
+    g: SimpleGraph,
+    palette: Sequence[RingElem],
+    gadget: Callable[[int], WeightedCompleteGraph],
+    accept: Callable[[WeightedCompleteGraph, RingElem], bool],
+    what: str,
+    limits: Limits,
+    exhaustive: bool,
+) -> Verdict:
+    """Scan every palette coloring of g's edges against ``gadget(n)`` along
+    the identity, after the guards: the order, the |palette|^m colorings and
+    their |palette|^m * n! bijections."""
+    n, m, p = g.n, g.m, len(palette)
+    limits.check_n(n)
+    limits.check_family(p**m, f"{p}-colorings of {m} edges")
+    limits.check_steps(p**m * math.factorial(n), f"{what} search")
+    return scan(
+        iter_colorings(g, palette), gadget(n), identity_pair_maps(n), accept, limits, exhaustive
+    )
+
+
 # -- antimagic ----------------------------------------------------------------
 
 
@@ -190,32 +225,31 @@ def antimagic_weighted(
 ) -> Verdict:
     """Single-graph antimagic test via the two spectrum conditions.
 
-    The vertex condition asks for n distinct endpoint sums; the pair condition
-    asks the spectrum against a single-edge probe to be exactly {1..|E|} for a
-    complete weighting and {0,1,..,|E|} otherwise.  ``is_complete`` defaults
-    to whether every pair weight is nonzero.
+    Scans the weighting against the combined reader: its first n
+    coefficients, the spectrum against a star probe, are the endpoint sums
+    and must be pairwise distinct; the others, the spectrum against a
+    single-edge probe, are the pair weights and must be exactly {1..|E|} for
+    a complete weighting and {0,1,..,|E|} otherwise.  ``is_complete``
+    defaults to whether every pair weight is nonzero.
     """
-    _require_constant_nonneg(g)
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise PreconditionError("antimagic needs at least two vertices")
     if is_complete is None:
         is_complete = g.is_complete_weighting()
-    m = g.nonzero_count()
-    fam = singleton(g)
-    vertex_spec = spectrum_of(
-        family_product(fam, singleton(star_indicator(1, n)), limits)
-    )
-    pair_spec = spectrum_of(
-        family_product(fam, singleton(edge_indicator(1, 2, n)), limits)
-    )
-    stats = SearchStats(members=1, bijections=2)  # one family product per probe
-    lo = 1 if is_complete else 0
-    expected = Spectrum(ring.const(c) for c in range(lo, m + 1))
-    holds = len(vertex_spec) == n and pair_spec == expected
-    if holds:
-        return Verdict(True, witness_graph=g, stats=stats)
-    return Verdict(False, stats=stats)
+    accept = _antimagic_exact_accept(g.n, 1 if is_complete else 0)
+    return _weighting_scan(g, _antimagic_gadget, accept, "antimagic check", limits)
+
+
+def _antimagic_exact_accept(n: int, lo: int):
+    size = n + n * (n - 1) // 2
+
+    def accept(h: WeightedCompleteGraph, p: RingElem) -> bool:
+        coeffs = _dense_x_constants(p, size)
+        return len(set(coeffs[:n])) == n and set(coeffs[n:]) == {
+            (c, 0) for c in range(lo, h.nonzero_count() + 1)
+        }
+
+    return accept
 
 
 def _antimagic_accept(n: int):
@@ -223,16 +257,14 @@ def _antimagic_accept(n: int):
 
     def accept(h: WeightedCompleteGraph, p: RingElem) -> bool:
         coeffs = _dense_x_constants(p, size)
-        head = coeffs[:n]
-        if len(set(head)) != n:
-            return False
-        rest = set(coeffs[n:])
-        m = h.nonzero_count()
-        return all((c, 0) in rest for c in range(1, m + 1))
+        return len(set(coeffs[:n])) == n and set(coeffs[n:]) >= {
+            (c, 0) for c in range(1, h.nonzero_count() + 1)
+        }
 
     return accept
 
 
+@lru_cache(maxsize=None)
 def _antimagic_gadget(n: int) -> WeightedCompleteGraph:
     return degree_reader(n) + pair_reader(n).scale(ring.x_pow(n))
 
@@ -257,12 +289,7 @@ def antimagic_family(
         _require_constant_nonneg(h)
     limits.check_steps(len(fam) * math.factorial(n), "antimagic family search")
     return scan(
-        fam,
-        _antimagic_gadget(n),
-        identity_pair_maps(n),
-        _antimagic_accept(n),
-        limits,
-        exhaustive,
+        fam, _antimagic_gadget(n), identity_pair_maps(n), _antimagic_accept(n), limits, exhaustive
     )
 
 
@@ -279,17 +306,9 @@ def antimagic_unweighted(
     """
     if any(g.degree(v) == 0 for v in range(1, g.n + 1)):
         raise PreconditionError("antimagic needs a graph without isolated vertices")
-    m = g.m
-    limits.check_n(g.n)
-    limits.check_family(m**m, f"{m}-colorings of {m} edges")
-    limits.check_steps(m**m * math.factorial(g.n), "antimagic search")
-    return scan(
-        iter_colorings(g, integer_palette(m)),
-        _antimagic_gadget(g.n),
-        identity_pair_maps(g.n),
-        _antimagic_accept(g.n),
-        limits,
-        exhaustive,
+    return _coloring_scan(
+        g, integer_palette(g.m), _antimagic_gadget, _antimagic_accept(g.n), "antimagic",
+        limits, exhaustive,
     )
 
 
@@ -306,18 +325,13 @@ def _strength_accept(n: int):
 def irregular_weighted(
     g: WeightedCompleteGraph, limits: Limits = DEFAULT_LIMITS
 ) -> Verdict:
-    """Are all endpoint sums of this weighting distinct?"""
-    _require_constant_nonneg(g)
-    n = g.n
-    if n < 2:
+    """Are all endpoint sums of this weighting distinct?  Scans it against
+    the degree reader, whose coefficients are the endpoint sums."""
+    if g.n < 2:
         raise PreconditionError("irregularity needs at least two vertices")
-    vertex_spec = spectrum_of(
-        family_product(singleton(g), singleton(star_indicator(1, n)), limits)
+    return _weighting_scan(
+        g, degree_reader, _strength_accept(g.n), "irregularity check", limits
     )
-    stats = SearchStats(members=1, bijections=1)  # one family product
-    if len(vertex_spec) == n:
-        return Verdict(True, witness_graph=g, stats=stats)
-    return Verdict(False, stats=stats)
 
 
 def strength_at_most(
@@ -335,16 +349,9 @@ def strength_at_most(
         raise PreconditionError("the label bound k must be positive")
     if any(g.degree(v) == 0 for v in range(1, g.n + 1)):
         raise PreconditionError("irregularity strength needs no isolated vertices")
-    limits.check_n(g.n)
-    limits.check_family(k**g.m, f"{k}-colorings of {g.m} edges")
-    limits.check_steps(k**g.m * math.factorial(g.n), "strength search")
-    return scan(
-        iter_colorings(g, integer_palette(k)),
-        degree_reader(g.n),
-        identity_pair_maps(g.n),
-        _strength_accept(g.n),
-        limits,
-        exhaustive,
+    return _coloring_scan(
+        g, integer_palette(k), degree_reader, _strength_accept(g.n), "strength",
+        limits, exhaustive,
     )
 
 
@@ -361,14 +368,10 @@ def local_irregular_weighted(
     an adjacent tie.  The identity bijection decides, as in
     :func:`one_two_three`.
     """
-    _require_constant_nonneg(g)
-    n = g.n
-    limits.check_n(n)
-    if n < 2:
-        return Verdict(True, witness_graph=g, stats=SearchStats(members=1))
-    limits.check_steps(math.factorial(n), "local irregularity search")
-    return scan(
-        (g,), contrast_reader(n), identity_pair_maps(n), _one_two_three_accept, limits
+    # a single vertex has no pair to contrast: the zero gadget's total 0 passes
+    gadget = contrast_reader if g.n >= 2 else WeightedCompleteGraph.zero
+    return _weighting_scan(
+        g, gadget, _one_two_three_accept, "local irregularity search", limits
     )
 
 
@@ -397,16 +400,9 @@ def one_two_three(
         raise PreconditionError(
             f"a component of order {orders[0]} < 3 is present"
         )
-    limits.check_n(g.n)
-    limits.check_family(3**g.m, f"3-colorings of {g.m} edges")
-    limits.check_steps(3**g.m * math.factorial(g.n), "1-2-3 search")
-    return scan(
-        iter_colorings(g, integer_palette(3)),
-        contrast_reader(g.n),
-        identity_pair_maps(g.n),
-        _one_two_three_accept,
-        limits,
-        exhaustive,
+    return _coloring_scan(
+        g, integer_palette(3), contrast_reader, _one_two_three_accept, "1-2-3",
+        limits, exhaustive,
     )
 
 
@@ -534,16 +530,9 @@ def edge_roman_at_most(
         raise PreconditionError("edge Roman domination needs at least one edge")
     if k < 0:
         raise PreconditionError("k must be nonnegative")
-    limits.check_n(n)
-    limits.check_family(3**m, f"3-colorings of {m} edges")
-    limits.check_steps(3**m * math.factorial(n), "edge Roman search")
-    return scan(
-        iter_colorings(g, ROMAN_PALETTE),
-        cover_reader(n),
-        identity_pair_maps(n),
-        _edge_roman_accept(n, m, k),
-        limits,
-        exhaustive,
+    return _coloring_scan(
+        g, ROMAN_PALETTE, cover_reader, _edge_roman_accept(n, m, k), "edge Roman",
+        limits, exhaustive,
     )
 
 

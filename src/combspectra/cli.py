@@ -10,7 +10,9 @@ Three command groups:
 
 Each command reads its subjects from one table: ``_CHECKS`` and ``_ORACLES``
 below, the theorem and identity tables in :mod:`combspectra.verify`.  A flag
-that the subject's entry does not take (``--k``, ``--by``) is a usage error.
+that the subject does not read is a usage error: ``--k``, ``--by``,
+``--k-max`` and ``--seed`` outside the subjects that read them, and ``--n``
+and ``--trials`` on a theorem sweep.
 
 Exit codes: 0 ok, 1 internal error, 2 usage, 3 graph parse error,
 4 precondition violation, 5 size guard exceeded, 6 verification disagreement,
@@ -44,7 +46,7 @@ from .errors import (
     TimeLimitError,
     UsageError,
 )
-from .graphs import SimpleGraph, parse_graph, parse_graph6, to_graph6
+from .graphs import SimpleGraph, parse_graph6, parse_graphs, to_graph6
 from .limits import DEFAULT_LIMITS, Limits
 
 EXIT_OK = 0
@@ -64,14 +66,15 @@ class RunConfig:
     """Resolved run options: flags take precedence over environment variables,
     which take precedence over the defaults.  ``max_n`` is None when neither
     sets it: the guard is then the default one, and ``verify`` picks its own
-    sweep order."""
+    sweep order.  ``seed`` is None when neither sets it, and the identity
+    suites use their own default."""
 
     max_n: int | None
     max_family: int
     max_steps: int
     workers: int
     json_output: bool
-    seed: int
+    seed: int | None
     timeout_seconds: float | None
 
     def limits(self) -> Limits:
@@ -113,7 +116,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             False,
             lambda s: s.strip().lower() in ("1", "true", "yes"),
         ),
-        seed=pick(args.seed, "SEED", 1, int),
+        seed=pick(args.seed, "SEED", None, int),
         timeout_seconds=pick(args.timeout_seconds, "TIMEOUT_SECONDS", None, float),
     )
 
@@ -185,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("subject", choices=tuple(_ORACLES))
     p_oracle.add_argument("graph")
     p_oracle.add_argument("--k", type=int, default=None)
-    p_oracle.add_argument("--k-max", type=_positive_int, default=3,
+    p_oracle.add_argument("--k-max", type=_positive_int, default=None,
                           help="largest label bound (at least 1) tried by the strength oracle")
     _add_common(p_oracle)
 
@@ -197,16 +200,17 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--identity", choices=ver.IDENTITY_SUBJECTS)
     p_verify.add_argument("--k", type=_positive_int, action="append", default=None,
                           help="label bound(s), at least 1, for colorings / irregular-strength")
-    p_verify.add_argument("--n", type=_orders, default="3..6",
+    p_verify.add_argument("--n", type=_orders, default=None,
                           help="orders (at least 2) for identity suites, e.g. 3..6 or 3,5")
-    p_verify.add_argument("--trials", type=_positive_int, default=1000,
+    p_verify.add_argument("--trials", type=_positive_int, default=None,
                           help="randomized trials (at least 1) for ring-axioms and orbit")
     _add_common(p_verify)
     return parser
 
 
 def _load_graphs(path: str) -> list[tuple[str, SimpleGraph]]:
-    """Load (graph6-id, graph) pairs from a file or stdin graph6 lines."""
+    """Load (graph6-id, graph) pairs: one per graph6 line of stdin or of a
+    graph6 file, or the one graph of an edge-list file."""
     if path == "-":
         out = []
         for line in sys.stdin.read().splitlines():
@@ -221,8 +225,7 @@ def _load_graphs(path: str) -> list[tuple[str, SimpleGraph]]:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    g = parse_graph(text)
-    return [(to_graph6(g), g)]
+    return [(to_graph6(g), g) for g in parse_graphs(text)]
 
 
 def _emit(payload: dict, cfg: RunConfig, text_lines: list[str]) -> None:
@@ -290,12 +293,17 @@ _CHECKS = {
 }
 
 
-def _check_k_flag(command: str, takes_k: bool, k: object) -> None:
-    """``--k`` must be given exactly when the subject takes it."""
-    if takes_k and k is None:
+def _check_flags(
+    command: str, args: argparse.Namespace, flags: Sequence[str], reads: Sequence[str]
+) -> None:
+    """Of the command's subject-specific ``flags`` (by attribute name), one
+    the subject does not read must be absent, and ``--k`` where it is read
+    must be present."""
+    if "k" in reads and args.k is None:
         raise UsageError(f"{command} requires --k")
-    if k is not None and not takes_k:
-        raise UsageError(f"{command} takes no --k")
+    for name in flags:
+        if name not in reads and getattr(args, name) is not None:
+            raise UsageError(f"{command} takes no --{name.replace('_', '-')}")
 
 
 def _verdict_report(
@@ -321,9 +329,8 @@ def _run_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     limits = cfg.limits()
     subject = args.subject
     check = _CHECKS[subject]
-    _check_k_flag(f"check {subject}", check.takes_k, args.k)
-    if args.by is not None and check.witness is not None:
-        raise UsageError(f"check {subject} takes no --by")
+    reads = [flag for flag, read in (("k", check.takes_k), ("by", check.witness is None)) if read]
+    _check_flags(f"check {subject}", args, ("k", "by", "seed"), reads)
     for gid, g in _load_graphs(args.graph):
         if check.witness is None:
             pattern = None if args.by is None else _load_graphs(args.by)[0][1]
@@ -368,31 +375,33 @@ def _oracle_payload(subject: str, gid: str, result: orc.OracleResult) -> tuple[d
 
 @dataclass(frozen=True)
 class _Oracle:
-    """An ``oracle`` subject: ``run(graph, bound, limits)``, where the bound
-    is ``--k`` for a subject that takes it and ``--k-max`` otherwise, which
-    only the strength oracle reads."""
+    """An ``oracle`` subject: ``run(graph, limits=...)``, called with one more
+    keyword, named by ``bound``, when the subject reads that flag: ``k`` for
+    ``--k`` (required) or ``k_max`` for ``--k-max`` (the oracle's own default
+    when absent)."""
 
     run: Callable
-    takes_k: bool
+    bound: str | None
 
 
 _ORACLES = {
-    "antimagic": _Oracle(_no_bound(orc.antimagic_oracle), False),
-    "strength": _Oracle(orc.strength_oracle, False),
-    "chi-sigma": _Oracle(orc.chi_sigma_oracle, True),
-    "domination": _Oracle(orc.domination_oracle, True),
-    "edge-roman": _Oracle(_no_bound(orc.edge_roman_oracle), False),
-    "hamiltonian": _Oracle(_no_bound(orc.hamiltonian_oracle), False),
+    "antimagic": _Oracle(orc.antimagic_oracle, None),
+    "strength": _Oracle(orc.strength_oracle, "k_max"),
+    "chi-sigma": _Oracle(orc.chi_sigma_oracle, "k"),
+    "domination": _Oracle(orc.domination_oracle, "k"),
+    "edge-roman": _Oracle(orc.edge_roman_oracle, None),
+    "hamiltonian": _Oracle(orc.hamiltonian_oracle, None),
 }
 
 
 def _run_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     limits = cfg.limits()
     oracle = _ORACLES[args.subject]
-    _check_k_flag(f"oracle {args.subject}", oracle.takes_k, args.k)
-    bound = args.k if oracle.takes_k else args.k_max
+    reads = [oracle.bound] if oracle.bound else []
+    _check_flags(f"oracle {args.subject}", args, ("k", "k_max", "seed"), reads)
+    bound = {name: getattr(args, name) for name in reads if getattr(args, name) is not None}
     for gid, g in _load_graphs(args.graph):
-        payload, lines = _oracle_payload(args.subject, gid, oracle.run(g, bound, limits))
+        payload, lines = _oracle_payload(args.subject, gid, oracle.run(g, limits=limits, **bound))
         _emit(payload, cfg, lines)
     return EXIT_OK
 
@@ -411,6 +420,7 @@ def _row_text(row: dict) -> str:
 def _run_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     limits = cfg.limits()
     if args.theorem:
+        _check_flags(f"verify --theorem {args.theorem}", args, ("n", "trials", "seed"), ())
         report = ver.run_theorem(
             args.theorem,
             # sweeps stop at n = 4 unless --max-n or COMBSPECTRA_MAX_N sets the order
@@ -420,13 +430,13 @@ def _run_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
             limits=limits,
         )
     else:
-        _check_k_flag(f"verify --identity {args.identity}", False, args.k)
+        _check_flags(f"verify --identity {args.identity}", args, ("k",), ())
+        # an option left unset keeps run_identity's default
+        given = {"ns": args.n, "trials": args.trials, "seed": cfg.seed}
         report = ver.run_identity(
             args.identity,
-            ns=tuple(args.n),
-            trials=args.trials,
-            seed=cfg.seed,
             limits=limits,
+            **{name: value for name, value in given.items() if value is not None},
         )
     lines = [f"verify {report['subject']} ({report['kind']})"]
     lines.extend(_row_text(row) for row in report["rows"])

@@ -21,6 +21,7 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "parse_graph",
+    "parse_graphs",
     "to_edge_list",
     "to_graph6",
     "all_pairs_distances",
@@ -30,7 +31,6 @@ __all__ = [
     "cycle_graph",
     "complete_graph",
     "star_graph",
-    "empty_graph",
 ]
 
 
@@ -118,9 +118,6 @@ class DistanceTable:
             return 0
         key = (u, v) if u < v else (v, u)
         return self._dist.get(key)
-
-    def pairs(self) -> dict[tuple[int, int], int]:
-        return dict(self._dist)
 
 
 def all_pairs_distances(g: SimpleGraph) -> DistanceTable:
@@ -280,19 +277,27 @@ def to_graph6(g: SimpleGraph) -> str:
     return "".join(chars)
 
 
+def parse_graphs(text: str) -> list[SimpleGraph]:
+    """Every graph in the text: the one graph of an edge list, or one graph
+    per data line of graph6 text.  The text is an edge list when its first
+    data line looks like an 'n m' header."""
+    lines = [line for _lineno, line in _data_lines(text)]
+    if not lines:
+        raise ParseError("empty input")
+    fields = lines[0].split()
+    if len(fields) == 2:
+        try:
+            int(fields[0]), int(fields[1])
+        except ValueError:
+            pass
+        else:
+            return [parse_edge_list(text)]
+    return [parse_graph6(line) for line in lines]
+
+
 def parse_graph(text: str) -> SimpleGraph:
-    """Single entry point: edge-list text, or a graph6 line if the first
-    meaningful line does not look like an 'n m' header."""
-    for _lineno, line in _data_lines(text):
-        fields = line.split()
-        if len(fields) == 2:
-            try:
-                int(fields[0]), int(fields[1])
-            except ValueError:
-                return parse_graph6(line)
-            return parse_edge_list(text)
-        return parse_graph6(line)
-    raise ParseError("empty input")
+    """The first graph of :func:`parse_graphs`."""
+    return parse_graphs(text)[0]
 
 
 def to_edge_list(g: SimpleGraph) -> str:
@@ -302,10 +307,6 @@ def to_edge_list(g: SimpleGraph) -> str:
 
 
 # -- small standard graphs ---------------------------------------------------
-
-
-def empty_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n)
 
 
 def path_graph(n: int) -> SimpleGraph:

@@ -82,7 +82,7 @@ def antimagic_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> OracleR
 
 
 def strength_oracle(
-    g: SimpleGraph, k_max: int, limits: Limits = DEFAULT_LIMITS
+    g: SimpleGraph, k_max: int = 3, limits: Limits = DEFAULT_LIMITS
 ) -> OracleResult:
     """Smallest k <= k_max admitting an irregular labeling E -> {1..k};
     value None when no such k exists in range."""

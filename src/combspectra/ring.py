@@ -33,7 +33,6 @@ __all__ = [
     "X",
     "Y",
     "const",
-    "from_int",
     "x_pow",
     "y_pow",
     "monomial",
@@ -429,10 +428,6 @@ def const(re: int, im: int = 0) -> RingElem:
     if re == 0 and im == 0:
         return ZERO
     return RingElem._raw({(0, 0): (re, im)})
-
-
-def from_int(n: int) -> RingElem:
-    return const(n)
 
 
 def x_pow(j: int) -> RingElem:

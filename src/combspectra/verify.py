@@ -27,6 +27,7 @@ from .errors import PreconditionError, UsageError
 from .families import (
     ROMAN_PALETTE,
     GraphFamily,
+    Spectrum,
     all_colorings_family,
     colorings_of_graph,
     edge_deleted_family,
@@ -356,8 +357,9 @@ def run_theorem(
     Returns a deterministic report dict; ``summary.disagreements`` counts rows
     where the two routes differ or a witness failed its own definition.
     Raises :class:`UsageError`, a ``ValueError``, before any work for an
-    unknown subject, a ``max_n`` below the subject's least order, or label
-    bounds for a subject that takes none.
+    unknown subject, a ``max_n`` below the subject's least order, label
+    bounds for a subject that takes none, or no label bound for one that
+    takes them.
     """
     theorem = _THEOREMS.get(subject)
     if theorem is None:
@@ -369,6 +371,9 @@ def run_theorem(
         ks = theorem.ks or ()
     elif ks and theorem.ks is None:
         raise UsageError(f"{subject} takes no label bounds (--k), got {list(ks)}")
+    elif not ks and theorem.ks is not None:
+        # a sweep over no label bound would report agreement having checked nothing
+        raise UsageError(f"{subject} needs at least one label bound (--k)")
     limits_fields = (limits.max_n, limits.max_family, limits.max_steps, limits.deadline)
     # task payload -> its (n, m)
     if subject == "fixpoint":
@@ -497,6 +502,20 @@ def _full_product(left: GraphFamily, right: GraphFamily) -> GraphFamily:
     )
 
 
+def _weighting_by_probes(h: WeightedCompleteGraph, limits: Limits) -> tuple[bool, bool]:
+    """Whether the weighting h is irregular and whether it is antimagic, by
+    their definitions: the spectra of its family products with the star probe
+    (its endpoint sums) and with the edge probe (its pair weights)."""
+    n = h.n
+    vertex, pair = (
+        spectrum_of(family_product(singleton(h), singleton(probe), limits))
+        for probe in (star_indicator(1, n), edge_indicator(1, 2, n))
+    )
+    lo = 1 if h.is_complete_weighting() else 0
+    labels = Spectrum(ring.const(c) for c in range(lo, h.nonzero_count() + 1))
+    return len(vertex) == n, len(vertex) == n and pair == labels
+
+
 def _family_product_orbit_failures(
     n: int, graphs: Sequence[SimpleGraph], trials: int, rng: Random, limits: Limits
 ) -> tuple[int, int]:
@@ -545,7 +564,9 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
     scan: domination over the whole corpus, each reader gadget on ``trials``
     random members colored from its own palette, family products by the
     right factor's relabel closure on ``trials`` random left members, and the
-    Hamiltonian cycle spectrum over the whole corpus."""
+    Hamiltonian cycle spectrum over the whole corpus.  The ``weighting`` row
+    checks the single-weighting irregular and antimagic scans against their
+    definitions by probe spectra, on the strength and antimagic members."""
     rng = Random(seed)
     rows = []
     for n in ns:
@@ -554,10 +575,12 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
         rows.append(_check_row("orbit", checks, failures, n=n, search="domination"))
         graphs = connected_graphs(n)
         reader_failures: Counter[str] = Counter()
+        weighting_failures = 0
         for _ in range(trials):
             g = rng.choice(graphs)
+            members = {}
             for name, palette, gadget, accept in _reader_searches(g, rng):
-                member = WeightedCompleteGraph(
+                member = members[name] = WeightedCompleteGraph(
                     n,
                     [rng.choice(palette) if pair in g.edges else ring.ZERO
                      for pair in pairs_in_rank_order(n)],
@@ -567,9 +590,18 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
                     for maps in (identity_pair_maps(n), bijection_pair_maps(n))
                 ]
                 reader_failures[name] += counts[0] != counts[1]
+            for h in (members["strength"], members["antimagic"]):
+                scanned = (
+                    ch.irregular_weighted(h, limits).holds,
+                    ch.antimagic_weighted(h, limits=limits).holds,
+                )
+                weighting_failures += scanned != _weighting_by_probes(h, limits)
         rows.extend(
             _check_row("orbit", trials, failed, n=n, search=name)
             for name, failed in reader_failures.items()
+        )
+        rows.append(
+            _check_row("orbit", 2 * trials, weighting_failures, n=n, search="weighting")
         )
         checks, failures = _family_product_orbit_failures(n, graphs, trials, rng, limits)
         rows.append(_check_row("orbit", checks, failures, n=n, search="family-product"))

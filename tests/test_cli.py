@@ -163,11 +163,11 @@ def test_verify_orbit_identity(capsys):
     )
     assert code == EXIT_OK
     rows = json.loads(out)["rows"]
-    assert [(row["n"], row["search"]) for row in rows[:7]] == [
-        (3, "domination"), (3, "strength"), (3, "one-two-three"),
-        (3, "antimagic"), (3, "edge-roman"), (3, "family-product"), (3, "hamiltonian"),
+    assert [(row["n"], row["search"]) for row in rows[:8]] == [
+        (3, "domination"), (3, "strength"), (3, "one-two-three"), (3, "antimagic"),
+        (3, "edge-roman"), (3, "weighting"), (3, "family-product"), (3, "hamiltonian"),
     ]
-    assert len(rows) == 21
+    assert len(rows) == 24
     assert all(row["agree"] and row["checks"] > 0 for row in rows)
     assert [row["checks"] for row in rows if row["search"] == "domination"] == [4, 18, 84]
     # closed right families (two up to n=4, one above), the two singleton
@@ -175,6 +175,29 @@ def test_verify_orbit_identity(capsys):
     assert [row["checks"] for row in rows if row["search"] == "family-product"] == [100, 100, 80]
     # every connected graph of each order
     assert [row["checks"] for row in rows if row["search"] == "hamiltonian"] == [2, 6, 21]
+    # the strength and the antimagic member of each trial
+    assert [row["checks"] for row in rows if row["search"] == "weighting"] == [40, 40, 40]
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        # forgets that a weighting that is not complete lists the pair weight 0
+        ("_antimagic_exact_accept", lambda exact: lambda n, _lo: exact(n, 1)),
+        # accepts every weighting as irregular
+        ("_strength_accept", lambda _strength: lambda n: lambda _h, _p: True),
+    ],
+    ids=["antimagic-without-zero", "strength-accepts-all"],
+)
+def test_verify_weighting_row_catches_a_wrong_accept(monkeypatch, name, broken):
+    from combspectra import characterize as ch
+    from combspectra.verify import run_identity
+
+    # each broken accept is built from the original one
+    monkeypatch.setattr(ch, name, broken(getattr(ch, name)))
+    rows = run_identity("orbit", ns=(3, 4), trials=20)["rows"]
+    failures = [row["failures"] for row in rows if row["search"] == "weighting"]
+    assert len(failures) == 2 and sum(failures) > 0
 
 
 @pytest.mark.parametrize(
@@ -191,7 +214,11 @@ def test_verify_orbit_identity(capsys):
      # label bounds for a subject that takes none
      ("--theorem", "domination", "--max-n", "3", "--k", "3"),
      ("--theorem", "hamiltonian", "--k", "1"),
-     ("--identity", "R1", "--k", "1")],
+     ("--identity", "R1", "--k", "1"),
+     # identity-suite options on a theorem sweep
+     ("--theorem", "domination", "--max-n", "3", "--n", "3..5"),
+     ("--theorem", "domination", "--max-n", "3", "--trials", "5"),
+     ("--theorem", "domination", "--max-n", "3", "--seed", "9")],
 )
 def test_verify_bad_flags_exit_usage(capsys, flags):
     # The parser rejects malformed values, the command well-formed ones that
@@ -208,7 +235,7 @@ def test_verify_bad_flags_exit_usage(capsys, flags):
     assert out.out == ""
     if by_parser:
         assert "error: argument" in out.err
-    else:  # rejected by run_theorem before any work, in one line
+    else:  # rejected by the command before any work, in one line
         assert out.err.startswith("error (usage): ") and out.err.count("\n") == 1
 
 
@@ -221,7 +248,11 @@ def test_verify_bad_flags_exit_usage(capsys, flags):
      ("check", "antimagic", "--by", "x"),
      ("oracle", "edge-roman", "--k", "1"),
      ("oracle", "strength", "--k", "2"),
-     ("oracle", "hamiltonian", "--k", "1")],
+     ("oracle", "hamiltonian", "--k", "1"),
+     ("oracle", "antimagic", "--k-max", "9"),
+     ("oracle", "domination", "--k", "1", "--k-max", "2"),
+     ("check", "antimagic", "--seed", "2"),
+     ("oracle", "strength", "--seed", "2")],
 )
 def test_flag_the_subject_does_not_take_exits_usage(capsys, p3_file, argv):
     code, out, err = run(capsys, *argv, p3_file, "--json")
@@ -275,6 +306,23 @@ def test_run_theorem_rejects_orders_below_the_subject_minimum():
         with pytest.raises(ValueError, match="needs max_n"):
             run_theorem(subject, max_n)
     assert run_theorem("hamiltonian", 3)["summary"]["rows"] == 2
+
+
+def test_run_theorem_rejects_an_empty_list_of_label_bounds():
+    # a sweep over no label bound would report agreement having checked nothing
+    from combspectra.errors import UsageError
+    from combspectra.verify import run_theorem
+
+    for subject in ("colorings", "irregular-strength"):
+        with pytest.raises(UsageError, match="needs at least one label bound"):
+            run_theorem(subject, 3, ks=())
+
+
+def test_graph6_file_argument_reads_every_line(capsys):
+    golden = Path(__file__).parent / "golden"
+    code, out, _ = run(capsys, "oracle", "antimagic", str(golden / "small_graphs.g6"))
+    assert code == EXIT_OK
+    assert out == (golden / "oracle_antimagic.txt").read_text()
 
 
 def test_verify_theorem_and_worker_determinism(capsys):
