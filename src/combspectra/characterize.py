@@ -229,27 +229,24 @@ def antimagic_weighted(
     coefficients, the spectrum against a star probe, are the endpoint sums
     and must be pairwise distinct; the others, the spectrum against a
     single-edge probe, are the pair weights and must be exactly {1..|E|} for
-    a complete weighting and {0,1,..,|E|} otherwise.  ``is_complete``
-    defaults to whether every pair weight is nonzero.
+    a complete weighting and {0,1,..,|E|} otherwise.  The accept of
+    :func:`antimagic_family` decides this: it asks only that the pair weights
+    cover {1..|E|}, but the |E| nonzero weights that cover it are exactly
+    {1..|E|}, and 0 is among the pair weights exactly when the weighting is
+    not complete.  ``is_complete`` defaults to whether every pair weight is
+    nonzero; a value that contradicts the weights makes the verdict false.
     """
     if g.n < 2:
         raise PreconditionError("antimagic needs at least two vertices")
-    if is_complete is None:
-        is_complete = g.is_complete_weighting()
-    accept = _antimagic_exact_accept(g.n, 1 if is_complete else 0)
+    if is_complete is None or is_complete == g.is_complete_weighting():
+        accept = _antimagic_accept(g.n)
+    else:
+        accept = _reject
     return _weighting_scan(g, _antimagic_gadget, accept, "antimagic check", limits)
 
 
-def _antimagic_exact_accept(n: int, lo: int):
-    size = n + n * (n - 1) // 2
-
-    def accept(h: WeightedCompleteGraph, p: RingElem) -> bool:
-        coeffs = _dense_x_constants(p, size)
-        return len(set(coeffs[:n])) == n and set(coeffs[n:]) == {
-            (c, 0) for c in range(lo, h.nonzero_count() + 1)
-        }
-
-    return accept
+def _reject(_h: WeightedCompleteGraph, _p: RingElem) -> bool:
+    return False
 
 
 def _antimagic_accept(n: int):

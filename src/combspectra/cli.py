@@ -11,8 +11,8 @@ Three command groups:
 Each command reads its subjects from one table: ``_CHECKS`` and ``_ORACLES``
 below, the theorem and identity tables in :mod:`combspectra.verify`.  A flag
 that the subject does not read is a usage error: ``--k``, ``--by``,
-``--k-max`` and ``--seed`` outside the subjects that read them, and ``--n``
-and ``--trials`` on a theorem sweep.
+``--k-max``, ``--n``, ``--trials`` and ``--seed`` outside the subjects that
+read them.
 
 Exit codes: 0 ok, 1 internal error, 2 usage, 3 graph parse error,
 4 precondition violation, 5 size guard exceeded, 6 verification disagreement,
@@ -201,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=_positive_int, action="append", default=None,
                           help="label bound(s), at least 1, for colorings / irregular-strength")
     p_verify.add_argument("--n", type=_orders, default=None,
-                          help="orders (at least 2) for identity suites, e.g. 3..6 or 3,5")
+                          help="orders (at least 2) for the identity suites that read "
+                               "them, e.g. 3..6 or 3,5")
     p_verify.add_argument("--trials", type=_positive_int, default=None,
                           help="randomized trials (at least 1) for ring-axioms and orbit")
     _add_common(p_verify)
@@ -331,9 +332,14 @@ def _run_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     check = _CHECKS[subject]
     reads = [flag for flag, read in (("k", check.takes_k), ("by", check.witness is None)) if read]
     _check_flags(f"check {subject}", args, ("k", "by", "seed"), reads)
+    pattern = None
+    if args.by is not None:
+        patterns = _load_graphs(args.by)
+        if len(patterns) > 1:
+            raise UsageError(f"--by takes one pattern graph, {args.by} holds {len(patterns)}")
+        pattern = patterns[0][1]
     for gid, g in _load_graphs(args.graph):
         if check.witness is None:
-            pattern = None if args.by is None else _load_graphs(args.by)[0][1]
             values = check.characterize(g, pattern, limits).as_integers()
             fields = {"spectrum": list(values), "number": min(values)}
             lines = [f"{subject} spectrum: {list(values)}", f"{subject} number: {min(values)}"]
@@ -430,7 +436,10 @@ def _run_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
             limits=limits,
         )
     else:
-        _check_flags(f"verify --identity {args.identity}", args, ("k",), ())
+        _check_flags(
+            f"verify --identity {args.identity}", args, ("k", "n", "trials", "seed"),
+            ver.IDENTITY_READS[args.identity],
+        )
         # an option left unset keeps run_identity's default
         given = {"ns": args.n, "trials": args.trials, "seed": cfg.seed}
         report = ver.run_identity(

@@ -110,6 +110,8 @@ def chi_sigma_oracle(
 ) -> OracleResult:
     """Is there a labeling E -> {1..k} giving adjacent vertices distinct
     weighted degrees?"""
+    if k < 1:
+        raise PreconditionError("the label bound k must be positive")
     orders = _component_orders(g)
     if orders and orders[0] < 3:
         raise PreconditionError("oracle needs no component of order < 3")

@@ -34,7 +34,6 @@ __all__ = [
     "Y",
     "const",
     "x_pow",
-    "y_pow",
     "monomial",
     "random_element",
     "random_gauss_int",
@@ -297,10 +296,6 @@ class RingElem:
             grouped.setdefault(dx, {})[(0, dy)] = c
         return {j: RingElem._raw(t) for j, t in grouped.items()}
 
-    def deg_x(self) -> int:
-        """Largest x-exponent with a nonzero coefficient; -1 for the zero polynomial."""
-        return max((dx for (dx, _dy) in self._terms), default=-1)
-
     def exact_div(self, divisor: GaussInt | int) -> "RingElem":
         """Divide every coefficient exactly by a nonzero Gaussian integer."""
         d = GaussInt.of(divisor)
@@ -434,12 +429,6 @@ def x_pow(j: int) -> RingElem:
     if j < 0:
         raise ValueError("exponent must be nonnegative")
     return RingElem._raw({(j, 0): (1, 0)})
-
-
-def y_pow(j: int) -> RingElem:
-    if j < 0:
-        raise ValueError("exponent must be nonnegative")
-    return RingElem._raw({(0, j): (1, 0)})
 
 
 def monomial(re: int, im: int, deg_x: int, deg_y: int) -> RingElem:

@@ -6,8 +6,9 @@ agreement rows; identity subjects check the algebraic identities the
 constructions rely on.  Each kind reads its subjects from one table:
 ``_THEOREMS`` gives a theorem subject's row builder, least order and default
 label bounds (None when it takes none), ``_IDENTITIES`` an identity subject's
-suite.  Reports contain no timing and keep a canonical row order, so the
-emitted JSON is byte-identical across runs and worker counts.
+suite and the options it reads.  Reports contain no timing and keep a
+canonical row order, so the emitted JSON is byte-identical across runs and
+worker counts.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .ring import GaussInt, random_element, random_gauss_int
 __all__ = [
     "THEOREM_SUBJECTS",
     "IDENTITY_SUBJECTS",
+    "IDENTITY_READS",
     "run_theorem",
     "run_identity",
 ]
@@ -146,32 +148,6 @@ def _rows_antimagic(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[
     except PreconditionError:
         oracle = None
     return [_agreement_row(g6, g, spectral, oracle)]
-
-
-def _rows_antimagic_variants(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    """Compare the exact-set single-graph reading with the coefficient-superset
-    family reading on every |E|-coloring of the graph."""
-    g6 = to_graph6(g)
-    m = g.m
-    limits.check_family(m**m, f"{m}-colorings of {m} edges")
-    disagreements = 0
-    members = 0
-    for h in iter_colorings(g, integer_palette(m)):
-        members += 1
-        exact = ch.antimagic_weighted(h, limits=limits).holds
-        superset = ch.antimagic_family(singleton(h), limits).holds
-        if exact != superset:
-            disagreements += 1
-    return [
-        {
-            "graph": g6,
-            "n": g.n,
-            "m": m,
-            "members": members,
-            "variant_disagreements": disagreements,
-            "agree": disagreements == 0,
-        }
-    ]
 
 
 def _rows_strength(g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
@@ -295,7 +271,6 @@ _THEOREMS = {
     "colorings": _Theorem(_rows_colorings, 2, (2, 3)),
     "fixpoint": _Theorem(_rows_fixpoint, 2),
     "antimagic": _Theorem(_rows_antimagic, 2),
-    "antimagic-variants": _Theorem(_rows_antimagic_variants, 2),
     "irregular-strength": _Theorem(_rows_strength, 2, (1, 2, 3)),
     "one-two-three": _Theorem(_rows_one_two_three, 3),
     "domination": _Theorem(_rows_domination, 2),
@@ -643,16 +618,33 @@ def _reader_rows(
     ]
 
 
-# Each suite takes (ns, trials, seed, limits); "all" runs them in this order.
+@dataclass(frozen=True)
+class _Identity:
+    """An identity suite, ``rows(ns, trials, seed, limits)``, and which of its
+    options it reads, by the name of their flag: ``n``, ``trials``, ``seed``."""
+
+    rows: Callable[[Sequence[int], int, int, Limits], list[dict]]
+    reads: tuple[str, ...]
+
+
+# "all" runs the suites in this order.
 _IDENTITIES = {
-    "ring-axioms": _ring_axiom_rows,
-    "S1": partial(_reader_rows, "S1", degree_reader, lambda n: ring.const(2)),
-    "E1": partial(_reader_rows, "E1", pair_reader, lambda n: ring.ONE),
-    "R1": partial(_reader_rows, "R1", cover_reader, lambda n: ring.const(2 * n - 4, 1)),
-    "orbit": _orbit_rows,
+    "ring-axioms": _Identity(_ring_axiom_rows, ("trials", "seed")),
+    "S1": _Identity(partial(_reader_rows, "S1", degree_reader, lambda n: ring.const(2)), ("n",)),
+    "E1": _Identity(partial(_reader_rows, "E1", pair_reader, lambda n: ring.ONE), ("n",)),
+    "R1": _Identity(
+        partial(_reader_rows, "R1", cover_reader, lambda n: ring.const(2 * n - 4, 1)), ("n",)
+    ),
+    "orbit": _Identity(_orbit_rows, ("n", "trials", "seed")),
 }
 
 IDENTITY_SUBJECTS = (*_IDENTITIES, "all")
+
+# The options each identity subject reads; "all" reads every one.
+IDENTITY_READS = {
+    **{subject: identity.reads for subject, identity in _IDENTITIES.items()},
+    "all": ("n", "trials", "seed"),
+}
 
 
 def run_identity(
@@ -668,7 +660,7 @@ def run_identity(
     if trials < 1:
         raise UsageError(f"need at least one trial, got {trials}")
     suites = _IDENTITIES.values() if subject == "all" else [_IDENTITIES[subject]]
-    rows = [row for suite in suites for row in suite(ns, trials, seed, limits)]
+    rows = [row for suite in suites for row in suite.rows(ns, trials, seed, limits)]
     disagreements = sum(1 for row in rows if not row["agree"])
     return {
         "schema": REPORT_SCHEMA,

@@ -1,8 +1,11 @@
 """Spectrum characterizations: worked examples, witnesses, structural identities."""
 
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combspectra import ring
 from combspectra.characterize import (
@@ -31,7 +34,9 @@ from combspectra.gadgets import (
     domination_probe,
     edge_indicator,
     hamiltonian_sum,
+    identity_pair_maps,
     indicator,
+    pairs_in_rank_order,
     star_indicator,
     star_sum,
     weighted_embedding,
@@ -111,6 +116,72 @@ def test_antimagic_unweighted_examples():
 def test_antimagic_size_guard():
     with pytest.raises(SizeGuardError):
         antimagic_unweighted(complete_graph(5), Limits(max_family=1000))
+
+
+# -- the antimagic lemma ------------------------------------------------------------
+#
+# The accept asks that the pair weights cover {1..c}, c the number of nonzero
+# ones; the definition asks that they be exactly {lo..c}, lo = 1 for a complete
+# weighting and 0 otherwise.  c nonzero weights that cover {1..c} are exactly
+# {1..c}, and 0 is a pair weight exactly when the weighting is not complete.
+
+
+def _antimagic_by_definition(h):
+    """From the pair weights alone: pairwise distinct endpoint sums, and the
+    set of pair weights exactly {lo..c}."""
+    labels = [w.constant_value().re for w in h.weights]
+    sums = [0] * h.n
+    for (u, v), label in zip(pairs_in_rank_order(h.n), labels):
+        sums[u - 1] += label
+        sums[v - 1] += label
+    c = sum(1 for label in labels if label)
+    lo = 0 if 0 in labels else 1
+    return len(set(sums)) == h.n and set(labels) == set(range(lo, c + 1))
+
+
+def _check_antimagic_lemma(h):
+    from combspectra.characterize import _antimagic_accept, _antimagic_gadget
+
+    expected = _antimagic_by_definition(h)
+    [(_f, identity)] = identity_pair_maps(h.n)
+    assert _antimagic_accept(h.n)(h, star_sum(h, _antimagic_gadget(h.n), identity)) == expected
+    assert antimagic_weighted(h).holds == expected
+    complete = h.is_complete_weighting()
+    assert antimagic_weighted(h, is_complete=complete).holds == expected
+    # an is_complete that contradicts the weights: false, after the one scan
+    contradicted = antimagic_weighted(h, is_complete=not complete)
+    assert not contradicted.holds
+    assert contradicted.stats.to_json() == {"members": 1, "bijections": 1}
+    return expected
+
+
+@st.composite
+def _nonnegative_weightings(draw):
+    n = draw(st.integers(2, 5))
+    pairs = n * (n - 1) // 2
+    if draw(st.booleans()):
+        # labels 1..c on c pairs and 0 on the others, antimagic when the sums differ
+        c = draw(st.integers(0, pairs))
+        labels = draw(st.permutations([*range(1, c + 1), *[0] * (pairs - c)]))
+    else:
+        labels = draw(st.lists(st.integers(0, pairs + 1), min_size=pairs, max_size=pairs))
+    return WeightedCompleteGraph(n, [const(label) for label in labels])
+
+
+@given(_nonnegative_weightings())
+@settings(max_examples=500, deadline=None)
+def test_antimagic_accept_decides_the_exact_set_definition(h):
+    _check_antimagic_lemma(h)
+
+
+def test_antimagic_accept_decides_the_exact_set_definition_on_k3():
+    # every weighting of K3 by 0..3: the six permutations of (1, 2, 3) and
+    # the six of (0, 1, 2) are antimagic
+    verdicts = [
+        _check_antimagic_lemma(WeightedCompleteGraph(3, [const(w) for w in weights]))
+        for weights in product(range(4), repeat=3)
+    ]
+    assert len(verdicts) == 64 and sum(verdicts) == 12
 
 
 # -- irregularity ----------------------------------------------------------------

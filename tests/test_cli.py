@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, JSON shape, determinism."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -182,19 +183,19 @@ def test_verify_orbit_identity(capsys):
 @pytest.mark.parametrize(
     "name, broken",
     [
-        # forgets that a weighting that is not complete lists the pair weight 0
-        ("_antimagic_exact_accept", lambda exact: lambda n, _lo: exact(n, 1)),
+        # checks that the endpoint sums are distinct and skips the labels
+        ("_antimagic_accept",
+         lambda n: lambda _h, p: len({p.coeff_x(j) for j in range(n)}) == n),
         # accepts every weighting as irregular
-        ("_strength_accept", lambda _strength: lambda n: lambda _h, _p: True),
+        ("_strength_accept", lambda n: lambda _h, _p: True),
     ],
-    ids=["antimagic-without-zero", "strength-accepts-all"],
+    ids=["antimagic-skips-labels", "strength-accepts-all"],
 )
 def test_verify_weighting_row_catches_a_wrong_accept(monkeypatch, name, broken):
     from combspectra import characterize as ch
     from combspectra.verify import run_identity
 
-    # each broken accept is built from the original one
-    monkeypatch.setattr(ch, name, broken(getattr(ch, name)))
+    monkeypatch.setattr(ch, name, broken)
     rows = run_identity("orbit", ns=(3, 4), trials=20)["rows"]
     failures = [row["failures"] for row in rows if row["search"] == "weighting"]
     assert len(failures) == 2 and sum(failures) > 0
@@ -218,7 +219,13 @@ def test_verify_weighting_row_catches_a_wrong_accept(monkeypatch, name, broken):
      # identity-suite options on a theorem sweep
      ("--theorem", "domination", "--max-n", "3", "--n", "3..5"),
      ("--theorem", "domination", "--max-n", "3", "--trials", "5"),
-     ("--theorem", "domination", "--max-n", "3", "--seed", "9")],
+     ("--theorem", "domination", "--max-n", "3", "--seed", "9"),
+     # identity-suite options that the suite does not read
+     ("--identity", "R1", "--n", "3", "--trials", "5", "--seed", "3"),
+     ("--identity", "R1", "--seed", "3"),
+     ("--identity", "S1", "--trials", "5"),
+     ("--identity", "E1", "--seed", "3"),
+     ("--identity", "ring-axioms", "--n", "9..12")],
 )
 def test_verify_bad_flags_exit_usage(capsys, flags):
     # The parser rejects malformed values, the command well-formed ones that
@@ -373,6 +380,48 @@ def test_max_n_variable_sets_the_verify_order(capsys, monkeypatch):
     assert max(row["n"] for row in data["rows"]) == 5
 
 
+def _readme_table(first_header: str) -> list[list[str]]:
+    """The body cells of the README "Command line" table whose first header
+    cell is ``first_header``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = section.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"| {first_header} |"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _names(cell: str) -> list[str]:
+    """The first word of each backquoted span of a table cell."""
+    return [span.split()[0] for span in re.findall(r"`([^`]+)`", cell)]
+
+
+def test_readme_subject_tables_match_the_code():
+    from combspectra.cli import _CHECKS, _ORACLES
+    from combspectra.verify import IDENTITY_READS, IDENTITY_SUBJECTS, THEOREM_SUBJECTS, _THEOREMS
+
+    rows = _readme_table("problem")
+    for column, subjects in ((1, _CHECKS), (2, _ORACLES), (3, THEOREM_SUBJECTS)):
+        listed = [name for row in rows for name in _names(row[column])[:1]]
+        assert sorted(listed) == sorted(subjects), column
+    for row in rows:
+        if row[3]:
+            theorem = _THEOREMS[_names(row[3])[0]]
+            assert int(row[4]) == theorem.min_n
+            assert row[5] == ("none" if theorem.ks is None else ", ".join(map(str, theorem.ks)))
+    identities = []
+    for row in _readme_table("`verify --identity`"):
+        reads = tuple(flag.removeprefix("--") for flag in _names(row[2]))
+        for subject in _names(row[0]):
+            identities.append(subject)
+            assert reads == IDENTITY_READS[subject], subject
+    assert identities == list(IDENTITY_SUBJECTS)
+
+
 def test_readme_command_line_examples_exit_ok(capsys, monkeypatch, tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -470,6 +519,32 @@ def test_check_hamiltonian_by_pattern(capsys, tmp_path):
     assert code == EXIT_OK
     data = json.loads(out)
     assert data["spectrum"] == [6] and data["number"] == 6
+
+
+def test_check_hamiltonian_by_a_file_of_two_graphs_exits_usage(capsys, tmp_path, p3_file):
+    two = tmp_path / "two.g6"
+    two.write_text(f"{to_graph6(path_graph(3))}\n{to_graph6(complete_graph(3))}\n")
+    code, out, err = run(capsys, "check", "hamiltonian", p3_file, "--by", str(two))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error (usage): --by ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_oracle_chi_sigma_nonpositive_k_exits_precondition(capsys, p3_file, k):
+    code, out, err = run(capsys, "oracle", "chi-sigma", p3_file, "--k", k)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "label bound" in err
+
+
+def test_seed_variable_is_accepted_by_a_suite_that_reads_no_seed(capsys, monkeypatch):
+    # COMBSPECTRA_SEED is a setting, not a flag: a suite that reads no seed
+    # still runs, and reports the seed it was given
+    monkeypatch.setenv("COMBSPECTRA_SEED", "3")
+    code, out, _ = run(capsys, "verify", "--identity", "R1", "--n", "3", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["params"]["seed"] == 3
 
 
 def test_one_two_three_size_guard(capsys, tmp_path):

@@ -31,9 +31,6 @@ CASES = {
     "verify_hamiltonian.json": (
         None, ("verify", "--theorem", "hamiltonian", "--max-n", "5", "--json"),
     ),
-    "verify_antimagic-variants.json": (
-        None, ("verify", "--theorem", "antimagic-variants", "--max-n", "4", "--json"),
-    ),
     "check_hamiltonian.jsonl": (HAMILTONIAN_GRAPHS, ("check", "hamiltonian", "-", "--json")),
 }
 

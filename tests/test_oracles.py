@@ -60,6 +60,10 @@ def test_chi_sigma_oracle_examples():
     assert chi_sigma_oracle(C4, 2).value is True
     with pytest.raises(PreconditionError):
         chi_sigma_oracle(K2, 3)
+    # with no label to try it would answer False having enumerated nothing
+    for k in (0, -1):
+        with pytest.raises(PreconditionError, match="label bound"):
+            chi_sigma_oracle(P3, k)
 
 
 def test_domination_oracle_examples():
