@@ -1,87 +1,182 @@
 """Generation of all connected graphs up to isomorphism at desk scale.
 
 Built by vertex augmentation: every connected graph on n vertices arises from
-a connected graph on n-1 vertices by attaching vertex n to a nonempty
-neighbor set (every connected graph has a non-cut vertex).  Candidates are
-deduplicated by the exact :func:`canonical_key`; representatives keep their
-first-seen order, which makes the corpus deterministic.
+a connected graph P on n-1 vertices by attaching vertex n to a nonempty
+neighbour set S (every connected graph has a non-cut vertex).  Candidates
+come parent by parent in corpus order, and each parent's sets by size, then
+lexicographically.  The representative of a class is its first-seen
+candidate, which makes the corpus deterministic.
+
+Two devices keep the work small, in the spirit of McKay's isomorph-free
+generation ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998):
+
+* **Orbit pruning.**  Only a set S that is least in candidate order within
+  its orbit under Aut(P) is tried.  The lemma: if sigma is an automorphism
+  of P, then P+S and P+sigma(S) are isomorphic (extend sigma by n -> n), and
+  sigma(S) has the size of S.  So a set with a smaller image in its orbit has
+  an earlier isomorphic candidate, is never first-seen, and skipping it
+  leaves the corpus as the full candidate list gives it.
+* **Buckets and search.**  A candidate is filed under the label-free
+  signature of its stable colour refinement, which isomorphic graphs share.
+  It is new exactly when a colour-respecting backtracking search finds no
+  isomorphism to any representative already in its bucket.  The same search,
+  asked for every solution from P to P, gives Aut(P).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, combinations, permutations, product
-from typing import Collection
+from functools import cache
+from itertools import accumulate, combinations
+from operator import or_
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import SimpleGraph
+from .limits import DEFAULT_LIMITS, Limits
 
-__all__ = ["canonical_key", "connected_graphs", "connected_graphs_up_to"]
+__all__ = ["connected_graphs", "connected_graphs_up_to"]
 
-# Known counts of connected graphs up to isomorphism, used as a self-check.
-_EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# Known counts of connected graphs up to isomorphism (OEIS A001349), used as
+# a self-check.
+_EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+# Every order generated so far; an order is stored only once it is complete.
+_ORDERS: dict[int, tuple[SimpleGraph, ...]] = {}
 
 
-def canonical_key(n: int, edges: Collection[tuple[int, int]]) -> tuple:
-    """A key that two graphs on vertices 1..n share iff they are isomorphic.
+class _Form(NamedTuple):
+    """A graph on vertices 0..n-1 as the isomorphism search reads it."""
 
-    Colour refinement from the degrees names each colour by its sorted
-    (colour, sorted neighbour colours) signature, not by the labelling.  The
-    key is the final signatures and the smallest edge bitcode over the vertex
-    orderings that list the colour cells in order and permute only within a
-    cell: isomorphic graphs share that set of bitcodes, and equal bitcodes
-    are the same graph.  It costs the product of the cell-size factorials.
+    adj: tuple[int, ...]  # adj[v]: bitmask of the neighbours of v
+    colours: tuple[int, ...]  # colours[v]: the label-free signature of v
+    cells: dict[int, list[int]]  # colour -> its vertices, in sorted colour order
+    key: tuple[int, ...]  # the bucket: the sorted colours
+
+
+def _adjacency(g: SimpleGraph) -> list[int]:
+    """Vertex v of g as bit v-1 of each neighbour mask."""
+    return [sum(1 << (w - 1) for w in nbrs) for nbrs in g.adjacency]
+
+
+@cache
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, lowest first."""
+    return tuple(w for w in range(mask.bit_length()) if mask >> w & 1)
+
+
+def _form(adj: Sequence[int]) -> _Form:
+    """Refine the degrees to a stable colouring.
+
+    A round gives each vertex the signature (colour, multiset of neighbour
+    colours) and names each colour by its rank among the signatures, not by
+    the labelling, so isomorphic graphs get the same signatures and every
+    isomorphism keeps them.  A signature is one integer: the colour above a
+    sum of ``n.bit_length()``-bit counters, one per colour.  The refinement
+    is stable when a round splits no cell, or every cell is one vertex.
     """
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u - 1].append(v - 1)
-        nbrs[v - 1].append(u - 1)
+    n = len(adj)
+    width = n.bit_length()
+    top = n * width
+    nbrs = list(map(_members, adj))
     colours = [len(nb) for nb in nbrs]
+    count = len(set(colours))
     while True:
-        signatures = [
-            (colours[v], tuple(sorted([colours[w] for w in nbrs[v]])))
-            for v in range(n)
-        ]
-        names = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        refined = [names[sig] for sig in signatures]
-        if len(names) == len(set(colours)):  # no cell split: stable
+        unit = [1 << c * width for c in colours].__getitem__
+        signatures = [c << top | sum(map(unit, nb)) for c, nb in zip(colours, nbrs)]
+        distinct = sorted(set(signatures))
+        if len(distinct) in (count, n):
             break
-        colours = refined
-    # Vertex order[i] (cell by cell) takes position pos[i] in its cell's slot.
-    order = sorted(range(n), key=refined.__getitem__)
-    pairs = [(order.index(u - 1), order.index(v - 1)) for u, v in edges]
-    slots = [[i for i in range(n) if refined[order[i]] == c] for c in range(len(names))]
-    perms = product(*map(permutations, slots))
-    bit = _pair_bits(n)
-    best = min(
-        sum([bit[pos[a]][pos[b]] for a, b in pairs])
-        for pos in map(tuple, map(chain.from_iterable, perms))
+        rank = {sig: i for i, sig in enumerate(distinct)}
+        colours = [rank[sig] for sig in signatures]
+        count = len(distinct)
+    cells: dict[int, list[int]] = {sig: [] for sig in distinct}
+    for v, sig in enumerate(signatures):
+        cells[sig].append(v)
+    return _Form(tuple(adj), tuple(signatures), cells, tuple(sorted(signatures)))
+
+
+def _isomorphisms(a: _Form, b: _Form) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism from a to b that keeps the colours, as f with f[v]
+    the image of v; when a and b share a bucket that is every isomorphism.
+
+    A depth-first search matches the vertices of a cell by cell.  At depth i
+    vertex ``order[i]`` tries each unused vertex w of its colour in b, and
+    takes it when the neighbours of w among the images of ``order[:i]`` are
+    exactly the images of the neighbours of ``order[i]`` among them."""
+    n = len(a.adj)
+    order = [v for vs in a.cells.values() for v in vs]
+    options = [b.cells.get(a.colours[v], ()) for v in order]
+    image = [0] * n
+    # before[i] and used[i]: the vertices order[:i] and their images, as bitmasks
+    before = list(accumulate([1 << v for v in order], or_, initial=0))
+    used = [0] * (n + 1)
+    tried = [0] * n  # tried[i]: how many options of depth i were tried
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield tuple(image)
+            i -= 1
+            continue
+        taken = used[i]
+        wanted = sum([1 << image[u] for u in _members(a.adj[order[i]] & before[i])])
+        for j in range(tried[i], len(options[i])):
+            w = options[i][j]
+            if b.adj[w] & taken == wanted and not taken >> w & 1:
+                tried[i] = j + 1
+                image[order[i]] = w
+                used[i + 1] = taken | 1 << w
+                i += 1
+                break
+        else:
+            tried[i] = 0
+            i -= 1
+
+
+def _isomorphic(a: _Form, b: _Form) -> bool:
+    return next(_isomorphisms(a, b), None) is not None
+
+
+@cache
+def _neighbour_sets(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every nonempty subset of range(k) in candidate order, with its mask."""
+    return tuple(
+        (nbrs, sum(1 << v for v in nbrs))
+        for size in range(1, k + 1)
+        for nbrs in combinations(range(k), size)
     )
-    return tuple(sorted(signatures)), best
 
 
-@lru_cache(maxsize=None)
-def _pair_bits(n: int) -> list[list[int]]:
-    """bit[p][q]: the bitcode bit of an edge between positions p and q."""
-    return [[1 << (min(p, q) * n + max(p, q)) for q in range(n)] for p in range(n)]
+def _least_sets(parent: _Form) -> Iterator[tuple[int, ...]]:
+    """The neighbour sets of a new vertex, in candidate order, that are least
+    in that order within their orbit under the automorphisms of the parent:
+    each set not yet seen, whose images are then marked seen."""
+    bits = [[1 << w for w in f] for f in _isomorphisms(parent, parent)]
+    seen: set[int] = set()
+    for nbrs, mask in _neighbour_sets(len(parent.adj)):
+        if mask not in seen:
+            yield nbrs
+            seen.update([sum(map(image.__getitem__, nbrs)) for image in bits])
 
 
-@lru_cache(maxsize=None)
-def connected_graphs(n: int) -> tuple[SimpleGraph, ...]:
-    """All connected graphs on n vertices, one per isomorphism class."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n == 1:
-        return (SimpleGraph(1),)
+def _next_order(
+    parents: Sequence[SimpleGraph], n: int, limits: Limits
+) -> tuple[SimpleGraph, ...]:
+    """The connected graphs on n vertices, from those on n-1."""
     reps: list[SimpleGraph] = []
-    seen: set[tuple] = set()
-    for parent in connected_graphs(n - 1):
-        for size in range(1, n):
-            for neighbors in combinations(range(1, n), size):
-                edges = parent.edges | {(v, n) for v in neighbors}
-                key = canonical_key(n, edges)
-                if key not in seen:
-                    seen.add(key)
-                    reps.append(SimpleGraph(n, edges))
+    buckets: dict[tuple, list[_Form]] = {}
+    new = n - 1  # the new vertex, 0-based
+    for parent in parents:
+        limits.check_time()
+        adj = _adjacency(parent)
+        for nbrs in _least_sets(_form(adj)):
+            grown = adj + [0]
+            for v in nbrs:
+                grown[v] |= 1 << new
+                grown[new] |= 1 << v
+            form = _form(grown)
+            bucket = buckets.setdefault(form.key, [])
+            if not any(_isomorphic(form, rep) for rep in bucket):
+                bucket.append(form)
+                reps.append(SimpleGraph(n, parent.edges | {(v + 1, n) for v in nbrs}))
     expected = _EXPECTED_COUNTS.get(n)
     if expected is not None and len(reps) != expected:
         raise AssertionError(
@@ -91,9 +186,29 @@ def connected_graphs(n: int) -> tuple[SimpleGraph, ...]:
     return tuple(reps)
 
 
-def connected_graphs_up_to(max_n: int, min_n: int = 1) -> list[SimpleGraph]:
+def connected_graphs(n: int, *, limits: Limits = DEFAULT_LIMITS) -> tuple[SimpleGraph, ...]:
+    """All connected graphs on n vertices, one per isomorphism class.
+
+    Orders are generated once per process and kept.  The deadline of
+    ``limits`` is polled once per parent graph; an order it stops is not
+    kept."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    reps = _ORDERS.get(n)
+    if reps is None:
+        if n == 1:
+            reps = (SimpleGraph(1),)
+        else:
+            reps = _next_order(connected_graphs(n - 1, limits=limits), n, limits)
+        _ORDERS[n] = reps
+    return reps
+
+
+def connected_graphs_up_to(
+    max_n: int, min_n: int = 1, *, limits: Limits = DEFAULT_LIMITS
+) -> list[SimpleGraph]:
     """Connected graphs with min_n <= n <= max_n, smaller orders first."""
     out: list[SimpleGraph] = []
     for n in range(min_n, max_n + 1):
-        out.extend(connected_graphs(n))
+        out.extend(connected_graphs(n, limits=limits))
     return out

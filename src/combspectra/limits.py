@@ -21,8 +21,9 @@ class Limits:
     ``deadline`` is an absolute ``time.time()`` timestamp.  Spectrum scans,
     family products and sums, the Hamiltonian spectrum and the brute-force
     oracles poll it at the start of every loop and every 4096 steps; corpus
-    sweeps poll it between tasks.  Once it has passed they abort with
-    :class:`TimeLimitError`.
+    sweeps poll it between tasks, corpus generation once per parent graph,
+    and the identity suites once per order or trial.  Once it has passed
+    they abort with :class:`TimeLimitError`.
     """
 
     max_n: int = 7

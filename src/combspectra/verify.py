@@ -14,7 +14,6 @@ worker counts.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from random import Random
@@ -305,7 +304,10 @@ def _pool_results(
     The tasks go out largest (n, m) first, so the longest one starts at once
     instead of last (Graham's largest-first list schedule), in batches of
     ``len(tasks) // (_BATCHES_PER_WORKER * workers)``, and the pool starts no
-    more processes than there are batches."""
+    more processes than there are batches.  The pool module is imported
+    here, so that a one-worker run does not pay for importing it."""
+    from concurrent.futures import ProcessPoolExecutor
+
     order = sorted(range(len(tasks)), key=lambda i: sizes[i], reverse=True)
     chunksize = max(1, len(tasks) // (_BATCHES_PER_WORKER * workers))
     batches = -(-len(tasks) // chunksize)
@@ -354,7 +356,7 @@ def run_theorem(
     if subject == "fixpoint":
         sizes = {n: (n, n * (n - 1) // 2) for n in range(theorem.min_n, max_n + 1)}
     else:
-        graphs = connected_graphs_up_to(max_n, min_n=theorem.min_n)
+        graphs = connected_graphs_up_to(max_n, min_n=theorem.min_n, limits=limits)
         sizes = {to_graph6(g): (g.n, g.m) for g in graphs}
     tasks = [(subject, payload, tuple(ks), limits_fields) for payload in sizes]
     limits.check_time()
@@ -385,7 +387,7 @@ def run_theorem(
 # -- identity suites -----------------------------------------------------------------
 
 
-def _ring_axiom_rows(_ns: Sequence[int], trials: int, seed: int, _limits: Limits) -> list[dict]:
+def _ring_axiom_rows(_ns: Sequence[int], trials: int, seed: int, limits: Limits) -> list[dict]:
     rng = Random(seed)
     failures = 0
     checks = 0
@@ -397,6 +399,7 @@ def _ring_axiom_rows(_ns: Sequence[int], trials: int, seed: int, _limits: Limits
             failures += 1
 
     for _ in range(trials):
+        limits.check_time()
         a = random_element(rng)
         b = random_element(rng)
         c = random_element(rng)
@@ -433,7 +436,7 @@ def _domination_orbit_failures(n: int, limits: Limits) -> tuple[int, int]:
     """Reduced against full domination scans on every (graph, k) of order n:
     the verdict, the first witness bijection and the exhaustive count."""
     checks = failures = 0
-    for g in connected_graphs(n):
+    for g in connected_graphs(n, limits=limits):
         for k in range(1, n):
             reduced = ch.dominating_k(g, k, limits, exhaustive=True)
             full = ch.scan(
@@ -548,7 +551,7 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
         limits.check_n(n)
         checks, failures = _domination_orbit_failures(n, limits)
         rows.append(_check_row("orbit", checks, failures, n=n, search="domination"))
-        graphs = connected_graphs(n)
+        graphs = connected_graphs(n, limits=limits)
         reader_failures: Counter[str] = Counter()
         weighting_failures = 0
         for _ in range(trials):
@@ -604,18 +607,17 @@ def _reader_rows(
     ns: Sequence[int],
     _trials: int,
     _seed: int,
-    _limits: Limits,
+    limits: Limits,
 ) -> list[dict]:
     """Check at every order that ``build(n)`` collapsed at ``x = y = 1`` is
     the complete indicator scaled by ``scale_of(n)``."""
-    return [
-        {
-            "identity": name,
-            "n": n,
-            "agree": _reader_at_one(build(n)) == indicator(complete_graph(n)).scale(scale_of(n)),
-        }
-        for n in ns
-    ]
+    rows = []
+    for n in ns:
+        limits.check_n(n)
+        limits.check_time()
+        agree = _reader_at_one(build(n)) == indicator(complete_graph(n)).scale(scale_of(n))
+        rows.append({"identity": name, "n": n, "agree": agree})
+    return rows
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -469,6 +470,32 @@ def test_verify_timeout_exit(capsys):
     )
     assert code == EXIT_TIMEOUT
     assert "deadline" in err
+
+
+def test_verify_timeout_stops_corpus_generation(capsys):
+    # generating the n = 8 corpus polls the deadline once per parent graph
+    start = time.perf_counter()
+    code, _out, err = run(
+        capsys, "verify", "--theorem", "domination", "--max-n", "8",
+        "--workers", "1", "--timeout-seconds", "1",
+    )
+    assert code == EXIT_TIMEOUT
+    assert "deadline" in err
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (("S1", "--n", "5", "--max-n", "3"), EXIT_SIZE_GUARD),
+        (("ring-axioms", "--trials", "3", "--timeout-seconds", "0"), EXIT_TIMEOUT),
+        (("R1", "--n", "150", "--timeout-seconds", "1"), EXIT_SIZE_GUARD),
+    ],
+)
+def test_identity_suites_honour_limits(capsys, flags, code):
+    start = time.perf_counter()
+    assert run(capsys, "verify", "--identity", *flags)[0] == code
+    assert time.perf_counter() - start < 5
 
 
 def test_check_hamiltonian_honours_max_n(capsys, monkeypatch):

@@ -1,6 +1,10 @@
 """Corpus sweeps in a process pool: dispatch order, batch size, worker count."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,9 +38,9 @@ class RecordingPool:
 @pytest.fixture()
 def pools(monkeypatch):
     recorded = []
+    # the sweep imports the pool class from its module when it needs a pool
     monkeypatch.setattr(
-        verify,
-        "ProcessPoolExecutor",
+        "concurrent.futures.ProcessPoolExecutor",
         lambda max_workers: RecordingPool(recorded, max_workers),
     )
     return recorded
@@ -85,3 +89,16 @@ def test_theorem_task_takes_one_task_tuple():
         ("Bw", 1, True),
         ("Bw", 2, True),
     ]
+
+
+def test_importing_the_cli_loads_no_pool():
+    # only --workers > 1 sweeps need concurrent.futures and multiprocessing
+    code = (
+        "import sys, combspectra.cli; print(sorted(m for m in sys.modules"
+        " if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
