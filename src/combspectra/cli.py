@@ -33,7 +33,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import characterize as ch
 from . import oracles as orc
@@ -229,7 +229,9 @@ def _load_graphs(path: str) -> list[tuple[str, SimpleGraph]]:
     return [(to_graph6(g), g) for g in parse_graphs(text)]
 
 
-def _emit(payload: dict, cfg: RunConfig, text_lines: list[str]) -> None:
+def _emit(payload: dict, cfg: RunConfig, text_lines: Iterable[str]) -> None:
+    """Print the payload as one JSON line, or else the text lines, which are
+    read only for text output."""
     if cfg.json_output:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
@@ -423,6 +425,15 @@ def _row_text(row: dict) -> str:
     return " ".join(f"{k}={row[k]}" for k in keys)
 
 
+def _report_lines(report: dict) -> Iterator[str]:
+    """The text report, one line at a time; JSON output never reads it."""
+    yield f"verify {report['subject']} ({report['kind']})"
+    for row in report["rows"]:
+        yield _row_text(row)
+    summary = report["summary"]
+    yield " ".join(f"{k}={summary[k]}" for k in sorted(summary))
+
+
 def _run_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     limits = cfg.limits()
     if args.theorem:
@@ -447,14 +458,8 @@ def _run_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
             limits=limits,
             **{name: value for name, value in given.items() if value is not None},
         )
-    lines = [f"verify {report['subject']} ({report['kind']})"]
-    lines.extend(_row_text(row) for row in report["rows"])
-    summary = report["summary"]
-    lines.append(
-        " ".join(f"{k}={summary[k]}" for k in sorted(summary))
-    )
-    _emit(report, cfg, lines)
-    return EXIT_DISAGREE if summary["disagreements"] else EXIT_OK
+    _emit(report, cfg, _report_lines(report))
+    return EXIT_DISAGREE if report["summary"]["disagreements"] else EXIT_OK
 
 
 def _error_payload(code: str, message: str) -> dict:

@@ -228,6 +228,24 @@ class WeightedCompleteGraph:
             self.n, tuple(a + b for a, b in zip(self.weights, other.weights))
         )
 
+    def __mul__(self, other: "WeightedCompleteGraph") -> "WeightedCompleteGraph":
+        """The pointwise product, pair by pair."""
+        if not isinstance(other, WeightedCompleteGraph):
+            return NotImplemented
+        if self.n != other.n:
+            raise PreconditionError(
+                f"cannot multiply weighted graphs of orders {self.n} and {other.n}"
+            )
+        return WeightedCompleteGraph(
+            self.n, tuple(map(ring.product, self.weights, other.weights))
+        )
+
+    def relabeled(self, pair_map: Sequence[int]) -> "WeightedCompleteGraph":
+        """The graph g∘f whose pair p carries this graph's weight at
+        ``pair_map[p]``, the pair map of the bijection f."""
+        ws = self.weights
+        return WeightedCompleteGraph(self.n, tuple(ws[q] for q in pair_map))
+
     def scale(self, c: RingElem | GaussInt | int) -> "WeightedCompleteGraph":
         """Multiply every pair weight by a ring element."""
         return WeightedCompleteGraph(self.n, tuple(w * c for w in self.weights))
@@ -244,11 +262,8 @@ class WeightedCompleteGraph:
     def star_with_map(
         self, other: "WeightedCompleteGraph", pair_map: Sequence[int]
     ) -> "WeightedCompleteGraph":
-        ow = other.weights
-        return WeightedCompleteGraph(
-            self.n,
-            tuple(w * ow[pair_map[p]] for p, w in enumerate(self.weights)),
-        )
+        """h *_f g = h * (g∘f), with f given by its pair map."""
+        return self * other.relabeled(pair_map)
 
     def total_weight(self) -> RingElem:
         """The sum of all pair weights."""

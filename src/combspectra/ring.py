@@ -12,8 +12,11 @@ A :class:`RingElem` stores its terms sparsely::
     terms = {(deg_x, deg_y): (re, im), ...}
 
 with no zero coefficients ever stored, so equal values have equal term maps
-and hash identically.  Instances are immutable; all operations return new
-values and are safe to share between workers.
+and hash identically.  Instances are immutable and safe to share between
+workers, so an operation may hand back an operand instead of a new value:
+``w + 0`` and ``w * 1`` are ``w`` itself, whose hash is already cached.  The
+unit test reads the canonical terms, so any element equal to 1 counts, not
+only :data:`ONE`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "X",
     "Y",
     "const",
+    "product",
     "x_pow",
     "monomial",
     "random_element",
@@ -239,26 +243,7 @@ class RingElem:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._terms, o._terms
-        if not a or not b:
-            return ZERO
-        out: dict[tuple[int, int], tuple[int, int]] = {}
-        for (ax, ay), (ar, ai) in a.items():
-            for (bx, by), (br, bi) in b.items():
-                key = (ax + bx, ay + by)
-                pr = ar * br - ai * bi
-                pi = ar * bi + ai * br
-                cur = out.get(key)
-                if cur is None:
-                    if pr or pi:
-                        out[key] = (pr, pi)
-                else:
-                    nre, nim = cur[0] + pr, cur[1] + pi
-                    if nre or nim:
-                        out[key] = (nre, nim)
-                    else:
-                        del out[key]
-        return RingElem._raw(out)
+        return product(self, o)
 
     __rmul__ = __mul__
 
@@ -397,6 +382,36 @@ def _pow_cached(base_re: int, base_im: int, k: int, cache: dict) -> tuple[int, i
     return (sr, si)
 
 
+def product(p: RingElem, q: RingElem) -> RingElem:
+    """``p * q`` for two ring elements, without coercing either.  The one
+    home of the zero and unit rules: a product with 0 is :data:`ZERO` and a
+    product with 1 is the other operand itself."""
+    a, b = p._terms, q._terms
+    if not a or not b:
+        return ZERO
+    if b == _UNIT_TERMS:
+        return p
+    if a == _UNIT_TERMS:
+        return q
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    for (ax, ay), (ar, ai) in a.items():
+        for (bx, by), (br, bi) in b.items():
+            key = (ax + bx, ay + by)
+            pr = ar * br - ai * bi
+            pi = ar * bi + ai * br
+            cur = out.get(key)
+            if cur is None:
+                if pr or pi:
+                    out[key] = (pr, pi)
+            else:
+                nre, nim = cur[0] + pr, cur[1] + pi
+                if nre or nim:
+                    out[key] = (nre, nim)
+                else:
+                    del out[key]
+    return RingElem._raw(out)
+
+
 def _coerce(value) -> RingElem | None:
     if isinstance(value, RingElem):
         return value
@@ -411,8 +426,11 @@ def _coerce(value) -> RingElem | None:
     return RingElem._raw({(0, 0): (re, im)})
 
 
+# The canonical terms of 1; every element equal to 1 has exactly these.
+_UNIT_TERMS = {(0, 0): (1, 0)}
+
 ZERO = RingElem._raw({})
-ONE = RingElem._raw({(0, 0): (1, 0)})
+ONE = RingElem._raw(_UNIT_TERMS)
 I = RingElem._raw({(0, 0): (0, 1)})
 X = RingElem._raw({(1, 0): (1, 0)})
 Y = RingElem._raw({(0, 1): (1, 0)})

@@ -387,6 +387,16 @@ def run_theorem(
 # -- identity suites -----------------------------------------------------------------
 
 
+def _convolution(a: ring.RingElem, b: ring.RingElem) -> ring.RingElem:
+    """The product by definition: every pair of terms, summed by the
+    constructor.  It takes no zero or unit shortcut, so it checks them."""
+    return ring.RingElem(
+        ((ax + bx, ay + by), (c.re * d.re - c.im * d.im, c.re * d.im + c.im * d.re))
+        for (ax, ay), c in a.terms()
+        for (bx, by), d in b.terms()
+    )
+
+
 def _ring_axiom_rows(_ns: Sequence[int], trials: int, seed: int, limits: Limits) -> list[dict]:
     rng = Random(seed)
     failures = 0
@@ -414,6 +424,8 @@ def _ring_axiom_rows(_ns: Sequence[int], trials: int, seed: int, limits: Limits)
         expect(a * (b + c) == a * b + a * c)
         expect(a + ring.ZERO == a)
         expect(a * ring.ONE == a)
+        expect(_convolution(a, ring.ONE) == a)
+        expect(a * b == _convolution(a, b))
         expect(a + (-a) == ring.ZERO)
         expect((a + b).eval(px, py) == a.eval(px, py) + b.eval(px, py))
         expect((a * b).eval(px, py) == a.eval(px, py) * b.eval(px, py))
@@ -610,12 +622,15 @@ def _reader_rows(
     limits: Limits,
 ) -> list[dict]:
     """Check at every order that ``build(n)`` collapsed at ``x = y = 1`` is
-    the complete indicator scaled by ``scale_of(n)``."""
+    the complete indicator scaled by ``scale_of(n)``.  The deadline is
+    polled before and after each order, so one large order that overruns
+    it raises instead of reporting."""
     rows = []
     for n in ns:
         limits.check_n(n)
         limits.check_time()
         agree = _reader_at_one(build(n)) == indicator(complete_graph(n)).scale(scale_of(n))
+        limits.check_time()
         rows.append({"identity": name, "n": n, "agree": agree})
     return rows
 

@@ -498,6 +498,30 @@ def test_identity_suites_honour_limits(capsys, flags, code):
     assert time.perf_counter() - start < 5
 
 
+def test_reader_suite_polls_the_deadline_after_its_last_order():
+    from combspectra import verify
+    from combspectra.errors import TimeLimitError
+    from combspectra.gadgets import cover_reader
+    from combspectra.limits import Limits
+    from combspectra.ring import const
+
+    limits = Limits(deadline=time.time() + 0.05)
+    built = []
+
+    def overrunning_build(n):
+        # one order whose build outlasts the deadline, however fast the host
+        while time.time() <= limits.deadline:
+            time.sleep(0.01)
+        built.append(n)
+        return cover_reader(n)
+
+    with pytest.raises(TimeLimitError):
+        verify._reader_rows(
+            "R1", overrunning_build, lambda n: const(2 * n - 4, 1), (3,), 1, 1, limits
+        )
+    assert built == [3]
+
+
 def test_check_hamiltonian_honours_max_n(capsys, monkeypatch):
     import io
 

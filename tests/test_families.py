@@ -38,6 +38,7 @@ from combspectra.gadgets import (
 from combspectra.graphs import complete_graph, cycle_graph, path_graph
 from combspectra.limits import Limits
 from combspectra.ring import const
+from combspectra.verify import run_theorem
 
 
 def test_product_with_complete_indicator_gives_all_relabelings():
@@ -378,3 +379,15 @@ def test_member_order_does_not_depend_on_construction_order():
     totals = [m.total_weight() for m in shuffled]
     assert spectrum_of(b).values == spectrum_of(ordered).values
     assert Spectrum(totals).to_json() == Spectrum(totals[::-1]).to_json() == spectrum_of(a).to_json()
+
+
+def test_family_algebra_sweeps_agree_at_order_5():
+    # one order past the acceptance sweeps: 2^10 - 1 = 1023 members in the
+    # fixpoint at n = 5, and every 2-coloring of the 30 connected graphs of
+    # orders 2 to 5
+    fixpoint = run_theorem("fixpoint", max_n=5)
+    assert fixpoint["summary"]["disagreements"] == 0
+    assert fixpoint["rows"][-1]["n"] == 5
+    assert fixpoint["rows"][-1]["count"] == 1023
+    colorings = run_theorem("colorings", max_n=5, ks=(2,))
+    assert colorings["summary"] == {"tasks": 30, "rows": 30, "disagreements": 0}

@@ -217,6 +217,21 @@ def test_star_with_complete_indicator_keeps_total():
         assert a.star_with_map(kn, pmap).total_weight() == a.total_weight()
 
 
+def test_star_is_the_pointwise_product_with_the_relabeled_factor():
+    rng = Random(13)
+    maps = bijection_pair_maps(4)
+    for _ in range(50):
+        a, b = _random_wcg(rng, 4), _random_wcg(rng, 4)
+        f, pmap = maps[rng.randrange(len(maps))]
+        star = a.star_with_map(b, pmap)
+        assert star == a * b.relabeled(pmap)
+        for u, v in pairs_in_rank_order(4):
+            assert star.weight(u, v) == a.weight(u, v) * b.weight(f[u - 1], f[v - 1])
+            assert (a * b).weight(u, v) == a.weight(u, v) * b.weight(u, v)
+    with pytest.raises(PreconditionError):
+        a * WeightedCompleteGraph.zero(3)
+
+
 def test_star_sum_equals_materialized_product():
     rng = Random(9)
     maps = bijection_pair_maps(4)

@@ -1,8 +1,8 @@
 """Golden outputs: fresh output must match the stored bytes exactly.
 
-The ``verify`` files under ``tests/golden/`` freeze the reports of the
-family-algebra routes (family products, sums, fixpoints and the Hamiltonian
-spectrum).  The ``check`` and ``oracle`` files freeze every subject of those
+The ``verify`` files under ``tests/golden/`` freeze the JSON and the text
+reports of the family-algebra routes (family products, sums, fixpoints and
+the Hamiltonian spectrum).  The ``check`` and ``oracle`` files freeze every subject of those
 commands, in text and in JSON, so that a change to how a verdict, witness or
 oracle result is rendered fails here; a deliberate change is a reviewed update
 of the golden file.
@@ -33,6 +33,9 @@ CASES = {
     ),
     "check_hamiltonian.jsonl": (HAMILTONIAN_GRAPHS, ("check", "hamiltonian", "-", "--json")),
 }
+# The same three sweeps as text reports.
+for stem in ("verify_colorings", "verify_fixpoint", "verify_hamiltonian"):
+    CASES[f"{stem}.txt"] = (None, CASES[f"{stem}.json"][1][:-1])
 
 # Every check and oracle subject, at each label bound it is run with here.
 SMALL_RUNS = {

@@ -18,6 +18,7 @@ from combspectra.ring import (
     random_element,
     x_pow,
 )
+from combspectra.verify import _convolution
 
 X, Y, I, ONE, ZERO = ring.X, ring.Y, ring.I, ring.ONE, ring.ZERO
 
@@ -114,6 +115,32 @@ def test_exact_div_inverts_mul():
         if d.is_zero:
             d = GaussInt(3, -2)
         assert (p * const(d.re, d.im)).exact_div(d) == p
+
+
+@given(st.integers(0, 2**32), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_unit_and_zero_rules_agree_with_convolution(seed, max_terms):
+    rng = Random(seed)
+    a = random_element(rng, max_terms=max_terms)
+    b = random_element(rng, max_terms=max_terms)
+    assert a * b == _convolution(a, b)
+    for product in (a * ONE, ONE * a, a * const(1), const(1) * a, a * 1, 1 * a):
+        assert product == a
+        assert product == _convolution(a, ONE)
+    assert a * ZERO == ZERO
+    assert ZERO * a == ZERO
+
+
+def test_unit_rule_shares_the_operand():
+    a = RingElem([((1, 2), (3, -4)), ((0, 0), (5, 0))])
+    hash(a)
+    assert a * ONE is a
+    assert ONE * a is a
+    assert a * RingElem([((0, 0), (1, 0))]) is a
+    assert a * const(1, 0) is a
+    # -1 and i are units of the ring but not its identity: a new element
+    assert a * const(-1) == -a
+    assert a * I == _convolution(a, I)
 
 
 @given(
