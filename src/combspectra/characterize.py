@@ -42,6 +42,7 @@ from .gadgets import (
     domination_probe,
     identity_pair_maps,
     indicator,
+    pair_index,
     pair_reader,
     star_sum,
 )
@@ -541,11 +542,21 @@ def hamiltonian_spectrum(
 ) -> Spectrum:
     """All values of the distance sum of g over bijective placements of h.
 
-    These are the total weights of the family product of h's indicator with
-    g's distance weighting, summed with :func:`star_sum` without building the
-    products.  When h is the labelled cycle 1-2-...-n, one bijection per coset
-    of its automorphisms is scanned (:func:`cycle_pair_maps`); otherwise all
-    n!.  The size guards count all n! bijections."""
+    These are the total weights s(h *_f g) of the family product of h's
+    indicator with g's distance weighting, over every bijection f; no product
+    is built.  The indicator's weights are 0 and 1, so the total is
+    sum_c N_c(f) * W_c, where W_c runs over the distinct pair weights of g's
+    distance weighting and N_c(f) counts the edges of h that f maps onto a
+    pair of weight W_c.  Each bijection yields only its counts, packed into
+    one int with a field of |E(h)|.bit_length() bits per class, so no count
+    spills into the next field; the exact ring total is formed once per
+    distinct count vector.  ``verify --identity orbit`` checks the result
+    against the full products.
+
+    When h is the labelled cycle 1-2-...-n, one bijection per coset of its
+    automorphisms is scanned (:func:`cycle_pair_maps`); otherwise all n!.
+    The size guards count all n! bijections, and the family guard the
+    distinct totals."""
     n = g.n
     if h.n != n:
         raise PreconditionError(
@@ -558,12 +569,24 @@ def hamiltonian_spectrum(
     limits.check_time()
     on_cycle = n >= 3 and h == cycle_graph(n)
     maps = cycle_pair_maps(n) if on_cycle else bijection_pair_maps(n)
-    pattern, distances = indicator(h), distance_weighting(g)
+    distances = distance_weighting(g).weights
+    classes = {w: c for c, w in enumerate(dict.fromkeys(distances))}
+    width = h.m.bit_length()
+    mask = (1 << width) - 1
+    unit = [1 << (width * classes[w]) for w in distances]
+    edges = [pair_index(u, v) for u, v in h.edges]
+    seen: set[int] = set()
     totals: set[RingElem] = set()
     for step, (_f, pmap) in enumerate(maps, 1):
-        totals.add(star_sum(pattern, distances, pmap))
-        if len(totals) > limits.max_family:
-            limits.check_family(len(totals), "Hamiltonian spectrum")
+        key = sum(map(unit.__getitem__, map(pmap.__getitem__, edges)))
+        if key not in seen:
+            seen.add(key)
+            total = ring.ZERO
+            for w, c in classes.items():
+                total += w * ((key >> (width * c)) & mask)
+            totals.add(total)
+            if len(totals) > limits.max_family:
+                limits.check_family(len(totals), "Hamiltonian spectrum")
         if not step % 4096:
             limits.check_time()
     return Spectrum(totals)

@@ -181,7 +181,9 @@ def _build_parser() -> argparse.ArgumentParser:
     takes_k = [subject for subject, check in _CHECKS.items() if check.takes_k]
     p_check.add_argument("--k", type=int, default=None, help="bound for " + " / ".join(takes_k))
     p_check.add_argument("--by", default=None,
-                         help="pattern graph file for the hamiltonian spectrum")
+                         help="pattern graph file for the hamiltonian spectrum, in place "
+                              "of the cycle; the reported number is then the least "
+                              "value of that pattern's spectrum")
     _add_common(p_check)
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force oracle")

@@ -482,20 +482,26 @@ def domination_probe(k: int, n: int) -> WeightedCompleteGraph:
 
 
 # -- polynomial reader gadgets --------------------------------------------------
+#
+# Each reader is a sum of x^j times a basis gadget, one term per vertex or per
+# pair.  The readers write each pair's weight directly: summing C(n, 2) full
+# probe graphs would touch O(n^4) weights.
 
 
 @lru_cache(maxsize=None)
 def degree_reader(n: int) -> WeightedCompleteGraph:
-    """Sum of x^(j-1) * star_indicator(j) over all centers j.
+    """Sum of x^(j-1) * star_indicator(j) over all centers j: the pair
+    {u, v} carries x^(u-1) + x^(v-1).
 
     The total weight of a product with this reader lists every weighted
     vertex degree as an x-coefficient."""
     if n < 2:
         raise ValueError("reader gadgets need n >= 2")
-    acc = WeightedCompleteGraph.zero(n)
-    for j in range(1, n + 1):
-        acc = acc + star_indicator(j, n).scale(ring.x_pow(j - 1))
-    return acc
+    return WeightedCompleteGraph(
+        n,
+        [RingElem._raw({(u - 1, 0): (1, 0), (v - 1, 0): (1, 0)})
+         for u, v in pairs_in_rank_order(n)],
+    )
 
 
 @lru_cache(maxsize=None)
@@ -504,10 +510,26 @@ def pair_reader(n: int) -> WeightedCompleteGraph:
     into its own x-coefficient."""
     if n < 2:
         raise ValueError("reader gadgets need n >= 2")
-    acc = WeightedCompleteGraph.zero(n)
+    return WeightedCompleteGraph(n, [ring.x_pow(p) for p in range(n * (n - 1) // 2)])
+
+
+def _pair_probe_reader(n: int, signed: bool) -> WeightedCompleteGraph:
+    """The sum of x^rank(q) * probe(q) over all pairs q = {a, b}, a < b,
+    written pair by pair.  The probe weighs q itself i and each pair that
+    shares exactly one vertex with q 1, or -1 when ``signed`` and that vertex
+    is b.  So the pair p carries i * x^rank(p) plus ±x^rank(q) for each pair
+    q sharing one vertex with p, its terms in rank order."""
+    vertices = range(1, n + 1)
+    ranks = {a: {b: pair_index(a, b) for b in vertices if b != a} for a in vertices}
+    weights = []
     for u, v in pairs_in_rank_order(n):
-        acc = acc + edge_indicator(u, v, n).scale(ring.x_pow(pair_index(u, v)))
-    return acc
+        terms = {(ranks[u][v], 0): (0, 1)}
+        for shared, other in ((u, v), (v, u)):
+            for w, q in ranks[shared].items():
+                if w != other:
+                    terms[(q, 0)] = (-1, 0) if signed and w < shared else (1, 0)
+        weights.append(RingElem._raw(dict(sorted(terms.items()))))
+    return WeightedCompleteGraph(n, weights)
 
 
 @lru_cache(maxsize=None)
@@ -516,10 +538,7 @@ def contrast_reader(n: int) -> WeightedCompleteGraph:
     per x-coefficient."""
     if n < 2:
         raise ValueError("reader gadgets need n >= 2")
-    acc = WeightedCompleteGraph.zero(n)
-    for u, v in pairs_in_rank_order(n):
-        acc = acc + contrast_pair(u, v, n).scale(ring.x_pow(pair_index(u, v)))
-    return acc
+    return _pair_probe_reader(n, signed=True)
 
 
 @lru_cache(maxsize=None)
@@ -529,10 +548,7 @@ def cover_reader(n: int) -> WeightedCompleteGraph:
     indicator."""
     if n < 2:
         raise ValueError("reader gadgets need n >= 2")
-    acc = WeightedCompleteGraph.zero(n)
-    for u, v in pairs_in_rank_order(n):
-        acc = acc + cover_pair(u, v, n).scale(ring.x_pow(pair_index(u, v)))
-    return acc
+    return _pair_probe_reader(n, signed=False)
 
 
 # -- walk sums -------------------------------------------------------------------

@@ -22,9 +22,9 @@ class Limits:
     family products and sums, the Hamiltonian spectrum and the brute-force
     oracles poll it at the start of every loop and every 4096 steps; corpus
     sweeps poll it between tasks, corpus generation once per parent graph,
-    the ring-axiom suite once per trial and the reader suites before and
-    after each order.  Once it has passed they abort with
-    :class:`TimeLimitError`.
+    the ring-axiom suite once per trial and the reader suites before each
+    order, after its build and after its comparison.  Once it has passed
+    they abort with :class:`TimeLimitError`.
     """
 
     max_n: int = 7

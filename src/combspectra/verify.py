@@ -623,13 +623,15 @@ def _reader_rows(
 ) -> list[dict]:
     """Check at every order that ``build(n)`` collapsed at ``x = y = 1`` is
     the complete indicator scaled by ``scale_of(n)``.  The deadline is
-    polled before and after each order, so one large order that overruns
-    it raises instead of reporting."""
+    polled before each order, after its build and after its comparison, so
+    one large order that overruns it raises instead of reporting."""
     rows = []
     for n in ns:
         limits.check_n(n)
         limits.check_time()
-        agree = _reader_at_one(build(n)) == indicator(complete_graph(n)).scale(scale_of(n))
+        reader = build(n)
+        limits.check_time()
+        agree = _reader_at_one(reader) == indicator(complete_graph(n)).scale(scale_of(n))
         limits.check_time()
         rows.append({"identity": name, "n": n, "agree": agree})
     return rows

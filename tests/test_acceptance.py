@@ -11,6 +11,8 @@ import json
 import os
 import time
 
+import pytest
+
 from combspectra import verify as ver
 from combspectra.characterize import (
     dominating_k,
@@ -189,6 +191,15 @@ def test_criterion_10_hamiltonian_equivalence():
         f"Hamiltonian numbers agree on {report['summary']['tasks']} graphs",
         elapsed,
     )
+
+
+@pytest.mark.slow
+def test_hamiltonian_equivalence_at_order_seven():
+    t0 = time.perf_counter()
+    report = ver.run_theorem("hamiltonian", max_n=7)
+    elapsed = time.perf_counter() - t0
+    assert report["summary"] == {"rows": 994, "tasks": 994, "disagreements": 0}
+    _passed(10, "Hamiltonian numbers agree on 994 graphs up to n=7", elapsed)
 
 
 def test_criterion_11_worker_determinism():

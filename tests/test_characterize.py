@@ -4,7 +4,7 @@ from itertools import product
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from combspectra import ring
@@ -24,13 +24,15 @@ from combspectra.characterize import (
     strength_at_most,
 )
 from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
-from combspectra.families import ROMAN_PALETTE, iter_colorings, singleton
+from combspectra.corpus import connected_graphs
+from combspectra.families import ROMAN_PALETTE, Spectrum, iter_colorings, singleton
 from combspectra.gadgets import (
     WeightedCompleteGraph,
     all_bijections,
     bijection_pair_maps,
     contrast_pair,
     cover_reader,
+    distance_weighting,
     domination_probe,
     edge_indicator,
     hamiltonian_sum,
@@ -402,6 +404,50 @@ def test_hamiltonian_spectrum_of_other_patterns_scans_all_bijections():
         for g in (path_graph(5), star_graph(5), cycle_graph(5)):
             expected = {hamiltonian_sum(h, g, f) for f in all_bijections(5)}
             assert set(hamiltonian_spectrum(h, g).as_integers()) == expected
+
+
+def _pattern(kind, n, seed):
+    if kind == "cycle":
+        return cycle_graph(n)
+    if kind == "complete":
+        return complete_graph(n)
+    if kind == "edgeless":
+        return SimpleGraph(n)
+    if kind == "star":
+        return star_graph(n)
+    rng = Random(seed)
+    return SimpleGraph(n, [pair for pair in pairs_in_rank_order(n) if rng.random() < 0.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    index=st.integers(0, 200),
+    kind=st.sampled_from(("cycle", "complete", "edgeless", "star", "random")),
+    seed=st.integers(0, 2**16),
+)
+def test_hamiltonian_spectrum_is_the_set_of_ring_star_sums(n, index, kind, seed):
+    # the count route against the ring total of every one of the n! placements
+    assume(kind != "cycle" or n >= 3)
+    graphs = connected_graphs(n)
+    g = graphs[index % len(graphs)]
+    h = _pattern(kind, n, seed)
+    pattern, distances = indicator(h), distance_weighting(g)
+    expected = Spectrum(star_sum(pattern, distances, m) for _f, m in bijection_pair_maps(n))
+    assert hamiltonian_spectrum(h, g) == expected
+
+
+def test_hamiltonian_family_guard_counts_totals_not_count_vectors():
+    # Two disjoint edges placed in the path 1-2-3-4 meet the distance classes
+    # (1, 2, 3) as (2, 0, 0), (0, 2, 0) or (1, 0, 1): three count vectors, two
+    # totals, 2 and 4.
+    h = SimpleGraph(4, [(1, 2), (3, 4)])
+    assert hamiltonian_spectrum(h, P4, Limits(max_family=2)).as_integers() == (2, 4)
+    with pytest.raises(SizeGuardError) as raised:
+        hamiltonian_spectrum(h, P4, Limits(max_family=1))
+    assert str(raised.value) == (
+        "family-size guard exceeded: Hamiltonian spectrum needs 2 members > max_family=1"
+    )
 
 
 # -- coefficient structure of the combined reader ---------------------------------------

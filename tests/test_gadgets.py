@@ -125,6 +125,26 @@ def test_reader_expansions_order_three():
     )
 
 
+def _reader_by_probes(n, probe, key):
+    # the defining sum of x^key * probe over the vertices or the pairs
+    acc = WeightedCompleteGraph.zero(n)
+    if probe is star_indicator:
+        for j in range(1, n + 1):
+            acc = acc + probe(j, n).scale(x_pow(key(j)))
+        return acc
+    for u, v in pairs_in_rank_order(n):
+        acc = acc + probe(u, v, n).scale(x_pow(key(u, v)))
+    return acc
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_readers_equal_their_sum_of_probes_definition(n):
+    assert degree_reader(n) == _reader_by_probes(n, star_indicator, lambda j: j - 1)
+    assert pair_reader(n) == _reader_by_probes(n, edge_indicator, pair_index)
+    assert contrast_reader(n) == _reader_by_probes(n, contrast_pair, pair_index)
+    assert cover_reader(n) == _reader_by_probes(n, cover_pair, pair_index)
+
+
 def test_wcg_add():
     p = indicator(path_graph(3))
     assert p + p == wcg(3, 2, 0, 2)
