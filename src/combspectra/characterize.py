@@ -3,15 +3,18 @@
 Each predicate searches a combinatorial spectrum (total weights of star
 products over colorings and bijections) for a polynomial whose coefficients
 certify the property, and returns a :class:`Verdict` carrying the witness.
-Every verdict comes from one :func:`scan`, which visits one bijection per
-orbit of a symmetry group that leaves the verdict unchanged: the identity
-alone for the reader gadgets, one bijection per tail set for domination.  A
-single weighting is scanned as it is (:func:`_weighting_scan`), a graph
-through every coloring of its edges (:func:`_coloring_scan`).  Scans run in a
-fixed lexicographic order (colorings first, bijections second) and
-short-circuit on the first witness, which is also the first witness of the
-full n! scan, so results are fully deterministic; pass ``exhaustive=True`` to
-count every witness instead.
+The labeling checks and edge Roman domination come from one :func:`scan`,
+which visits one bijection per orbit of a symmetry group that leaves the
+verdict unchanged (the identity alone for the reader gadgets).  A single
+weighting is scanned as it is (:func:`_weighting_scan`), a graph through
+every coloring of its edges (:func:`_coloring_scan`).  Two searches have
+kernels of their own that read the same spectra without ring sums:
+:func:`dominating_k` tests one adjacency bitmask per head against the tail
+set of each representative, and :func:`hamiltonian_spectrum` sums
+distance-class counts.  Searches run in a fixed lexicographic order
+(colorings first, bijections second) and short-circuit on the first witness,
+which is also the first witness of the full n! scan, so results are fully
+deterministic; pass ``exhaustive=True`` to count every witness instead.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .gadgets import (
     domination_pair_maps,
     domination_probe,
     identity_pair_maps,
-    indicator,
     pair_index,
     pair_reader,
     star_sum,
@@ -413,14 +415,16 @@ def dominating_set_of(f: Sequence[int], n: int, k: int) -> frozenset:
     return frozenset(f[i - 1] for i in range(n - k + 1, n + 1))
 
 
-def _domination_accept(n: int, k: int):
-    needed = n - k
-
-    def accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
-        present = {dx for (dx, _dy) in p._terms}
-        return len(present) >= needed and all(j in present for j in range(needed))
-
-    return accept
+@lru_cache(maxsize=None)
+def _tail_masks(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """One ``(f, heads, tail)`` entry per entry of
+    :func:`domination_pair_maps`, in its order: the bijection, its head
+    vertices f(1..n-k) and the bitmask of its tail vertices f(n-k+1..n),
+    bit v standing for vertex v."""
+    cut = n - k
+    return tuple(
+        (f, f[:cut], sum(1 << v for v in f[cut:])) for f, _pmap in domination_pair_maps(k, n)
+    )
 
 
 def dominating_k(
@@ -431,25 +435,55 @@ def dominating_k(
 ) -> Verdict:
     """Does the graph have a dominating set of size k?
 
-    Searches bijections of the domination probe against the indicator; a
+    Searches bijections f of the domination probe against the indicator; a
     witness needs every coefficient x^0..x^(n-k-1) nonzero.  Coefficients at
     x^(n-k) and above are structurally zero and excluded from the test.  The
     verdict depends only on the image of the tail, so one bijection per
     k-subset is scanned (:func:`domination_pair_maps`).
+
+    No ring sum is formed per bijection: the coefficient of x^(j-1) counts
+    the neighbours of the head f(j) among the tail vertices, so f is
+    accepted when every head's adjacency bitmask meets the tail's bitmask.
+    Only the witness polynomial is built, from those counts, all nonzero.
+    ``verify --identity orbit`` checks the verdict, the witness bijection,
+    its polynomial and the exhaustive count against the ring scan over all
+    n! bijections.
     """
     n = g.n
     if not 1 <= k <= n - 1:
         raise PreconditionError(f"k must be in 1..{n - 1}, got {k}")
     limits.check_n(n)
     limits.check_steps(math.factorial(n), "domination search")
-    return scan(
-        (domination_probe(k, n),),
-        indicator(g),
-        domination_pair_maps(k, n),
-        _domination_accept(n, k),
-        limits,
-        exhaustive,
-    )
+    table = _tail_masks(k, n)
+    adj = [0] * (n + 1)
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    stats = SearchStats(members=1, witnesses=0 if exhaustive else None)
+    orbit = math.factorial(n) // len(table)
+    first = None
+    limits.check_time()
+    for f, heads, tail in table:
+        stats.bijections += 1
+        if not stats.bijections % 4096:
+            limits.check_time()
+        for h in heads:
+            if not adj[h] & tail:
+                break
+        else:
+            if first is None:
+                counts = {(j, 0): ((adj[h] & tail).bit_count(), 0) for j, h in enumerate(heads)}
+                first = Verdict(
+                    True,
+                    witness_polynomial=RingElem._raw(counts),
+                    witness_graph=domination_probe(k, n),
+                    witness_bijection=f,
+                    stats=stats,
+                )
+            if not exhaustive:
+                return first
+            stats.witnesses += orbit
+    return first if first is not None else Verdict(False, stats=stats)
 
 
 # -- edge Roman domination -----------------------------------------------------------

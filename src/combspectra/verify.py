@@ -437,16 +437,36 @@ def _ring_axiom_rows(_ns: Sequence[int], trials: int, seed: int, limits: Limits)
     return [_check_row("ring-axioms", checks, failures, trials=trials, seed=seed)]
 
 
+def _at_one(w: ring.RingElem) -> ring.RingElem:
+    # w(1, 1): the Gaussian sum of the coefficients.
+    re = im = 0
+    for cre, cim in w._terms.values():
+        re += cre
+        im += cim
+    return ring.const(re, im)
+
+
 def _reader_at_one(reader: WeightedCompleteGraph) -> WeightedCompleteGraph:
-    return WeightedCompleteGraph(
-        reader.n,
-        tuple(ring.const(*w.eval(1, 1)) for w in reader.weights),
-    )
+    return WeightedCompleteGraph(reader.n, tuple(map(_at_one, reader.weights)))
+
+
+def _domination_accept(n: int, k: int):
+    """The domination test on the ring product itself: every coefficient
+    x^0..x^(n-k-1) present."""
+    needed = n - k
+
+    def accept(_h: WeightedCompleteGraph, p: ring.RingElem) -> bool:
+        present = {dx for (dx, _dy) in p._terms}
+        return len(present) >= needed and all(j in present for j in range(needed))
+
+    return accept
 
 
 def _domination_orbit_failures(n: int, limits: Limits) -> tuple[int, int]:
-    """Reduced against full domination scans on every (graph, k) of order n:
-    the verdict, the first witness bijection and the exhaustive count."""
+    """The tail-mask kernel of ``dominating_k`` against the ring scan of the
+    probe over all n! bijections, on every (graph, k) of order n: the
+    verdict, the first witness bijection, its polynomial and the exhaustive
+    count."""
     checks = failures = 0
     for g in connected_graphs(n, limits=limits):
         for k in range(1, n):
@@ -455,7 +475,7 @@ def _domination_orbit_failures(n: int, limits: Limits) -> tuple[int, int]:
                 (domination_probe(k, n),),
                 indicator(g),
                 bijection_pair_maps(n),
-                ch._domination_accept(n, k),
+                _domination_accept(n, k),
                 limits,
                 exhaustive=True,
             )
@@ -463,6 +483,7 @@ def _domination_orbit_failures(n: int, limits: Limits) -> tuple[int, int]:
             failures += (
                 reduced.holds != full.holds
                 or reduced.witness_bijection != full.witness_bijection
+                or reduced.witness_polynomial != full.witness_polynomial
                 or reduced.stats.witnesses != full.stats.witnesses
             )
     return checks, failures

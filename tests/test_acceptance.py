@@ -22,6 +22,7 @@ from combspectra.characterize import (
     strength_at_most,
 )
 from combspectra.graphs import complete_graph, cycle_graph, path_graph
+from combspectra.limits import Limits
 from combspectra.oracles import domination_oracle, edge_roman_oracle, strength_oracle
 
 MAX_WORKERS = os.cpu_count() or 1
@@ -200,6 +201,15 @@ def test_hamiltonian_equivalence_at_order_seven():
     elapsed = time.perf_counter() - t0
     assert report["summary"] == {"rows": 994, "tasks": 994, "disagreements": 0}
     _passed(10, "Hamiltonian numbers agree on 994 graphs up to n=7", elapsed)
+
+
+@pytest.mark.slow
+def test_domination_equivalence_at_order_eight():
+    t0 = time.perf_counter()
+    report = ver.run_theorem("domination", max_n=8, limits=Limits(max_n=8))
+    elapsed = time.perf_counter() - t0
+    assert report["summary"] == {"rows": 83604, "tasks": 12112, "disagreements": 0}
+    _passed(8, "domination agrees on 12112 graphs up to n=8", elapsed)
 
 
 def test_criterion_11_worker_determinism():

@@ -21,6 +21,7 @@ from combspectra.characterize import (
     irregular_weighted,
     local_irregular_weighted,
     one_two_three,
+    scan,
     strength_at_most,
 )
 from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
@@ -293,6 +294,42 @@ def test_domination_coefficient_identity():
                 for j in range(1, g.n - k + 1):
                     expected = len(g.neighbors(f[j - 1]) & chosen)
                     assert p.coeff_x(j - 1) == const(expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dominating_k_matches_the_ring_scan_over_all_bijections(n):
+    # the tail-mask kernel against s(probe *_f indicator) over all n!, with
+    # every coefficient x^0..x^(n-k-1) required nonzero
+    for g in connected_graphs(n):
+        for k in range(1, n):
+            def accept(_h, p, needed=n - k):
+                return all(not p.coeff_x(j).is_zero for j in range(needed))
+
+            kernel = dominating_k(g, k, exhaustive=True)
+            full = scan(
+                (domination_probe(k, n),), indicator(g), bijection_pair_maps(n), accept,
+                exhaustive=True,
+            )
+            assert kernel.holds == full.holds
+            assert kernel.witness_bijection == full.witness_bijection
+            assert kernel.witness_polynomial == full.witness_polynomial
+            assert kernel.stats.witnesses == full.stats.witnesses
+            if kernel.holds:
+                assert kernel.witness_graph == domination_probe(k, n)
+
+
+def test_dominating_k_honours_limits():
+    with pytest.raises(TimeLimitError):
+        dominating_k(P4, 1, Limits(deadline=0.0))
+    # the step guard counts all n! bijections, not the C(n, k) scanned
+    assert dominating_k(P4, 1, Limits(max_steps=24)).holds is False
+    with pytest.raises(SizeGuardError) as err:
+        dominating_k(P4, 1, Limits(max_steps=23))
+    assert str(err.value) == (
+        "step guard exceeded: domination search needs 24 steps > max_steps=23"
+    )
+    with pytest.raises(SizeGuardError):
+        dominating_k(P4, 1, Limits(max_n=3))
 
 
 # -- edge Roman domination -------------------------------------------------------------

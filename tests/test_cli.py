@@ -547,6 +547,15 @@ def test_check_timeout_before_first_bijection(capsys, monkeypatch):
     assert "deadline" in err
 
 
+def test_check_domination_timeout_before_first_bijection(capsys, p3_file):
+    code, out, err = run(
+        capsys, "check", "domination", "--k", "1", p3_file, "--timeout-seconds", "0"
+    )
+    assert code == EXIT_TIMEOUT
+    assert out == ""
+    assert "deadline" in err
+
+
 @pytest.mark.parametrize("subject", ["edge-roman", "hamiltonian"])
 def test_oracle_timeout_exit(capsys, monkeypatch, subject):
     import io
