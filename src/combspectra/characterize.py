@@ -418,12 +418,14 @@ def dominating_set_of(f: Sequence[int], n: int, k: int) -> frozenset:
 @lru_cache(maxsize=None)
 def _tail_masks(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
     """One ``(f, heads, tail)`` entry per entry of
-    :func:`domination_pair_maps`, in its order: the bijection, its head
-    vertices f(1..n-k) and the bitmask of its tail vertices f(n-k+1..n),
-    bit v standing for vertex v."""
+    :func:`domination_pair_maps`, in its order: the bijection, the indices
+    f(j)-1 of its heads f(1..n-k) into :attr:`SimpleGraph.masks`, and the
+    bitmask of its tail vertices f(n-k+1..n), bit v-1 standing for vertex v
+    as in those masks."""
     cut = n - k
     return tuple(
-        (f, f[:cut], sum(1 << v for v in f[cut:])) for f, _pmap in domination_pair_maps(k, n)
+        (f, tuple(v - 1 for v in f[:cut]), sum(1 << (v - 1) for v in f[cut:]))
+        for f, _pmap in domination_pair_maps(k, n)
     )
 
 
@@ -444,7 +446,10 @@ def dominating_k(
     No ring sum is formed per bijection: the coefficient of x^(j-1) counts
     the neighbours of the head f(j) among the tail vertices, so f is
     accepted when every head's adjacency bitmask meets the tail's bitmask.
-    Only the witness polynomial is built, from those counts, all nonzero.
+    The adjacency bitmasks are the graph's own :attr:`SimpleGraph.masks`,
+    built once per graph and shared by every k; the tails come from a table
+    cached per (k, n).  Only the witness polynomial is built, from those
+    counts, all nonzero.
     ``verify --identity orbit`` checks the verdict, the witness bijection,
     its polynomial and the exhaustive count against the ring scan over all
     n! bijections.
@@ -455,10 +460,7 @@ def dominating_k(
     limits.check_n(n)
     limits.check_steps(math.factorial(n), "domination search")
     table = _tail_masks(k, n)
-    adj = [0] * (n + 1)
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = g.masks
     stats = SearchStats(members=1, witnesses=0 if exhaustive else None)
     orbit = math.factorial(n) // len(table)
     first = None

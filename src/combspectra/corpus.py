@@ -52,11 +52,6 @@ class _Form(NamedTuple):
     key: tuple[int, ...]  # the bucket: the sorted colours
 
 
-def _adjacency(g: SimpleGraph) -> list[int]:
-    """Vertex v of g as bit v-1 of each neighbour mask."""
-    return [sum(1 << (w - 1) for w in nbrs) for nbrs in g.adjacency]
-
-
 @cache
 def _members(mask: int) -> tuple[int, ...]:
     """The set bits of mask, lowest first."""
@@ -166,9 +161,9 @@ def _next_order(
     new = n - 1  # the new vertex, 0-based
     for parent in parents:
         limits.check_time()
-        adj = _adjacency(parent)
-        for nbrs in _least_sets(_form(adj)):
-            grown = adj + [0]
+        masks = parent.masks
+        for nbrs in _least_sets(_form(masks)):
+            grown = [*masks, 0]
             for v in nbrs:
                 grown[v] |= 1 << new
                 grown[new] |= 1 << v

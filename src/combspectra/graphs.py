@@ -37,7 +37,7 @@ __all__ = [
 class SimpleGraph:
     """An immutable simple graph: no loops, no multi-edges, n >= 1."""
 
-    __slots__ = ("n", "edges", "_adj", "_hash")
+    __slots__ = ("n", "edges", "_adj", "_masks", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -52,6 +52,7 @@ class SimpleGraph:
         self.n = n
         self.edges = frozenset(norm)
         self._adj: tuple[frozenset, ...] | None = None
+        self._masks: tuple[int, ...] | None = None
         self._hash: int | None = None
 
     @property
@@ -69,6 +70,20 @@ class SimpleGraph:
             adj = tuple(frozenset(s) for s in sets)
             self._adj = adj
         return adj
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbour bitmasks, indexed like :attr:`adjacency`: ``masks[v-1]``
+        has bit ``w-1`` set for each neighbour w of v."""
+        masks = self._masks
+        if masks is None:
+            bits = [0] * self.n
+            for u, v in self.edges:
+                bits[u - 1] |= 1 << (v - 1)
+                bits[v - 1] |= 1 << (u - 1)
+            masks = tuple(bits)
+            self._masks = masks
+        return masks
 
     def neighbors(self, v: int) -> frozenset:
         return self.adjacency[v - 1]
@@ -259,22 +274,21 @@ def parse_graph6(line: str) -> SimpleGraph:
 
 
 def to_graph6(g: SimpleGraph) -> str:
-    """Encode as one graph6 line (n <= 62)."""
+    """Encode as one graph6 line (n <= 62).
+
+    The pairs (u, v), u < v, are ranked column by column, C(v-1, 2) + u-1,
+    and the pair of rank r is bit r of the data counted from the most
+    significant end, padded with zeros to whole six-bit characters."""
     if g.n > 62:
         raise ValueError("graph6 encoding supported only for n <= 62")
-    bits = []
-    for col in range(1, g.n):
-        for row in range(col):
-            bits.append(1 if g.has_edge(row + 1, col + 1) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(63 + g.n)]
-    for i in range(0, len(bits), 6):
-        v = 0
-        for b in bits[i : i + 6]:
-            v = (v << 1) | b
-        chars.append(chr(63 + v))
-    return "".join(chars)
+    pairs = g.n * (g.n - 1) // 2
+    width = -(-pairs // 6) * 6
+    data = 0
+    for u, v in g.edges:
+        data |= 1 << (width - 1 - (v - 1) * (v - 2) // 2 - (u - 1))
+    return chr(63 + g.n) + "".join(
+        chr(63 + (data >> shift & 63)) for shift in range(width - 6, -1, -6)
+    )
 
 
 def parse_graphs(text: str) -> list[SimpleGraph]:

@@ -2,10 +2,18 @@
 
 These implementations are deliberately naive: direct enumeration of labelings,
 subsets and orderings straight from the definitions, sharing nothing with the
-spectral machinery beyond the plain graph type.  Enumeration orders are
-lexicographic (edges sorted, labels ascending, permutations in standard
-order), so any failure is reproducible.  Every returned witness is re-checked
-against its definition before it leaves this module.
+spectral machinery beyond the plain graph type.  They read a graph only
+through ``g.edges`` (and ``sorted_edges``) and the neighbour sets of
+``g.adjacency``, never the bitmasks of ``g.masks`` that the spectral kernels
+read.  Enumeration orders are lexicographic (edges sorted, labels ascending,
+permutations in standard order), so any failure is reproducible.
+
+A witness is returned as soon as it passes the definition's test, and is not
+re-derived afterwards.  Two oracles assert more about it: ``antimagic_oracle``
+that its labels are distinct, and ``strength_oracle`` that none exceeds k.
+``edge_roman_oracle`` and ``hamiltonian_oracle`` assert only that a best
+candidate was found; ``chi_sigma_oracle`` and ``domination_oracle`` assert
+nothing.
 """
 
 from __future__ import annotations
@@ -36,14 +44,6 @@ class OracleResult:
     value: bool | int | None
     witness: object = None
     enumerated: int = 0
-
-
-def _adjacency(g: SimpleGraph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(g.n + 1)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
 
 
 def _weighted_degrees(g: SimpleGraph, labels: Mapping[tuple[int, int], int]) -> list[int]:
@@ -137,7 +137,7 @@ def domination_oracle(
     """Does some k-subset of vertices dominate the graph?"""
     if not 1 <= k <= g.n:
         raise PreconditionError(f"k must be in 1..{g.n}, got {k}")
-    adj = _adjacency(g)
+    adj = g.adjacency
     limits.check_steps(math.comb(g.n, k), "domination oracle")
     limits.check_time()
     enumerated = 0
@@ -146,7 +146,7 @@ def domination_oracle(
         if not enumerated % 4096:
             limits.check_time()
         chosen = set(subset)
-        if all(v in chosen or adj[v] & chosen for v in range(1, g.n + 1)):
+        if all(v in chosen or nbrs & chosen for v, nbrs in enumerate(adj, 1)):
             return OracleResult(True, frozenset(subset), enumerated)
     return OracleResult(False, None, enumerated)
 
@@ -221,7 +221,7 @@ def hamiltonian_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Oracl
 
 
 def _bfs_all_pairs(g: SimpleGraph) -> list[list[int | None]]:
-    adj = _adjacency(g)
+    adj = g.adjacency
     dist: list[list[int | None]] = [
         [None] * (g.n + 1) for _ in range(g.n + 1)
     ]
@@ -230,7 +230,7 @@ def _bfs_all_pairs(g: SimpleGraph) -> list[list[int | None]]:
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for w in adj[u]:
+            for w in adj[u - 1]:
                 if dist[src][w] is None:
                     dist[src][w] = dist[src][u] + 1
                     queue.append(w)
@@ -238,7 +238,7 @@ def _bfs_all_pairs(g: SimpleGraph) -> list[list[int | None]]:
 
 
 def _component_orders(g: SimpleGraph) -> list[int]:
-    adj = _adjacency(g)
+    adj = g.adjacency
     unseen = set(range(1, g.n + 1))
     orders = []
     while unseen:
@@ -247,7 +247,7 @@ def _component_orders(g: SimpleGraph) -> list[int]:
         while stack:
             u = stack.pop()
             size += 1
-            for w in adj[u]:
+            for w in adj[u - 1]:
                 if w in unseen:
                     unseen.discard(w)
                     stack.append(w)

@@ -178,9 +178,7 @@ def _rows_one_two_three(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> l
 
 
 def _dominates(g: SimpleGraph, chosen: frozenset) -> bool:
-    return all(
-        v in chosen or g.neighbors(v) & chosen for v in range(1, g.n + 1)
-    )
+    return all(v in chosen or nbrs & chosen for v, nbrs in enumerate(g.adjacency, 1))
 
 
 def _rows_domination(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:

@@ -67,7 +67,7 @@ def test_corpus_matches_golden_graph6():
 
 
 def _form(g: SimpleGraph) -> corpus._Form:
-    return corpus._form(corpus._adjacency(g))
+    return corpus._form(g.masks)
 
 
 def _nx(g: SimpleGraph) -> nx.Graph:

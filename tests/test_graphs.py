@@ -1,12 +1,14 @@
 """Graph parsing, distances, components, and the two input formats."""
 
 import itertools
+from random import Random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combspectra.corpus import connected_graphs_up_to
 from combspectra.errors import ParseError, PreconditionError
 from combspectra.graphs import (
     SimpleGraph,
@@ -99,6 +101,43 @@ def test_graph6_against_networkx():
         assert {(min(u, v) + 1, max(u, v) + 1) for u, v in gx.edges} == g.edges
 
 
+@st.composite
+def graphs_up_to_62(draw):
+    """Any order 1..62, at an edge density from empty to complete."""
+    n = draw(st.integers(1, 62))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.8, 1.0]))
+    rnd = Random(draw(st.integers(0, 2**32 - 1)))
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return SimpleGraph(n, (pair for pair in pairs if rnd.random() < density))
+
+
+def _networkx(g: SimpleGraph) -> nx.Graph:
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from((u - 1, v - 1) for u, v in g.edges)
+    return gx
+
+
+@given(graphs_up_to_62())
+@settings(max_examples=150, deadline=None)
+def test_graph6_round_trip_and_networkx_bytes_up_to_62(g):
+    ours = to_graph6(g)
+    assert parse_graph6(ours) == g
+    assert nx.to_graph6_bytes(_networkx(g), header=False) == ours.encode() + b"\n"
+
+
+@given(graphs_up_to_62(), st.integers(1, 63))
+@settings(max_examples=150, deadline=None)
+def test_parse_graph6_ignores_nonzero_padding_bits(g, fill):
+    g6 = to_graph6(g)
+    padding = -(g.n * (g.n - 1) // 2) % 6
+    if not padding:
+        return
+    last = ord(g6[-1]) - 63
+    padded = g6[:-1] + chr(63 + (last | fill & ((1 << padding) - 1)))
+    assert parse_graph6(padded) == g
+
+
 def test_graph6_header_and_errors():
     assert parse_graph6(">>graph6<<Bw") == complete_graph(3)
     with pytest.raises(ParseError):
@@ -172,3 +211,43 @@ def test_constructors_and_accessors():
 def test_relabel():
     g = path_graph(3).relabel((2, 1, 3))  # swap vertices 1 and 2
     assert g.edges == {(1, 2), (1, 3)}
+
+
+def _rebuilt_masks(g: SimpleGraph) -> list[int]:
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u - 1] |= 1 << (v - 1)
+        masks[v - 1] |= 1 << (u - 1)
+    return masks
+
+
+def _assert_masks_are_the_adjacency(g: SimpleGraph) -> None:
+    assert type(g.masks) is tuple
+    assert list(g.masks) == _rebuilt_masks(g)
+    for v in range(1, g.n + 1):
+        assert g.adjacency[v - 1] == {w for w in range(1, g.n + 1) if g.masks[v - 1] >> (w - 1) & 1}
+
+
+def test_masks_of_every_corpus_graph_up_to_order_six():
+    for g in connected_graphs_up_to(6):
+        _assert_masks_are_the_adjacency(g)
+
+
+@given(graphs_up_to_62())
+@settings(max_examples=150, deadline=None)
+def test_masks_agree_with_edges_and_adjacency_up_to_62(g):
+    _assert_masks_are_the_adjacency(g)
+    assert g.masks is g.masks  # built once, then cached
+
+
+def test_relabel_builds_its_own_masks():
+    g = path_graph(4)
+    assert g.masks == (0b10, 0b101, 0b1010, 0b100)
+    perm = (3, 1, 4, 2)
+    h = g.relabel(perm)
+    assert h.edges == {(1, 3), (1, 4), (2, 4)}
+    _assert_masks_are_the_adjacency(h)
+    for v in range(1, 5):
+        image = {perm[w - 1] for w in g.neighbors(v)}
+        assert h.masks[perm[v - 1] - 1] == sum(1 << (w - 1) for w in image)
+    assert g.masks == (0b10, 0b101, 0b1010, 0b100)

@@ -1,8 +1,12 @@
 """Brute-force oracles: values, witness self-checks, relabeling invariance."""
 
+import ast
+from pathlib import Path
 from random import Random
 
 import pytest
+
+from combspectra import oracles
 
 from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
 from combspectra.graphs import (
@@ -135,3 +139,25 @@ def test_oracle_size_guard():
 def test_oracles_poll_the_deadline_before_their_loop(call):
     with pytest.raises(TimeLimitError):
         call(Limits(deadline=0.0))
+
+
+def test_oracles_stay_independent_of_the_spectral_code():
+    """The oracles import only the plain graph type, the errors and the
+    limits from the package, and never read the bitmasks the spectral
+    kernels read."""
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("combspectra"):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.startswith("combspectra"))
+    assert imported == {"errors", "graphs", "limits"}
+    assert not [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "masks"
+        or isinstance(node, ast.Constant) and node.value == "masks"
+    ]
