@@ -19,6 +19,7 @@ deterministic; pass ``exhaustive=True`` to count every witness instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -41,7 +42,6 @@ from .gadgets import (
     cycle_pair_maps,
     degree_reader,
     distance_weighting,
-    domination_pair_maps,
     domination_probe,
     identity_pair_maps,
     pair_index,
@@ -417,15 +417,25 @@ def dominating_set_of(f: Sequence[int], n: int, k: int) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _tail_masks(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """One ``(f, heads, tail)`` entry per entry of
-    :func:`domination_pair_maps`, in its order: the bijection, the indices
-    f(j)-1 of its heads f(1..n-k) into :attr:`SimpleGraph.masks`, and the
-    bitmask of its tail vertices f(n-k+1..n), bit v-1 standing for vertex v
-    as in those masks."""
+    """One ``(f, heads, tail)`` entry per k-subset T of {1..n}, in lex order
+    of f: the bijection, the indices f(j)-1 of its heads f(1..n-k) into
+    :attr:`SimpleGraph.masks`, and the bitmask of its tail vertices
+    f(n-k+1..n), bit v-1 standing for vertex v as in those masks.
+
+    f is the lexicographically least bijection with tail image T: the heads
+    go to the sorted complement of T, the tails to sorted T.  Against a graph
+    indicator, permuting the tails leaves the product with
+    :func:`domination_probe` unchanged and permuting the heads only permutes
+    its coefficients x^0..x^(n-k-1), so the domination verdict depends on T
+    alone and each entry stands for (n-k)! * k! bijections."""
     cut = n - k
+    vertices = range(1, n + 1)
+    reps = sorted(
+        tuple(v for v in vertices if v not in tail) + tail
+        for tail in itertools.combinations(vertices, k)
+    )
     return tuple(
-        (f, tuple(v - 1 for v in f[:cut]), sum(1 << (v - 1) for v in f[cut:]))
-        for f, _pmap in domination_pair_maps(k, n)
+        (f, tuple(v - 1 for v in f[:cut]), sum(1 << (v - 1) for v in f[cut:])) for f in reps
     )
 
 
@@ -441,7 +451,7 @@ def dominating_k(
     witness needs every coefficient x^0..x^(n-k-1) nonzero.  Coefficients at
     x^(n-k) and above are structurally zero and excluded from the test.  The
     verdict depends only on the image of the tail, so one bijection per
-    k-subset is scanned (:func:`domination_pair_maps`).
+    k-subset is scanned (:func:`_tail_masks`).
 
     No ring sum is formed per bijection: the coefficient of x^(j-1) counts
     the neighbours of the head f(j) among the tail vertices, so f is
@@ -601,7 +611,7 @@ def hamiltonian_spectrum(
     if not is_connected(g):
         raise PreconditionError("the Hamiltonian spectrum needs a connected graph")
     limits.check_n(n)
-    limits.check_steps(math.factorial(n), "family product")
+    limits.check_steps(math.factorial(n), "Hamiltonian spectrum")
     limits.check_time()
     on_cycle = n >= 3 and h == cycle_graph(n)
     maps = cycle_pair_maps(n) if on_cycle else bijection_pair_maps(n)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -117,7 +118,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             lambda s: s.strip().lower() in ("1", "true", "yes"),
         ),
         seed=pick(args.seed, "SEED", None, int),
-        timeout_seconds=pick(args.timeout_seconds, "TIMEOUT_SECONDS", None, float),
+        timeout_seconds=pick(args.timeout_seconds, "TIMEOUT_SECONDS", None, _seconds),
     )
 
 
@@ -147,6 +148,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if math.isnan(value):
+        # no time exceeds a NaN deadline, so it would turn the limit off
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", default=False,
                    help="emit machine-readable JSON")
@@ -158,7 +170,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="enumeration step guard")
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="worker processes for corpus sweeps")
-    p.add_argument("--timeout-seconds", type=float, default=None,
+    p.add_argument("--timeout-seconds", type=_seconds, default=None,
                    help="wall-clock limit")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the randomized identity checks")
@@ -277,11 +289,11 @@ def _hamiltonian_spectrum(g: SimpleGraph, pattern: SimpleGraph | None, limits: L
 @dataclass(frozen=True)
 class _Check:
     """A ``check`` subject: ``characterize(graph, k, limits)`` returns a verdict
-    (every one that holds comes from :func:`characterize.scan` and carries all
-    three witnesses), and ``witness(graph, k, verdict)`` renders it as (JSON
-    key, JSON value, text line).  A subject without a renderer reports a
-    spectrum and its least value; its ``characterize`` takes the ``--by``
-    pattern graph, or None for the cycle, in place of k."""
+    (every one that holds carries all three witnesses), and ``witness(graph,
+    k, verdict)`` renders it as (JSON key, JSON value, text line).  A subject
+    without a renderer reports a spectrum and its least value; its
+    ``characterize`` takes the ``--by`` pattern graph, or None for the cycle,
+    in place of k."""
 
     characterize: Callable
     takes_k: bool

@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import ring
 from .errors import PreconditionError
-from .graphs import SimpleGraph, all_pairs_distances, is_connected
+from .graphs import SimpleGraph, all_pairs_distances, is_connected, pairs_in_rank_order
 from .ring import RingElem, GaussInt
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "pairs_in_rank_order",
     "all_bijections",
     "bijection_pair_maps",
-    "domination_pair_maps",
     "cycle_pair_maps",
     "identity_pair_maps",
     "generator_pair_maps",
@@ -77,16 +76,6 @@ def pair_index(u: int, v: int, n: int | None = None) -> int:
     return pair_rank(u, v, n) if u > v else pair_rank(v, u, n)
 
 
-@lru_cache(maxsize=None)
-def pairs_in_rank_order(n: int) -> tuple[tuple[int, int], ...]:
-    """All unordered pairs (u, v) with u < v, listed by pair rank."""
-    out = []
-    for hi in range(2, n + 1):
-        for lo in range(1, hi):
-            out.append((lo, hi))
-    return tuple(out)
-
-
 def identity_bijection(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
@@ -116,27 +105,6 @@ def bijection_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]]
     ``m[p]`` under f.  Precomputed once per n and reused by every search.
     """
     return tuple((f, _pair_map_of(f, n)) for f in all_bijections(n))
-
-
-@lru_cache(maxsize=None)
-def domination_pair_maps(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """One ``(f, m)`` entry per k-subset T of {1..n}, in lex order of f.
-
-    f is the lexicographically least bijection with tail image T: the heads
-    1..n-k go to the sorted complement of T, the tails to sorted T.  Against
-    a graph indicator, permuting the tails leaves the product with
-    :func:`domination_probe` unchanged and permuting the heads only permutes
-    its coefficients x^0..x^(n-k-1), so the domination verdict depends on T
-    alone and each entry stands for (n-k)! * k! bijections.
-    """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    vertices = range(1, n + 1)
-    reps = sorted(
-        tuple(v for v in vertices if v not in tail) + tail
-        for tail in itertools.combinations(vertices, k)
-    )
-    return tuple((f, _pair_map_of(f, n)) for f in reps)
 
 
 @lru_cache(maxsize=None)

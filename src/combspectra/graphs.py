@@ -11,6 +11,7 @@ accepted behind one parse entry point:
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import ParseError, PreconditionError
@@ -22,6 +23,7 @@ __all__ = [
     "parse_graph6",
     "parse_graph",
     "parse_graphs",
+    "pairs_in_rank_order",
     "to_edge_list",
     "to_graph6",
     "all_pairs_distances",
@@ -236,41 +238,41 @@ _G6_HEADER = ">>graph6<<"
 
 
 def parse_graph6(line: str) -> SimpleGraph:
-    """Decode one graph6 line (n <= 62; the extended size formats are rejected)."""
+    """Decode one graph6 line (n <= 62; the extended size formats are rejected).
+
+    The data is read back in the layout :func:`to_graph6` writes: one bit
+    string, bit r standing for the pair of rank r, and any padding bits past
+    the last pair ignored."""
     s = line.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
         raise ParseError("empty graph6 line")
-    vals = []
     for ch in s:
-        v = ord(ch) - 63
-        if not (0 <= v <= 63):
+        if not "?" <= ch <= "~":
             raise ParseError(f"invalid graph6 character {ch!r}")
-        vals.append(v)
-    n = vals[0]
+    n = ord(s[0]) - 63
     if n == 63:
         raise ParseError("graph6 inputs with n > 62 are not supported")
     if n < 1:
         raise ParseError("graph6 graph must have at least one vertex")
-    n_pairs = n * (n - 1) // 2
-    need = (n_pairs + 5) // 6
-    if len(vals) - 1 != need:
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(s) - 1 != need:
         raise ParseError(
-            f"graph6 line has {len(vals) - 1} data characters, expected {need} for n={n}"
+            f"graph6 line has {len(s) - 1} data characters, expected {need} for n={n}"
         )
-    bits = []
-    for v in vals[1:]:
-        for shift in range(5, -1, -1):
-            bits.append((v >> shift) & 1)
-    edges = []
-    idx = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[idx]:
-                edges.append((row + 1, col + 1))
-            idx += 1
-    return SimpleGraph(n, edges)
+    data = 0
+    for ch in s[1:]:
+        data = data << 6 | ord(ch) - 63
+    bits = f"{data:0{6 * need}b}"
+    return SimpleGraph(n, [pair for pair, bit in zip(pairs_in_rank_order(n), bits) if bit == "1"])
+
+
+@lru_cache(maxsize=None)
+def pairs_in_rank_order(n: int) -> tuple[tuple[int, int], ...]:
+    """All unordered pairs (u, v) with u < v, listed by pair rank
+    C(v-1, 2) + u-1: column by column, as graph6 lists them."""
+    return tuple((u, v) for v in range(2, n + 1) for u in range(1, v))
 
 
 def to_graph6(g: SimpleGraph) -> str:

@@ -4,9 +4,12 @@ Each theorem subject sweeps every connected graph up to a size cap, runs the
 spectrum characterization and the matching oracle, and reports per-graph
 agreement rows; identity subjects check the algebraic identities the
 constructions rely on.  Each kind reads its subjects from one table:
-``_THEOREMS`` gives a theorem subject's row builder, least order and default
-label bounds (None when it takes none), ``_IDENTITIES`` an identity subject's
-suite and the options it reads.  Reports contain no timing and keep a
+``_THEOREMS`` gives a theorem subject's row builder, least order, default
+label bounds (None when it takes none) and the graphs it sweeps,
+``_IDENTITIES`` an identity subject's suite and the options it reads.  A
+theorem sweep runs one task per graph, which for ``fixpoint`` is K_n for each
+order: the graph goes out as its graph6 line, encoded once, and the task
+decodes it once for the row builder.  Reports contain no timing and keep a
 canonical row order, so the emitted JSON is byte-identical across runs and
 worker counts.
 """
@@ -70,7 +73,8 @@ REPORT_SCHEMA = "1"
 
 # -- per-graph row builders ------------------------------------------------------
 #
-# Each takes (graph, ks, limits), the fixpoint builder the order for the graph.
+# Each takes (g6, graph, ks, limits): the graph, its graph6 line for the rows'
+# ``graph`` field, the label bounds and the caller's limits.
 
 
 def _agreement_row(
@@ -90,8 +94,7 @@ def _agreement_row(
     }
 
 
-def _rows_colorings(g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
-    g6 = to_graph6(g)
+def _rows_colorings(g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
     rows = []
     for k in ks:
         built = family_product(
@@ -113,18 +116,14 @@ def _rows_colorings(g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[d
     return rows
 
 
-def _rows_fixpoint(n: int, _ks: Sequence[int], limits: Limits) -> list[dict]:
+def _rows_fixpoint(_g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
+    # g is the complete graph K_n; its rows name only the order.
+    n = g.n
     result = power_fixpoint(edge_deleted_family(n), limits)
     # Direct description of the fixed point: every 0/1 weighting of the
     # complete graph that keeps at least one zero pair.
-    full = indicator(complete_graph(n))
-    direct = {
-        w
-        for w in colorings_of_graph(
-            complete_graph(n), (ring.ZERO, ring.ONE), limits
-        )
-        if w != full
-    }
+    full = indicator(g)
+    direct = {w for w in colorings_of_graph(g, (ring.ZERO, ring.ONE), limits) if w != full}
     return [
         {
             "n": n,
@@ -136,8 +135,7 @@ def _rows_fixpoint(n: int, _ks: Sequence[int], limits: Limits) -> list[dict]:
     ]
 
 
-def _rows_antimagic(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    g6 = to_graph6(g)
+def _rows_antimagic(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     try:
         spectral = ch.antimagic_unweighted(g, limits).holds
     except PreconditionError:
@@ -149,8 +147,7 @@ def _rows_antimagic(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[
     return [_agreement_row(g6, g, spectral, oracle)]
 
 
-def _rows_strength(g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
-    g6 = to_graph6(g)
+def _rows_strength(g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
     k_max = max(ks)
     try:
         minimum = orc.strength_oracle(g, k_max, limits).value
@@ -170,8 +167,7 @@ def _rows_strength(g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[di
     return rows
 
 
-def _rows_one_two_three(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    g6 = to_graph6(g)
+def _rows_one_two_three(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     spectral = ch.one_two_three(g, limits).holds
     oracle = orc.chi_sigma_oracle(g, 3, limits).value
     return [_agreement_row(g6, g, spectral, oracle)]
@@ -181,8 +177,7 @@ def _dominates(g: SimpleGraph, chosen: frozenset) -> bool:
     return all(v in chosen or nbrs & chosen for v, nbrs in enumerate(g.adjacency, 1))
 
 
-def _rows_domination(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    g6 = to_graph6(g)
+def _rows_domination(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     rows = []
     for k in range(1, g.n):
         verdict = ch.dominating_k(g, k, limits)
@@ -207,8 +202,7 @@ def _roman_valid(g: SimpleGraph, fn: dict[tuple[int, int], int]) -> bool:
     return True
 
 
-def _rows_edge_roman(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    g6 = to_graph6(g)
+def _rows_edge_roman(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     if g.m < 1:
         return []
     gamma = orc.edge_roman_oracle(g, limits).value
@@ -247,26 +241,32 @@ def _rows_edge_roman(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list
     return rows
 
 
-def _rows_hamiltonian(g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    g6 = to_graph6(g)
+def _rows_hamiltonian(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     spectral = ch.hamiltonian_number(g, limits)
     oracle = orc.hamiltonian_oracle(g, limits).value
     return [_agreement_row(g6, g, spectral, oracle)]
 
 
+def _complete_graphs(max_n: int, min_n: int, limits: Limits) -> list[SimpleGraph]:
+    return [complete_graph(n) for n in range(min_n, max_n + 1)]
+
+
 @dataclass(frozen=True)
 class _Theorem:
-    """A theorem sweep: its row builder, its least order, and its default
-    label bounds, or None for a sweep that takes none."""
+    """A theorem sweep: its row builder, its least order, its default label
+    bounds (None for a sweep that takes none), and the graphs it sweeps,
+    ``graphs(max_n, min_n, limits)``: the connected-graph corpus unless
+    given."""
 
-    rows: Callable[[SimpleGraph | int, Sequence[int], Limits], list[dict]]
+    rows: Callable[[str, SimpleGraph, Sequence[int], Limits], list[dict]]
     min_n: int
     ks: tuple[int, ...] | None = None
+    graphs: Callable[[int, int, Limits], list[SimpleGraph]] = connected_graphs_up_to
 
 
 _THEOREMS = {
     "colorings": _Theorem(_rows_colorings, 2, (2, 3)),
-    "fixpoint": _Theorem(_rows_fixpoint, 2),
+    "fixpoint": _Theorem(_rows_fixpoint, 2, graphs=_complete_graphs),
     "antimagic": _Theorem(_rows_antimagic, 2),
     "irregular-strength": _Theorem(_rows_strength, 2, (1, 2, 3)),
     "one-two-three": _Theorem(_rows_one_two_three, 3),
@@ -282,10 +282,8 @@ THEOREM_SUBJECTS = tuple(_THEOREMS)
 
 
 def _theorem_task(args: tuple) -> list[dict]:
-    subject, payload, ks, limits_fields = args
-    # the payload is a graph6 string, or the order of a per-order sweep
-    graph = parse_graph6(payload) if isinstance(payload, str) else payload
-    return _THEOREMS[subject].rows(graph, ks, Limits(*limits_fields))
+    subject, g6, ks, limits = args
+    return _THEOREMS[subject].rows(g6, parse_graph6(g6), ks, limits)
 
 
 # Pool batches per worker: enough that the small tail of a largest-first
@@ -332,9 +330,9 @@ def run_theorem(
     Returns a deterministic report dict; ``summary.disagreements`` counts rows
     where the two routes differ or a witness failed its own definition.
     Raises :class:`UsageError`, a ``ValueError``, before any work for an
-    unknown subject, a ``max_n`` below the subject's least order, label
-    bounds for a subject that takes none, or no label bound for one that
-    takes them.
+    unknown subject, a ``max_n`` below the subject's least order or above
+    62, label bounds for a subject that takes none, or no label bound for one
+    that takes them.
     """
     theorem = _THEOREMS.get(subject)
     if theorem is None:
@@ -342,6 +340,9 @@ def run_theorem(
     if max_n < theorem.min_n:
         # a sweep over no graph would report agreement having checked nothing
         raise UsageError(f"{subject} needs max_n >= {theorem.min_n}, got {max_n}")
+    if max_n > 62:
+        # each task carries its graph as one graph6 line, which holds n <= 62
+        raise UsageError(f"{subject} sweeps orders up to 62, got max_n={max_n}")
     if ks is None:
         ks = theorem.ks or ()
     elif ks and theorem.ks is None:
@@ -349,17 +350,11 @@ def run_theorem(
     elif not ks and theorem.ks is not None:
         # a sweep over no label bound would report agreement having checked nothing
         raise UsageError(f"{subject} needs at least one label bound (--k)")
-    limits_fields = (limits.max_n, limits.max_family, limits.max_steps, limits.deadline)
-    # task payload -> its (n, m)
-    if subject == "fixpoint":
-        sizes = {n: (n, n * (n - 1) // 2) for n in range(theorem.min_n, max_n + 1)}
-    else:
-        graphs = connected_graphs_up_to(max_n, min_n=theorem.min_n, limits=limits)
-        sizes = {to_graph6(g): (g.n, g.m) for g in graphs}
-    tasks = [(subject, payload, tuple(ks), limits_fields) for payload in sizes]
+    graphs = theorem.graphs(max_n, theorem.min_n, limits=limits)
+    tasks = [(subject, to_graph6(g), tuple(ks), limits) for g in graphs]
     limits.check_time()
     if workers > 1 and len(tasks) > 1:
-        results = _pool_results(tasks, list(sizes.values()), workers)
+        results = _pool_results(tasks, [(g.n, g.m) for g in graphs], workers)
         limits.check_time()
     else:
         results = []

@@ -1,5 +1,6 @@
 """Spectrum characterizations: worked examples, witnesses, structural identities."""
 
+import math
 from itertools import product
 from random import Random
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from combspectra import ring
 from combspectra.characterize import (
+    _tail_masks,
     antimagic_family,
     antimagic_unweighted,
     antimagic_weighted,
@@ -294,6 +296,24 @@ def test_domination_coefficient_identity():
                 for j in range(1, g.n - k + 1):
                     expected = len(g.neighbors(f[j - 1]) & chosen)
                     assert p.coeff_x(j - 1) == const(expected)
+
+
+def test_tail_masks_are_least_coset_representatives():
+    assert [f for f, _h, _t in _tail_masks(1, 3)] == [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+    full = [f for f, _m in bijection_pair_maps(5)]
+    for k in range(1, 5):
+        table = _tail_masks(k, 5)
+        fs = [f for f, _h, _t in table]
+        assert fs == sorted(fs) and len(fs) == math.comb(5, k)
+        # each entry is the least bijection with its tail set
+        tails = [frozenset(f[5 - k:]) for f in fs]
+        assert len(set(tails)) == len(tails)
+        for f, heads, tail in table:
+            least = min(g for g in full if frozenset(g[5 - k:]) == frozenset(f[5 - k:]))
+            assert f == least
+            # heads and tail in the bit convention of SimpleGraph.masks
+            assert [v + 1 for v in heads] == list(f[:5 - k])
+            assert {v for v in range(1, 6) if tail >> (v - 1) & 1} == set(f[5 - k:])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -285,10 +285,18 @@ def test_nonpositive_cap_flag_exits_usage(capsys, p3_file, flag):
     assert f"error: argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_nan_timeout_flag_exits_usage(capsys, p3_file):
+    # a NaN deadline is never passed, so it would turn the time limit off
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "antimagic", p3_file, "--timeout-seconds", "nan"])
+    assert exc.value.code == EXIT_USAGE
+    assert "error: argument --timeout-seconds: not a number: 'nan'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, value",
     [("MAX_N", "abc"), ("MAX_N", "0"), ("MAX_STEPS", "-1"), ("TIMEOUT_SECONDS", "soon"),
-     ("WORKERS", "0")],
+     ("TIMEOUT_SECONDS", "nan"), ("WORKERS", "0")],
 )
 def test_bad_environment_value_exits_usage(capsys, monkeypatch, p3_file, name, value):
     monkeypatch.setenv("COMBSPECTRA_" + name, value)
@@ -617,6 +625,19 @@ def test_one_two_three_size_guard(capsys, tmp_path):
     )
     assert code == EXIT_SIZE_GUARD
     assert "guard" in err
+
+
+def test_hamiltonian_step_guard_names_the_spectrum(capsys, tmp_path):
+    from combspectra.graphs import cycle_graph
+
+    c4 = tmp_path / "c4.edges"
+    c4.write_text(to_edge_list(cycle_graph(4)))
+    code, _out, err = run(capsys, "check", "hamiltonian", str(c4), "--max-steps", "10")
+    assert code == EXIT_SIZE_GUARD
+    assert err == (
+        "error (size-guard): step guard exceeded: Hamiltonian spectrum needs 24 steps"
+        " > max_steps=10\n"
+    )
 
 
 def test_check_output_byte_identical_across_runs(capsys, p3_file):

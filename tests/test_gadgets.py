@@ -17,7 +17,6 @@ from combspectra.gadgets import (
     cycle_pair_maps,
     degree_reader,
     distance_weighting,
-    domination_pair_maps,
     domination_probe,
     edge_indicator,
     generator_pair_maps,
@@ -291,21 +290,6 @@ def test_bijection_maps_identity_first():
     assert maps[0][1] == tuple(range(6))
     assert len(maps) == 24
     assert identity_pair_maps(4) == maps[:1]
-
-
-def test_domination_pair_maps_are_least_coset_representatives():
-    assert [f for f, _m in domination_pair_maps(1, 3)] == [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
-    full = dict(bijection_pair_maps(5))
-    for k in range(1, 5):
-        reps = domination_pair_maps(k, 5)
-        fs = [f for f, _m in reps]
-        assert fs == sorted(fs) and len(fs) == math.comb(5, k)
-        # each entry is the least bijection with its tail set, with its own pair map
-        tails = [frozenset(f[5 - k:]) for f in fs]
-        assert len(set(tails)) == len(tails)
-        for f, pmap in reps:
-            least = min(g for g in full if frozenset(g[5 - k:]) == frozenset(f[5 - k:]))
-            assert f == least and pmap == full[f]
 
 
 def test_cycle_pair_maps_are_least_coset_representatives():

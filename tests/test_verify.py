@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from combspectra import verify
-from combspectra.graphs import parse_graph6
+from combspectra.errors import UsageError
+from combspectra.graphs import parse_graph6, to_graph6
 from combspectra.limits import DEFAULT_LIMITS
 
 
@@ -47,10 +48,7 @@ def pools(monkeypatch):
 
 
 def _size(task):
-    subject, payload = task[:2]
-    if subject == "fixpoint":
-        return payload, payload * (payload - 1) // 2
-    g = parse_graph6(payload)
+    g = parse_graph6(task[1])
     return g.n, g.m
 
 
@@ -59,7 +57,8 @@ def test_pool_starts_at_most_one_process_per_batch(pools):
     (pool,) = pools
     assert pool.max_workers <= 2
     assert pool.chunksize == 1
-    assert [task[1] for task in pool.tasks] == [3, 2]
+    # one task per order, carrying K_n
+    assert [_size(task) for task in pool.tasks] == [(3, 3), (2, 1)]
     assert report == verify.run_theorem("fixpoint", max_n=3, workers=1)
 
 
@@ -78,17 +77,29 @@ def test_pool_sends_largest_first_in_batches_and_keeps_corpus_order(pools):
 def test_theorem_task_takes_one_task_tuple():
     # The benchmark's trace wraps this function by name, one span per task.
     assert list(inspect.signature(verify._theorem_task).parameters) == ["args"]
-    limits_fields = (
-        DEFAULT_LIMITS.max_n,
-        DEFAULT_LIMITS.max_family,
-        DEFAULT_LIMITS.max_steps,
-        DEFAULT_LIMITS.deadline,
-    )
-    rows = verify._theorem_task(("domination", "Bw", (), limits_fields))
+    rows = verify._theorem_task(("domination", "Bw", (), DEFAULT_LIMITS))
     assert [(row["graph"], row["k"], row["agree"]) for row in rows] == [
         ("Bw", 1, True),
         ("Bw", 2, True),
     ]
+
+
+def test_each_graph_is_encoded_once_per_task(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return to_graph6(g)
+
+    monkeypatch.setattr(verify, "to_graph6", counting)
+    report = verify.run_theorem("domination", max_n=5)
+    assert len(calls) == report["summary"]["tasks"] == 30
+    assert len(set(calls)) == len(calls)
+
+
+def test_sweeps_stop_at_the_graph6_order_cap():
+    with pytest.raises(UsageError, match="up to 62, got max_n=63"):
+        verify.run_theorem("fixpoint", max_n=63)
 
 
 def test_importing_the_cli_loads_no_pool():
