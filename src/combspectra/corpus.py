@@ -1,11 +1,17 @@
-"""Generation of all connected graphs up to isomorphism at desk scale.
+"""All connected graphs up to isomorphism at desk scale.
 
-Built by vertex augmentation: every connected graph on n vertices arises from
-a connected graph P on n-1 vertices by attaching vertex n to a nonempty
-neighbour set S (every connected graph has a non-cut vertex).  Candidates
-come parent by parent in corpus order, and each parent's sets by size, then
-lexicographically.  The representative of a class is its first-seen
-candidate, which makes the corpus deterministic.
+Orders 1..7 are read from ``corpus.g6`` beside this module: one graph6 line
+per graph, orders in turn, each in generation order.  It holds exactly what
+the generator below produces for those orders (the tests check this byte
+for byte), so reading it only saves the work.  Every later order is
+generated from the one before it.
+
+Generation is by vertex augmentation: every connected graph on n vertices
+arises from a connected graph P on n-1 vertices by attaching vertex n to a
+nonempty neighbour set S (every connected graph has a non-cut vertex).
+Candidates come parent by parent in corpus order, and each parent's sets by
+size, then lexicographically.  The representative of a class is its
+first-seen candidate, which makes the corpus deterministic.
 
 Two devices keep the work small, in the spirit of McKay's isomorph-free
 generation ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998):
@@ -28,9 +34,10 @@ from __future__ import annotations
 from functools import cache
 from itertools import accumulate, combinations
 from operator import or_
+from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, parse_graph6
 from .limits import DEFAULT_LIMITS, Limits
 
 __all__ = ["connected_graphs", "connected_graphs_up_to"]
@@ -39,7 +46,11 @@ __all__ = ["connected_graphs", "connected_graphs_up_to"]
 # a self-check.
 _EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
-# Every order generated so far; an order is stored only once it is complete.
+# The stored orders: one graph6 line per graph, each order's lines together.
+_TABLE = Path(__file__).with_name("corpus.g6")
+
+# Every order read or generated so far; an order is kept only once it is
+# complete and its count checked.
 _ORDERS: dict[int, tuple[SimpleGraph, ...]] = {}
 
 
@@ -172,26 +183,43 @@ def _next_order(
             if not any(_isomorphic(form, rep) for rep in bucket):
                 bucket.append(form)
                 reps.append(SimpleGraph(n, parent.edges | {(v + 1, n) for v in nbrs}))
+    return _counted(tuple(reps), n, "corpus generator produced")
+
+
+def _counted(reps: tuple[SimpleGraph, ...], n: int, source: str) -> tuple[SimpleGraph, ...]:
+    """reps, once their number is the known count for order n, where known."""
     expected = _EXPECTED_COUNTS.get(n)
     if expected is not None and len(reps) != expected:
         raise AssertionError(
-            f"corpus generator produced {len(reps)} connected graphs on "
-            f"{n} vertices, expected {expected}"
+            f"{source} {len(reps)} connected graphs on {n} vertices, expected {expected}"
         )
-    return tuple(reps)
+    return reps
+
+
+def _stored(n: int) -> list[str]:
+    """The graph6 lines of order n in the stored table, in corpus order;
+    empty for an order the table does not hold."""
+    head = chr(63 + n)
+    with open(_TABLE, encoding="ascii") as table:
+        return [line for line in table if line[0] == head]
 
 
 def connected_graphs(n: int, *, limits: Limits = DEFAULT_LIMITS) -> tuple[SimpleGraph, ...]:
     """All connected graphs on n vertices, one per isomorphism class.
 
-    Orders are generated once per process and kept.  The deadline of
-    ``limits`` is polled once per parent graph; an order it stops is not
-    kept."""
+    An order is read from the stored table when it holds that order, and
+    generated from order n-1 otherwise, once per process, and kept.  The
+    deadline of ``limits`` is polled once per stored order read and once per
+    parent graph generated from; an order it stops is not kept."""
     if n < 1:
         raise ValueError("need n >= 1")
     reps = _ORDERS.get(n)
     if reps is None:
-        if n == 1:
+        lines = _stored(n)
+        if lines:
+            limits.check_time()
+            reps = _counted(tuple(map(parse_graph6, lines)), n, "corpus table holds")
+        elif n == 1:
             reps = (SimpleGraph(1),)
         else:
             reps = _next_order(connected_graphs(n - 1, limits=limits), n, limits)

@@ -87,14 +87,21 @@ def all_bijections(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
 
 
+@lru_cache(maxsize=None)
+def _pair_ranks(n: int) -> tuple[tuple[int, ...], ...]:
+    """``rank[u][v]``: the rank of the pair {u, v} of {1..n}, either way round
+    (row and column 0 and the diagonal are unused)."""
+    rank = [[0] * (n + 1) for _ in range(n + 1)]
+    for r, (u, v) in enumerate(pairs_in_rank_order(n)):
+        rank[u][v] = rank[v][u] = r
+    return tuple(map(tuple, rank))
+
+
 def _pair_map_of(f: Sequence[int], n: int) -> tuple[int, ...]:
-    m = []
-    for u, v in pairs_in_rank_order(n):
-        fu, fv = f[u - 1], f[v - 1]
-        if fu > fv:
-            fu, fv = fv, fu
-        m.append((fv - 1) * (fv - 2) // 2 + fu - 1)
-    return tuple(m)
+    """The pair of rank p, (u, v), goes to the pair of rank ``m[p]``,
+    {f(u), f(v)}."""
+    rank = _pair_ranks(n)
+    return tuple([rank[f[u - 1]][f[v - 1]] for u, v in pairs_in_rank_order(n)])
 
 
 @lru_cache(maxsize=None)

@@ -21,8 +21,9 @@ class Limits:
     ``deadline`` is an absolute ``time.time()`` timestamp.  Spectrum scans,
     family products and sums, the Hamiltonian spectrum and the brute-force
     oracles poll it at the start of every loop and every 4096 steps; corpus
-    sweeps poll it between tasks, corpus generation once per parent graph,
-    the ring-axiom suite once per trial and the reader suites before each
+    sweeps poll it between tasks, the corpus once per order read from its
+    table and once per parent graph of an order generated beyond it, the
+    ring-axiom suite once per trial and the reader suites before each
     order, after its build and after its comparison.  Once it has passed
     they abort with :class:`TimeLimitError`.
     """

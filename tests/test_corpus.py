@@ -1,5 +1,6 @@
-"""Connected-graph corpus: exact counts, determinism, the bucket signature,
-the isomorphism search and the orbit pruning."""
+"""Connected-graph corpus: exact counts, determinism, the stored table and
+its handoff to the generator, the bucket signature, the isomorphism search
+and the orbit pruning."""
 
 import hashlib
 import warnings
@@ -13,10 +14,24 @@ import pytest
 
 from combspectra import corpus
 from combspectra.corpus import connected_graphs, connected_graphs_up_to
-from combspectra.errors import TimeLimitError
+from combspectra.errors import ParseError, TimeLimitError
 from combspectra.graphs import SimpleGraph, is_connected, to_graph6
+from combspectra.limits import DEFAULT_LIMITS
 
-GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus.g6"
+TABLE = Path(corpus.__file__).with_name("corpus.g6")
+
+
+def _use_table(monkeypatch, tmp_path, text: str) -> None:
+    """Serve the corpus from a table holding text, with no order kept yet;
+    an empty table holds no order, so every order is generated."""
+    path = tmp_path / "corpus.g6"
+    path.write_text(text)
+    monkeypatch.setattr(corpus, "_TABLE", path)
+    monkeypatch.setattr(corpus, "_ORDERS", {})
+
+
+def _table_lines(keep=lambda line: True) -> list[str]:
+    return [line for line in TABLE.read_text().splitlines(keepends=True) if keep(line)]
 
 
 def test_connected_counts():
@@ -51,9 +66,9 @@ def test_deterministic_order():
     assert a == b
 
 
-def test_generation_records_no_warnings(monkeypatch):
+def test_generation_records_no_warnings(monkeypatch, tmp_path):
     # networkx >= 3.5 warns on every attribute-free WL hash
-    monkeypatch.setattr(corpus, "_ORDERS", {})
+    _use_table(monkeypatch, tmp_path, "")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         connected_graphs(4)
@@ -61,9 +76,66 @@ def test_generation_records_no_warnings(monkeypatch):
 
 
 def test_corpus_matches_golden_graph6():
-    # n = 1..7 in generation order, one graph6 line each
-    fresh = "".join(to_graph6(g) + "\n" for g in connected_graphs_up_to(7))
-    assert fresh == GOLDEN_CORPUS.read_text()
+    # the generator's n = 1..7 in generation order, one graph6 line each, is
+    # the stored table byte for byte
+    orders = [(SimpleGraph(1),)]
+    for n in range(2, 8):
+        orders.append(corpus._next_order(orders[-1], n, DEFAULT_LIMITS))
+    fresh = "".join(to_graph6(g) + "\n" for order in orders for g in order)
+    assert fresh == TABLE.read_text()
+    assert "".join(to_graph6(g) + "\n" for g in connected_graphs_up_to(7)) == fresh
+
+
+def test_a_table_missing_a_line_fails_the_count(monkeypatch, tmp_path):
+    lines = _table_lines()
+    del lines[[line[0] for line in lines].index("E") + 40]
+    _use_table(monkeypatch, tmp_path, "".join(lines))
+    with pytest.raises(AssertionError, match="111 connected graphs on 6 vertices, expected 112"):
+        connected_graphs(6)
+    assert 6 not in corpus._ORDERS
+
+
+def test_a_malformed_table_line_raises_parse_error(monkeypatch, tmp_path):
+    lines = _table_lines()
+    i = [line[0] for line in lines].index("E") + 40
+    lines[i] = lines[i][:2] + "\n"  # one data character of the three n = 6 needs
+    _use_table(monkeypatch, tmp_path, "".join(lines))
+    with pytest.raises(ParseError):
+        connected_graphs(6)
+    assert 6 not in corpus._ORDERS
+
+
+def test_an_order_beyond_the_table_is_generated_from_its_last(monkeypatch, tmp_path):
+    # the handoff order 8 takes from the full table, at order 6 of a cut one
+    _use_table(monkeypatch, tmp_path, "".join(_table_lines(lambda line: line[0] <= "D")))
+    generated = []
+    next_order = corpus._next_order
+
+    def spy(parents, n, limits):
+        generated.append(n)
+        return next_order(parents, n, limits)
+
+    monkeypatch.setattr(corpus, "_next_order", spy)
+    sixes = "".join(to_graph6(g) + "\n" for g in connected_graphs(6))
+    assert generated == [6]
+    assert sixes == "".join(_table_lines(lambda line: line[0] == "E"))
+
+
+def test_a_stored_order_polls_the_deadline_once(monkeypatch):
+    monkeypatch.setattr(corpus, "_ORDERS", {})
+    with pytest.raises(TimeLimitError):
+        connected_graphs(7, limits=_StopAfter(0))
+    assert 7 not in corpus._ORDERS
+    assert len(connected_graphs(7, limits=_StopAfter(1))) == 853
+
+
+def test_the_table_ships_beside_the_corpus_module():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    package_data = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]
+    assert "corpus.g6" in package_data["combspectra"]
+    assert corpus._TABLE == TABLE
+    assert TABLE.is_file()
 
 
 def _form(g: SimpleGraph) -> corpus._Form:
@@ -154,8 +226,8 @@ class _StopAfter:
             raise TimeLimitError("wall-clock deadline exceeded")
 
 
-def test_deadline_keeps_finished_orders_and_drops_the_stopped_one(monkeypatch):
-    monkeypatch.setattr(corpus, "_ORDERS", {})
+def test_deadline_keeps_finished_orders_and_drops_the_stopped_one(monkeypatch, tmp_path):
+    _use_table(monkeypatch, tmp_path, "")
     # one poll per parent: one at n = 2 and 3, two at n = 4, six at n = 5;
     # the deadline passes at the fourth parent of n = 5
     with pytest.raises(TimeLimitError):

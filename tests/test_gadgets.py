@@ -292,6 +292,14 @@ def test_bijection_maps_identity_first():
     assert identity_pair_maps(4) == maps[:1]
 
 
+def test_pair_maps_send_each_pair_to_the_rank_of_its_image():
+    # entry (f, m): the pair of rank p, (u, v), goes to rank pair_index(f(u), f(v))
+    for n in range(1, 7):
+        entries = bijection_pair_maps(n) + (cycle_pair_maps(n) if n >= 3 else ())
+        for f, pmap in entries:
+            assert pmap == tuple(pair_index(f[u - 1], f[v - 1]) for u, v in pairs_in_rank_order(n))
+
+
 def test_cycle_pair_maps_are_least_coset_representatives():
     for n in (3, 4, 5, 6):
         full = dict(bijection_pair_maps(n))
