@@ -158,26 +158,26 @@ def scan(
     stats = SearchStats(witnesses=0 if exhaustive else None)
     orbit = math.factorial(gadget.n) // len(reps)
     first = None
-    limits.check_time()
-    for h in members:
-        stats.members += 1
-        for f, pmap in reps:
-            p = star_sum(h, gadget, pmap)
-            stats.bijections += 1
-            if not stats.bijections % 4096:
-                limits.check_time()
-            if accept(h, p):
-                if first is None:
-                    first = Verdict(
-                        True,
-                        witness_polynomial=p,
-                        witness_graph=h,
-                        witness_bijection=f,
-                        stats=stats,
-                    )
-                if not exhaustive:
-                    return first
-                stats.witnesses += orbit
+    # one step stream, so that the deadline polls count steps across members
+    steps = ((h, f, pmap) for h in members for f, pmap in reps)
+    for h, f, pmap in limits.polled(steps):
+        p = star_sum(h, gadget, pmap)
+        stats.bijections += 1
+        if accept(h, p):
+            if first is None:
+                first = Verdict(
+                    True,
+                    witness_polynomial=p,
+                    witness_graph=h,
+                    witness_bijection=f,
+                    stats=stats,
+                )
+            if not exhaustive:
+                break
+            stats.witnesses += orbit
+    # each member takes len(reps) steps in turn, so ceil(bijections /
+    # len(reps)) members were begun
+    stats.members = -(-stats.bijections // len(reps))
     return first if first is not None else Verdict(False, stats=stats)
 
 
@@ -474,11 +474,8 @@ def dominating_k(
     stats = SearchStats(members=1, witnesses=0 if exhaustive else None)
     orbit = math.factorial(n) // len(table)
     first = None
-    limits.check_time()
-    for f, heads, tail in table:
+    for f, heads, tail in limits.polled(table):
         stats.bijections += 1
-        if not stats.bijections % 4096:
-            limits.check_time()
         for h in heads:
             if not adj[h] & tail:
                 break
@@ -612,7 +609,6 @@ def hamiltonian_spectrum(
         raise PreconditionError("the Hamiltonian spectrum needs a connected graph")
     limits.check_n(n)
     limits.check_steps(math.factorial(n), "Hamiltonian spectrum")
-    limits.check_time()
     on_cycle = n >= 3 and h == cycle_graph(n)
     maps = cycle_pair_maps(n) if on_cycle else bijection_pair_maps(n)
     distances = distance_weighting(g).weights
@@ -623,7 +619,7 @@ def hamiltonian_spectrum(
     edges = [pair_index(u, v) for u, v in h.edges]
     seen: set[int] = set()
     totals: set[RingElem] = set()
-    for step, (_f, pmap) in enumerate(maps, 1):
+    for _f, pmap in limits.polled(maps):
         key = sum(map(unit.__getitem__, map(pmap.__getitem__, edges)))
         if key not in seen:
             seen.add(key)
@@ -633,8 +629,6 @@ def hamiltonian_spectrum(
             totals.add(total)
             if len(totals) > limits.max_family:
                 limits.check_family(len(totals), "Hamiltonian spectrum")
-        if not step % 4096:
-            limits.check_time()
     return Spectrum(totals)
 
 

@@ -238,9 +238,8 @@ def _relabel_closure(
     gens = [pair_map for _f, pair_map in generator_pair_maps(family.n)]
     closure = list(family._member_set)
     seen = set(closure)
-    limits.check_time()
     # the loop also visits the relabelings it appends, in the order found
-    for step, g in enumerate(closure, 1):
+    for g in limits.polled(closure):
         for pair_map in gens:
             relabeled = g.relabeled(pair_map)
             if relabeled not in seen:
@@ -248,8 +247,6 @@ def _relabel_closure(
                 closure.append(relabeled)
         if len(closure) > limits.max_family:
             limits.check_family(len(closure), "relabel closure")
-        if not step % 4096:
-            limits.check_time()
     return tuple(closure)
 
 
@@ -277,15 +274,11 @@ def family_product(
         len(left) * len(right) * math.factorial(n), "family product"
     )
     closure = _relabel_closure(right, limits)
-    limits.check_time()
     out: set[WeightedCompleteGraph] = set()
-    pairs = itertools.product(left._member_set, closure)
-    for step, (h, g) in enumerate(pairs, 1):
+    for h, g in limits.polled(itertools.product(left._member_set, closure)):
         out.add(h * g)
         if len(out) > limits.max_family:
             limits.check_family(len(out), "family product")
-        if not step % 4096:
-            limits.check_time()
     return GraphFamily(n, out)
 
 
@@ -298,15 +291,11 @@ def family_sum(
             f"family sum needs equal orders, got {left.n} and {right.n}"
         )
     limits.check_steps(len(left) * len(right), "family sum")
-    limits.check_time()
     out: set[WeightedCompleteGraph] = set()
-    pairs = itertools.product(left._member_set, right._member_set)
-    for step, (h, g) in enumerate(pairs, 1):
+    for h, g in limits.polled(itertools.product(left._member_set, right._member_set)):
         out.add(h + g)
         if len(out) > limits.max_family:
             limits.check_family(len(out), "family sum")
-        if not step % 4096:
-            limits.check_time()
     return GraphFamily(left.n, out)
 
 
@@ -435,4 +424,4 @@ def colorings_of_graph(
     verification suite checks on small orders."""
     distinct = len(set(palette))
     limits.check_family(distinct ** g.m, f"{distinct}-colorings of {g.m} edges")
-    return GraphFamily(g.n, iter_colorings(g, palette))
+    return GraphFamily(g.n, limits.polled(iter_colorings(g, palette)))

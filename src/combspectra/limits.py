@@ -8,24 +8,35 @@ rather than truncating.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator, TypeVar
 
 from .errors import SizeGuardError, TimeLimitError
+
+T = TypeVar("T")
+
+# The poll period of Limits.polled, in items: one clock read per batch
+# is lost beside the items' own work, and at microseconds per item a batch
+# overruns the deadline by a fraction of a second at most.
+_POLL_EVERY = 4096
 
 
 @dataclass(frozen=True)
 class Limits:
     """Hard caps on enumeration size.
 
-    ``deadline`` is an absolute ``time.time()`` timestamp.  Spectrum scans,
-    family products and sums, the Hamiltonian spectrum and the brute-force
-    oracles poll it at the start of every loop and every 4096 steps; corpus
-    sweeps poll it between tasks, the corpus once per order read from its
-    table and once per parent graph of an order generated beyond it, the
-    ring-axiom suite once per trial and the reader suites before each
-    order, after its build and after its comparison.  Once it has passed
-    they abort with :class:`TimeLimitError`.
+    ``deadline`` is an absolute ``time.time()`` timestamp; once it has
+    passed, a poll (:meth:`check_time`) raises :class:`TimeLimitError`.
+    Every enumeration of bijections, colorings, family members or oracle
+    candidates iterates :meth:`polled`.  Loops whose every step is costly
+    poll once per step instead: corpus sweeps between tasks, the
+    corpus once per order read from its table and once per parent graph of
+    an order generated beyond it, the ring-axiom suite once per trial and
+    the reader suites before each order, after its build and after its
+    comparison.
     """
 
     max_n: int = 7
@@ -36,6 +47,8 @@ class Limits:
     def __post_init__(self) -> None:
         if self.max_n < 1 or self.max_family < 1 or self.max_steps < 1:
             raise ValueError("all limit caps must be positive")
+        if self.deadline is not None and math.isnan(self.deadline):
+            raise ValueError("the deadline must be a number, got NaN")
 
     def check_n(self, n: int) -> None:
         if n > self.max_n:
@@ -60,6 +73,23 @@ class Limits:
     def check_time(self) -> None:
         if self.deadline is not None and time.time() > self.deadline:
             raise TimeLimitError("wall-clock deadline exceeded")
+
+    def polled(self, items: Iterable[T]) -> Iterator[T]:
+        """The items unchanged, polling the deadline before the first item
+        and again before every 4096th: 1 + N // 4096 polls for N items.
+        Without a deadline there is nothing to poll, and the items' own
+        iterator is returned."""
+        if self.deadline is None:
+            return iter(items)
+        return self._polled(iter(items))
+
+    def _polled(self, it: Iterator[T]) -> Iterator[T]:
+        self.check_time()
+        yield from islice(it, _POLL_EVERY - 1)
+        for item in it:
+            self.check_time()
+            yield item
+            yield from islice(it, _POLL_EVERY - 1)
 
 
 DEFAULT_LIMITS = Limits()

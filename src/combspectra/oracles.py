@@ -67,12 +67,7 @@ def antimagic_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> OracleR
     edges = g.sorted_edges()
     m = len(edges)
     limits.check_steps(math.factorial(m), "antimagic oracle")
-    limits.check_time()
-    enumerated = 0
-    for perm in permutations(range(1, m + 1)):
-        enumerated += 1
-        if not enumerated % 4096:
-            limits.check_time()
+    for enumerated, perm in enumerate(limits.polled(permutations(range(1, m + 1))), 1):
         labels = dict(zip(edges, perm))
         degrees = _weighted_degrees(g, labels)
         if len(set(degrees)) == g.n:
@@ -92,11 +87,8 @@ def strength_oracle(
     enumerated = 0
     for k in range(1, k_max + 1):
         limits.check_steps(k**m, f"strength oracle at k={k}")
-        limits.check_time()
-        for combo in product(range(1, k + 1), repeat=m):
+        for combo in limits.polled(product(range(1, k + 1), repeat=m)):
             enumerated += 1
-            if not enumerated % 4096:
-                limits.check_time()
             labels = dict(zip(edges, combo))
             degrees = _weighted_degrees(g, labels)
             if len(set(degrees)) == g.n:
@@ -118,12 +110,7 @@ def chi_sigma_oracle(
     edges = g.sorted_edges()
     m = len(edges)
     limits.check_steps(k**m, "vertex-coloring labeling oracle")
-    limits.check_time()
-    enumerated = 0
-    for combo in product(range(1, k + 1), repeat=m):
-        enumerated += 1
-        if not enumerated % 4096:
-            limits.check_time()
+    for enumerated, combo in enumerate(limits.polled(product(range(1, k + 1), repeat=m)), 1):
         labels = dict(zip(edges, combo))
         degrees = _weighted_degrees(g, labels)
         if all(degrees[u - 1] != degrees[v - 1] for u, v in edges):
@@ -139,12 +126,7 @@ def domination_oracle(
         raise PreconditionError(f"k must be in 1..{g.n}, got {k}")
     adj = g.adjacency
     limits.check_steps(math.comb(g.n, k), "domination oracle")
-    limits.check_time()
-    enumerated = 0
-    for subset in combinations(range(1, g.n + 1), k):
-        enumerated += 1
-        if not enumerated % 4096:
-            limits.check_time()
+    for enumerated, subset in enumerate(limits.polled(combinations(range(1, g.n + 1), k)), 1):
         chosen = set(subset)
         if all(v in chosen or nbrs & chosen for v, nbrs in enumerate(adj, 1)):
             return OracleResult(True, frozenset(subset), enumerated)
@@ -165,12 +147,7 @@ def edge_roman_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Oracle
     ]
     best: int | None = None
     best_fn = None
-    limits.check_time()
-    enumerated = 0
-    for combo in product((0, 1, 2), repeat=m):
-        enumerated += 1
-        if not enumerated % 4096:
-            limits.check_time()
+    for enumerated, combo in enumerate(limits.polled(product((0, 1, 2), repeat=m)), 1):
         if best is not None and sum(combo) >= best:
             continue
         ok = all(
@@ -199,13 +176,10 @@ def hamiltonian_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Oracl
     best_order = None
     enumerated = 0
     rest = list(range(2, g.n + 1))
-    limits.check_time()
-    for perm in permutations(rest):
+    for perm in limits.polled(permutations(rest)):
         if perm[0] > perm[-1]:  # each cycle once, not its reflection
             continue
         enumerated += 1
-        if not enumerated % 4096:
-            limits.check_time()
         order = (1, *perm)
         total = sum(
             dist[order[i]][order[(i + 1) % g.n]] for i in range(g.n)

@@ -209,9 +209,7 @@ def _rows_edge_roman(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits
     # Weight identity: the decoded weight of every coloring must equal
     # |E| plus its total weight at y=1.
     identity_failures = 0
-    enumerated = 0
-    for h in iter_colorings(g, ROMAN_PALETTE):
-        enumerated += 1
+    for enumerated, h in enumerate(limits.polled(iter_colorings(g, ROMAN_PALETTE)), 1):
         decoded = ch.decode_edge_roman(h, g)
         direct = sum(decoded.values())
         via_total = g.m + h.total_weight().eval(1, 1).re
@@ -498,12 +496,11 @@ def _reader_searches(g: SimpleGraph, rng: Random) -> list[tuple]:
     ]
 
 
-def _full_product(left: GraphFamily, right: GraphFamily) -> GraphFamily:
+def _full_product(left: GraphFamily, right: GraphFamily, limits: Limits) -> GraphFamily:
     """The family product by its definition, over all n! bijections."""
     maps = bijection_pair_maps(left.n)
-    return GraphFamily(
-        left.n, (h.star_with_map(g, m) for h in left for g in right for _f, m in maps)
-    )
+    products = (h.star_with_map(g, m) for h in left for g in right for _f, m in maps)
+    return GraphFamily(left.n, limits.polled(products))
 
 
 def _weighting_by_probes(h: WeightedCompleteGraph, limits: Limits) -> tuple[bool, bool]:
@@ -540,11 +537,11 @@ def _family_product_orbit_failures(
         left = singleton(indicator(rng.choice(graphs)))
         for right in (*fixed, singleton(indicator(rng.choice(graphs)))):
             if right not in is_closed:
-                is_closed[right] = _full_product(complete, right) == right
+                is_closed[right] = _full_product(complete, right, limits) == right
             checks += 1
             failures += (
                 is_relabel_closed(right, limits) != is_closed[right]
-                or family_product(left, right, limits) != _full_product(left, right)
+                or family_product(left, right, limits) != _full_product(left, right, limits)
             )
     return checks, failures
 
@@ -557,7 +554,9 @@ def _hamiltonian_orbit_failures(
     cycle = cycle_graph(n)
     checks = failures = 0
     for g in graphs:
-        full = _full_product(singleton(indicator(cycle)), singleton(distance_weighting(g)))
+        full = _full_product(
+            singleton(indicator(cycle)), singleton(distance_weighting(g)), limits
+        )
         checks += 1
         failures += ch.hamiltonian_spectrum(cycle, g, limits) != spectrum_of(full)
     return checks, failures
