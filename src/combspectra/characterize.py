@@ -3,15 +3,13 @@
 Each predicate searches a combinatorial spectrum (total weights of star
 products over colorings and bijections) for a polynomial whose coefficients
 certify the property, and returns a :class:`Verdict` carrying the witness.
-The labeling checks and edge Roman domination come from one :func:`scan`,
-which visits one bijection per orbit of a symmetry group that leaves the
-verdict unchanged (the identity alone for the reader gadgets).  A single
-weighting is scanned as it is (:func:`_weighting_scan`), a graph through
-every coloring of its edges (:func:`_coloring_scan`).  Two searches have
-kernels of their own that read the same spectra without ring sums:
-:func:`dominating_k` tests one adjacency bitmask per head against the tail
-set of each representative, and :func:`hamiltonian_spectrum` sums
-distance-class counts.  Searches run in a fixed lexicographic order
+The labeling checks and edge Roman domination read a reader gadget along the
+identity alone, one :func:`_scan` step per member: a single weighting
+(:func:`_weighting_scan`) or each coloring of a graph's edges
+(:func:`_coloring_scan`).  :func:`dominating_k` and
+:func:`hamiltonian_spectrum` read the same spectra without ring sums, by tail
+bitmasks and distance-class counts.  ``verify --identity orbit`` checks each
+against the full n! scan.  Searches run in a fixed lexicographic order
 (colorings first, bijections second) and short-circuit on the first witness,
 which is also the first witness of the full n! scan, so results are fully
 deterministic; pass ``exhaustive=True`` to count every witness instead.
@@ -69,7 +67,6 @@ __all__ = [
     "hamiltonian_number",
     "decode_edge_roman",
     "dominating_set_of",
-    "scan",
 ]
 
 
@@ -136,48 +133,34 @@ def _dense_x_constants(p: RingElem, size: int) -> list[tuple[int, int]]:
     return out
 
 
-def scan(
+def _scan(
     members: Iterable[WeightedCompleteGraph],
     gadget: WeightedCompleteGraph,
-    reps: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
     accept: Callable[[WeightedCompleteGraph, RingElem], bool],
-    limits: Limits = DEFAULT_LIMITS,
+    limits: Limits,
     exhaustive: bool = False,
 ) -> Verdict:
-    """Scan s(H *_f gadget) over members H and the ``(f, pair map)`` entries
-    of ``reps``, members outermost, both in the given order, and return the
-    :class:`Verdict`.
-
-    ``reps`` holds one bijection per orbit of a group under which ``accept``
-    is invariant, the orbits splitting all n! bijections into ``len(reps)``
-    equal parts; ``bijection_pair_maps(n)`` is the full scan.  The first
-    accepted ``(h, f, p)`` is the witness.  Without ``exhaustive`` the scan
-    stops there; with it, ``stats.witnesses`` counts the accepted bijections,
-    each accepted entry counting for its whole orbit.
+    """Read s(H *_f gadget) along the identity f for each member H, in the
+    given order; the first accepted member is the witness of the
+    :class:`Verdict`.  Starring along another bijection must leave
+    ``accept`` unchanged, so the identity decides each member for all n!:
+    with ``exhaustive``, ``stats.witnesses`` counts n! per accepted member.
     """
+    [(f, pmap)] = identity_pair_maps(gadget.n)
     stats = SearchStats(witnesses=0 if exhaustive else None)
-    orbit = math.factorial(gadget.n) // len(reps)
     first = None
-    # one step stream, so that the deadline polls count steps across members
-    steps = ((h, f, pmap) for h in members for f, pmap in reps)
-    for h, f, pmap in limits.polled(steps):
+    for h in limits.polled(members):
+        stats.members += 1
         p = star_sum(h, gadget, pmap)
-        stats.bijections += 1
         if accept(h, p):
             if first is None:
                 first = Verdict(
-                    True,
-                    witness_polynomial=p,
-                    witness_graph=h,
-                    witness_bijection=f,
-                    stats=stats,
+                    True, witness_polynomial=p, witness_graph=h, witness_bijection=f, stats=stats
                 )
             if not exhaustive:
                 break
-            stats.witnesses += orbit
-    # each member takes len(reps) steps in turn, so ceil(bijections /
-    # len(reps)) members were begun
-    stats.members = -(-stats.bijections // len(reps))
+            stats.witnesses += math.factorial(gadget.n)
+    stats.bijections = stats.members
     return first if first is not None else Verdict(False, stats=stats)
 
 
@@ -194,28 +177,27 @@ def _weighting_scan(
     _require_constant_nonneg(g)
     limits.check_n(g.n)
     limits.check_steps(math.factorial(g.n), what)
-    return scan((g,), gadget(g.n), identity_pair_maps(g.n), accept, limits)
+    return _scan((g,), gadget(g.n), accept, limits)
 
 
 def _coloring_scan(
     g: SimpleGraph,
-    palette: Sequence[RingElem],
+    p: int,
+    palette: Callable[[int], Sequence[RingElem]],
     gadget: Callable[[int], WeightedCompleteGraph],
     accept: Callable[[WeightedCompleteGraph, RingElem], bool],
     what: str,
     limits: Limits,
     exhaustive: bool,
 ) -> Verdict:
-    """Scan every palette coloring of g's edges against ``gadget(n)`` along
-    the identity, after the guards: the order, the |palette|^m colorings and
-    their |palette|^m * n! bijections."""
-    n, m, p = g.n, g.m, len(palette)
+    """Scan every coloring of g's edges by the p colors of ``palette(p)``
+    against ``gadget(n)`` along the identity.  The guards come first (the
+    order, the p^m colorings and their p^m * n! bijections), then the palette."""
+    n, m = g.n, g.m
     limits.check_n(n)
     limits.check_family(p**m, f"{p}-colorings of {m} edges")
     limits.check_steps(p**m * math.factorial(n), f"{what} search")
-    return scan(
-        iter_colorings(g, palette), gadget(n), identity_pair_maps(n), accept, limits, exhaustive
-    )
+    return _scan(iter_colorings(g, palette(p)), gadget(n), accept, limits, exhaustive)
 
 
 # -- antimagic ----------------------------------------------------------------
@@ -288,9 +270,7 @@ def antimagic_family(
     for h in fam:
         _require_constant_nonneg(h)
     limits.check_steps(len(fam) * math.factorial(n), "antimagic family search")
-    return scan(
-        fam, _antimagic_gadget(n), identity_pair_maps(n), _antimagic_accept(n), limits, exhaustive
-    )
+    return _scan(fam, _antimagic_gadget(n), _antimagic_accept(n), limits, exhaustive)
 
 
 def antimagic_unweighted(
@@ -307,7 +287,7 @@ def antimagic_unweighted(
     if any(g.degree(v) == 0 for v in range(1, g.n + 1)):
         raise PreconditionError("antimagic needs a graph without isolated vertices")
     return _coloring_scan(
-        g, integer_palette(g.m), _antimagic_gadget, _antimagic_accept(g.n), "antimagic",
+        g, g.m, integer_palette, _antimagic_gadget, _antimagic_accept(g.n), "antimagic",
         limits, exhaustive,
     )
 
@@ -350,7 +330,7 @@ def strength_at_most(
     if any(g.degree(v) == 0 for v in range(1, g.n + 1)):
         raise PreconditionError("irregularity strength needs no isolated vertices")
     return _coloring_scan(
-        g, integer_palette(k), degree_reader, _strength_accept(g.n), "strength",
+        g, k, integer_palette, degree_reader, _strength_accept(g.n), "strength",
         limits, exhaustive,
     )
 
@@ -401,7 +381,7 @@ def one_two_three(
             f"a component of order {orders[0]} < 3 is present"
         )
     return _coloring_scan(
-        g, integer_palette(3), contrast_reader, _one_two_three_accept, "1-2-3",
+        g, 3, integer_palette, contrast_reader, _one_two_three_accept, "1-2-3",
         limits, exhaustive,
     )
 
@@ -572,8 +552,8 @@ def edge_roman_at_most(
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     return _coloring_scan(
-        g, ROMAN_PALETTE, cover_reader, _edge_roman_accept(n, m, k), "edge Roman",
-        limits, exhaustive,
+        g, len(ROMAN_PALETTE), lambda _p: ROMAN_PALETTE, cover_reader,
+        _edge_roman_accept(n, m, k), "edge Roman", limits, exhaustive,
     )
 
 

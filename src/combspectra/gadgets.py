@@ -151,8 +151,9 @@ def identity_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
     Starring a graph with a reader gadget along f only permutes the
     x-coefficients of the total; for the contrast reader it may also negate
     their real parts, when all weights are real.  The reader-gadget
-    characterizations test properties invariant under both, so the identity
-    stands for all n! bijections.
+    characterizations test properties invariant under both, so they read
+    each member along this bijection alone; ``verify --identity orbit``
+    checks each reading against all n! of :func:`bijection_pair_maps`.
     """
     return ((identity_bijection(n), tuple(range(n * (n - 1) // 2))),)
 

@@ -86,7 +86,7 @@ def strength_oracle(
     m = len(edges)
     enumerated = 0
     for k in range(1, k_max + 1):
-        limits.check_steps(k**m, f"strength oracle at k={k}")
+        limits.check_steps(enumerated + k**m, f"strength oracle up to k={k}")
         for combo in limits.polled(product(range(1, k + 1), repeat=m)):
             enumerated += 1
             labels = dict(zip(edges, combo))

@@ -51,11 +51,11 @@ from .gadgets import (
     distance_weighting,
     domination_probe,
     edge_indicator,
-    identity_pair_maps,
     indicator,
     pair_reader,
     pairs_in_rank_order,
     star_indicator,
+    star_sum,
 )
 from .graphs import SimpleGraph, complete_graph, cycle_graph, parse_graph6, to_graph6
 from .limits import DEFAULT_LIMITS, Limits
@@ -330,7 +330,7 @@ def run_theorem(
     Raises :class:`UsageError`, a ``ValueError``, before any work for an
     unknown subject, a ``max_n`` below the subject's least order or above
     62, label bounds for a subject that takes none, or no label bound for one
-    that takes them.
+    that takes them, or one below 1.
     """
     theorem = _THEOREMS.get(subject)
     if theorem is None:
@@ -348,6 +348,8 @@ def run_theorem(
     elif not ks and theorem.ks is not None:
         # a sweep over no label bound would report agreement having checked nothing
         raise UsageError(f"{subject} needs at least one label bound (--k)")
+    elif ks and min(ks) < 1:
+        raise UsageError(f"label bounds must be at least 1, got {list(ks)}")
     graphs = theorem.graphs(max_n, theorem.min_n, limits=limits)
     tasks = [(subject, to_graph6(g), tuple(ks), limits) for g in graphs]
     limits.check_time()
@@ -453,29 +455,42 @@ def _domination_accept(n: int, k: int):
     return accept
 
 
+def _full_scan(
+    h: WeightedCompleteGraph,
+    gadget: WeightedCompleteGraph,
+    accept: Callable[[WeightedCompleteGraph, ring.RingElem], bool],
+    limits: Limits,
+) -> tuple[tuple[int, ...] | None, ring.RingElem | None, int]:
+    """The n! reference: s(h *_f gadget) for every bijection f in lex order.
+    Returns the first accepted f (None if none), its polynomial, and the
+    number of accepted f."""
+    first, accepted = None, 0
+    for f, pmap in limits.polled(bijection_pair_maps(h.n)):
+        p = star_sum(h, gadget, pmap)
+        if accept(h, p):
+            accepted += 1
+            first = first or (f, p)
+    f, p = first or (None, None)
+    return f, p, accepted
+
+
 def _domination_orbit_failures(n: int, limits: Limits) -> tuple[int, int]:
-    """The tail-mask kernel of ``dominating_k`` against the ring scan of the
-    probe over all n! bijections, on every (graph, k) of order n: the
-    verdict, the first witness bijection, its polynomial and the exhaustive
-    count."""
+    """The tail-mask kernel of ``dominating_k`` against the full scan of the
+    probe, on every (graph, k) of order n: the verdict, the first witness
+    bijection, its polynomial and the exhaustive count."""
     checks = failures = 0
     for g in connected_graphs(n, limits=limits):
         for k in range(1, n):
             reduced = ch.dominating_k(g, k, limits, exhaustive=True)
-            full = ch.scan(
-                (domination_probe(k, n),),
-                indicator(g),
-                bijection_pair_maps(n),
-                _domination_accept(n, k),
-                limits,
-                exhaustive=True,
+            f, p, accepted = _full_scan(
+                domination_probe(k, n), indicator(g), _domination_accept(n, k), limits
             )
             checks += 1
             failures += (
-                reduced.holds != full.holds
-                or reduced.witness_bijection != full.witness_bijection
-                or reduced.witness_polynomial != full.witness_polynomial
-                or reduced.stats.witnesses != full.stats.witnesses
+                reduced.holds != (f is not None)
+                or reduced.witness_bijection != f
+                or reduced.witness_polynomial != p
+                or reduced.stats.witnesses != accepted
             )
     return checks, failures
 
@@ -564,8 +579,8 @@ def _hamiltonian_orbit_failures(
 
 def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> list[dict]:
     """Check that scanning one bijection per orbit decides like the full n!
-    scan: domination over the whole corpus, each reader gadget on ``trials``
-    random members colored from its own palette, family products by the
+    scan (:func:`_full_scan`, for domination over the whole corpus and each
+    reader on ``trials`` random members of its palette), family products by the
     right factor's relabel closure on ``trials`` random left members, and the
     Hamiltonian cycle spectrum over the whole corpus.  The ``weighting`` row
     checks the single-weighting irregular and antimagic scans against their
@@ -588,11 +603,10 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
                     [rng.choice(palette) if pair in g.edges else ring.ZERO
                      for pair in pairs_in_rank_order(n)],
                 )
-                counts = [
-                    ch.scan((member,), gadget, maps, accept, limits, True).stats.witnesses
-                    for maps in (identity_pair_maps(n), bijection_pair_maps(n))
-                ]
-                reader_failures[name] += counts[0] != counts[1]
+                read = ch._scan((member,), gadget, accept, limits, exhaustive=True)
+                reader_failures[name] += (
+                    read.stats.witnesses != _full_scan(member, gadget, accept, limits)[2]
+                )
             for h in (members["strength"], members["antimagic"]):
                 scanned = (
                     ch.irregular_weighted(h, limits).holds,
@@ -691,6 +705,9 @@ def run_identity(
         raise UsageError(f"unknown identity subject {subject!r}")
     if trials < 1:
         raise UsageError(f"need at least one trial, got {trials}")
+    if "n" in IDENTITY_READS[subject] and (not ns or min(ns) < 2):
+        # no order checks nothing, and the gadgets start at order 2
+        raise UsageError(f"{subject} needs orders of at least 2 (--n), got {list(ns)}")
     suites = _IDENTITIES.values() if subject == "all" else [_IDENTITIES[subject]]
     rows = [row for suite in suites for row in suite.rows(ns, trials, seed, limits)]
     disagreements = sum(1 for row in rows if not row["agree"])

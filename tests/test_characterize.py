@@ -23,7 +23,6 @@ from combspectra.characterize import (
     irregular_weighted,
     local_irregular_weighted,
     one_two_three,
-    scan,
     strength_at_most,
 )
 from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
@@ -55,6 +54,7 @@ from combspectra.graphs import (
 )
 from combspectra.limits import Limits
 from combspectra.ring import GaussInt, const, x_pow
+from combspectra.verify import _full_scan
 
 P3 = path_graph(3)
 P4 = path_graph(4)
@@ -207,6 +207,21 @@ def test_strength_examples():
     assert not strength_at_most(K2, 5).holds  # both endpoint sums always equal
 
 
+def test_strength_guards_before_it_builds_the_palette(monkeypatch):
+    import combspectra.characterize as ch
+
+    def builder(k):
+        raise AssertionError(f"palette of {k} colors built before the guard")
+
+    monkeypatch.setattr(ch, "integer_palette", builder)
+    with pytest.raises(SizeGuardError) as err:
+        strength_at_most(P3, 200_000, Limits(max_family=10))
+    assert str(err.value) == (
+        "family-size guard exceeded: 200000-colorings of 2 edges needs "
+        "40000000000 members > max_family=10"
+    )
+
+
 def test_strength_counts_zero_coefficients():
     # isolated vertices are rejected rather than silently compared as zeros
     with pytest.raises(PreconditionError):
@@ -326,14 +341,11 @@ def test_dominating_k_matches_the_ring_scan_over_all_bijections(n):
                 return all(not p.coeff_x(j).is_zero for j in range(needed))
 
             kernel = dominating_k(g, k, exhaustive=True)
-            full = scan(
-                (domination_probe(k, n),), indicator(g), bijection_pair_maps(n), accept,
-                exhaustive=True,
-            )
-            assert kernel.holds == full.holds
-            assert kernel.witness_bijection == full.witness_bijection
-            assert kernel.witness_polynomial == full.witness_polynomial
-            assert kernel.stats.witnesses == full.stats.witnesses
+            f, p, accepted = _full_scan(domination_probe(k, n), indicator(g), accept, Limits())
+            assert kernel.holds == (f is not None)
+            assert kernel.witness_bijection == f
+            assert kernel.witness_polynomial == p
+            assert kernel.stats.witnesses == accepted
             if kernel.holds:
                 assert kernel.witness_graph == domination_probe(k, n)
 

@@ -202,6 +202,26 @@ def test_verify_weighting_row_catches_a_wrong_accept(monkeypatch, name, broken):
     assert len(failures) == 2 and sum(failures) > 0
 
 
+def test_verify_reader_rows_catch_a_miscounting_scan(monkeypatch):
+    # the reader rows compare the identity reading with an independent n! scan
+    from combspectra import characterize as ch
+    from combspectra.verify import run_identity
+
+    scan = ch._scan
+
+    def miscounting(*args, **kwargs):
+        verdict = scan(*args, **kwargs)
+        if verdict.stats.witnesses is not None:
+            verdict.stats.witnesses += 1
+        return verdict
+
+    monkeypatch.setattr(ch, "_scan", miscounting)
+    rows = run_identity("orbit", ns=(3,), trials=5)["rows"]
+    readers = {row["search"]: row["failures"] for row in rows if row["search"] in (
+        "strength", "one-two-three", "antimagic", "edge-roman")}
+    assert readers == {"strength": 5, "one-two-three": 5, "antimagic": 5, "edge-roman": 5}
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--trials", "-5"), ("--trials", "0"), ("--trials", "x"),
@@ -313,6 +333,37 @@ def test_run_identity_rejects_no_trials():
     for trials in (0, -5):
         with pytest.raises(ValueError):
             run_identity("ring-axioms", trials=trials)
+
+
+@pytest.mark.parametrize(
+    "subject, ns",
+    [("S1", ()), ("orbit", ()), ("all", ()), ("S1", (1,)), ("R1", (3, 1)), ("orbit", (0,))],
+)
+def test_run_identity_rejects_orders_that_check_nothing(monkeypatch, subject, ns):
+    # rejected before any suite runs, as `verify --n` is by the parser
+    from combspectra import verify
+    from combspectra.errors import UsageError
+
+    monkeypatch.setattr(verify, "_IDENTITIES", {})
+    with pytest.raises(UsageError, match="order"):
+        verify.run_identity(subject, ns=ns)
+
+
+def test_run_identity_ignores_orders_where_it_reads_none():
+    from combspectra.verify import run_identity
+
+    assert run_identity("ring-axioms", ns=(), trials=1)["summary"]["disagreements"] == 0
+
+
+def test_run_theorem_rejects_label_bounds_below_one():
+    # rejected up front, as `verify --k` is by the parser, not reported as
+    # disagreements or raised mid-sweep
+    from combspectra.errors import UsageError
+    from combspectra.verify import run_theorem
+
+    for subject, ks in (("irregular-strength", (0,)), ("colorings", (0,)), ("colorings", (2, -1))):
+        with pytest.raises(UsageError, match="label bounds must be at least 1"):
+            run_theorem(subject, 3, ks=ks)
 
 
 def test_run_theorem_rejects_orders_below_the_subject_minimum():

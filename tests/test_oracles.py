@@ -57,6 +57,17 @@ def test_strength_oracle_examples():
     assert strength_oracle(K2, 4).value is None  # endpoints always tie
 
 
+def test_strength_oracle_step_guard_counts_every_k_tried():
+    # K2 never separates its endpoints, so k = 1..62 enumerate 1 + 2 + ... + 62
+    result = strength_oracle(K2, 62, Limits(max_steps=2000))
+    assert (result.value, result.enumerated) == (None, 1953)
+    with pytest.raises(SizeGuardError) as err:
+        strength_oracle(K2, 2000, Limits(max_steps=2000))
+    assert str(err.value) == (
+        "step guard exceeded: strength oracle up to k=63 needs 2016 steps > max_steps=2000"
+    )
+
+
 def test_chi_sigma_oracle_examples():
     assert chi_sigma_oracle(P3, 1).value is True
     assert chi_sigma_oracle(C3, 2).value is False
