@@ -6,13 +6,14 @@ certify the property, and returns a :class:`Verdict` carrying the witness.
 The labeling checks and edge Roman domination read a reader gadget along the
 identity alone, one :func:`_scan` step per member: a single weighting
 (:func:`_weighting_scan`) or each coloring of a graph's edges
-(:func:`_coloring_scan`).  :func:`dominating_k` and
-:func:`hamiltonian_spectrum` read the same spectra without ring sums, by tail
-bitmasks and distance-class counts.  ``verify --identity orbit`` checks each
-against the full n! scan.  Searches run in a fixed lexicographic order
-(colorings first, bijections second) and short-circuit on the first witness,
-which is also the first witness of the full n! scan, so results are fully
-deterministic; pass ``exhaustive=True`` to count every witness instead.
+(:func:`_coloring_scan`).  :func:`dominating_k` reads its spectrum without
+ring sums, by tail bitmasks, and :func:`hamiltonian_spectrum` reads the
+cycle's as a bitset of Hamiltonian cycle lengths from a subset recursion and
+any other pattern's by distance-class counts.  ``verify --identity orbit``
+checks each against the full n! scan.  Searches run in a fixed lexicographic
+order (colorings first, bijections second) and short-circuit on the first
+witness, which is also the first witness of the full n! scan, so results are
+fully deterministic; pass ``exhaustive=True`` to count every witness instead.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .gadgets import (
     bijection_pair_maps,
     contrast_reader,
     cover_reader,
-    cycle_pair_maps,
     degree_reader,
     distance_weighting,
     domination_probe,
@@ -46,7 +46,13 @@ from .gadgets import (
     pair_reader,
     star_sum,
 )
-from .graphs import SimpleGraph, component_orders, cycle_graph, is_connected
+from .graphs import (
+    SimpleGraph,
+    all_pairs_distances,
+    component_orders,
+    cycle_graph,
+    is_connected,
+)
 from .limits import DEFAULT_LIMITS, Limits
 from .ring import GaussInt, RingElem
 
@@ -560,6 +566,52 @@ def edge_roman_at_most(
 # -- Hamiltonian spectra ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _subset_steps(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each set s of the vertices 1..n-1 (0-based, bit w-1 of s standing
+    for w), one step per vertex w outside s: the index ``(s | {w}) * n + w``
+    of the paths through s and w that end at w, in the table of
+    :func:`_cycle_lengths`.  Precomputed once per n, like
+    :func:`bijection_pair_maps`."""
+    return tuple(
+        tuple((s | 1 << (w - 1)) * n + w for w in range(1, n) if not s >> (w - 1) & 1)
+        for s in range(1 << (n - 1))
+    )
+
+
+def _cycle_lengths(g: SimpleGraph, limits: Limits) -> int:
+    """The lengths of the Hamiltonian cycles of g's distance weighting, as a
+    bitset: bit t is set when some cyclic order of the vertices has distance
+    sum t.
+
+    Held & Karp's subset recursion ("A dynamic programming approach to
+    sequencing problems", 1962) with a bitset of path lengths in place of a
+    minimum.  Vertices are 0-based, and a set s of the vertices 1..n-1 is a
+    bitmask, bit v-1 standing for v.  Entry ``s * n + v`` of ``paths`` holds
+    the lengths of the paths that start at vertex 0, visit exactly vertex 0
+    and s, and end at v: v in s, or v = 0 for the empty s.  Extending such a
+    path to w is one shift-or, and the last step closes every path through
+    all vertices back to vertex 0."""
+    n = g.n
+    table = all_pairs_distances(g)
+    dist = [[table.get(u, v) for v in range(1, n + 1)] for u in range(1, n + 1)]
+    steps = _subset_steps(n)
+    paths = [0] * (n << (n - 1))
+    paths[0] = 1  # the path of length 0 that stays at vertex 0
+    for s in limits.polled(range(1 << (n - 1))):
+        ahead = steps[s]
+        for v in range(n):
+            lengths = paths[s * n + v]
+            if lengths:
+                dv = dist[v]
+                for t in ahead:
+                    paths[t] |= lengths << dv[t % n]
+    out = 0
+    for v, lengths in enumerate(paths[-n:]):
+        out |= lengths << dist[v][0]
+    return out
+
+
 def hamiltonian_spectrum(
     h: SimpleGraph, g: SimpleGraph, limits: Limits = DEFAULT_LIMITS
 ) -> Spectrum:
@@ -567,18 +619,20 @@ def hamiltonian_spectrum(
 
     These are the total weights s(h *_f g) of the family product of h's
     indicator with g's distance weighting, over every bijection f; no product
-    is built.  The indicator's weights are 0 and 1, so the total is
+    is built.  ``verify --identity orbit`` checks the result against the full
+    products.
+
+    When h is the labelled cycle 1-2-...-n, the totals are the lengths of g's
+    Hamiltonian cycles under its distance weighting, read from one bitset
+    (:func:`_cycle_lengths`); the step guard counts the recursion's
+    2^(n-1)*n^2 steps.  Any other h scans all n! bijections and the step
+    guard counts them.  The indicator's weights are 0 and 1, so the total is
     sum_c N_c(f) * W_c, where W_c runs over the distinct pair weights of g's
     distance weighting and N_c(f) counts the edges of h that f maps onto a
     pair of weight W_c.  Each bijection yields only its counts, packed into
     one int with a field of |E(h)|.bit_length() bits per class, so no count
     spills into the next field; the exact ring total is formed once per
-    distinct count vector.  ``verify --identity orbit`` checks the result
-    against the full products.
-
-    When h is the labelled cycle 1-2-...-n, one bijection per coset of its
-    automorphisms is scanned (:func:`cycle_pair_maps`); otherwise all n!.
-    The size guards count all n! bijections, and the family guard the
+    distinct count vector.  On either route the family guard counts the
     distinct totals."""
     n = g.n
     if h.n != n:
@@ -588,9 +642,14 @@ def hamiltonian_spectrum(
     if not is_connected(g):
         raise PreconditionError("the Hamiltonian spectrum needs a connected graph")
     limits.check_n(n)
+    if n >= 3 and h == cycle_graph(n):
+        limits.check_steps(2 ** (n - 1) * n * n, "Hamiltonian spectrum")
+        lengths = _cycle_lengths(g, limits)
+        limits.check_family(lengths.bit_count(), "Hamiltonian spectrum")
+        return Spectrum(
+            ring.const(t) for t in range(lengths.bit_length()) if lengths >> t & 1
+        )
     limits.check_steps(math.factorial(n), "Hamiltonian spectrum")
-    on_cycle = n >= 3 and h == cycle_graph(n)
-    maps = cycle_pair_maps(n) if on_cycle else bijection_pair_maps(n)
     distances = distance_weighting(g).weights
     classes = {w: c for c, w in enumerate(dict.fromkeys(distances))}
     width = h.m.bit_length()
@@ -599,7 +658,7 @@ def hamiltonian_spectrum(
     edges = [pair_index(u, v) for u, v in h.edges]
     seen: set[int] = set()
     totals: set[RingElem] = set()
-    for _f, pmap in limits.polled(maps):
+    for _f, pmap in limits.polled(bijection_pair_maps(n)):
         key = sum(map(unit.__getitem__, map(pmap.__getitem__, edges)))
         if key not in seen:
             seen.add(key)

@@ -37,7 +37,6 @@ __all__ = [
     "pairs_in_rank_order",
     "all_bijections",
     "bijection_pair_maps",
-    "cycle_pair_maps",
     "identity_pair_maps",
     "generator_pair_maps",
     "identity_bijection",
@@ -112,27 +111,6 @@ def bijection_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]]
     ``m[p]`` under f.  Precomputed once per n and reused by every search.
     """
     return tuple((f, _pair_map_of(f, n)) for f in all_bijections(n))
-
-
-@lru_cache(maxsize=None)
-def cycle_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """One ``(f, m)`` entry per coset f∘D, in lex order of f, where D is the
-    dihedral automorphism group (2n rotations and reflections) of the labelled
-    cycle 1-2-...-n.
-
-    A total over the cycle's edges, such as its star sum against any weighted
-    graph, is the same for f and f∘σ with σ in D.  The lexicographically least
-    bijection of a coset maps 1 to 1 and has f(2) < f(n), which leaves
-    (n-1)!/2 entries, each standing for 2n bijections.
-    """
-    if n < 3:
-        raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
-    reps = (
-        (1, *rest)
-        for rest in itertools.permutations(range(2, n + 1))
-        if rest[0] < rest[-1]
-    )
-    return tuple((f, _pair_map_of(f, n)) for f in reps)
 
 
 def generator_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:

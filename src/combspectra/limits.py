@@ -30,8 +30,9 @@ class Limits:
 
     ``deadline`` is an absolute ``time.time()`` timestamp; once it has
     passed, a poll (:meth:`check_time`) raises :class:`TimeLimitError`.
-    Every enumeration of bijections, colorings, family members or oracle
-    candidates iterates :meth:`polled`.  Loops whose every step is costly
+    Every enumeration of bijections, colorings, family members, oracle
+    candidates or the vertex subsets of the Hamiltonian cycle recursion
+    iterates :meth:`polled`.  Loops whose every step is costly
     poll once per step instead: corpus sweeps between tasks, the
     corpus once per order read from its table and once per parent graph of
     an order generated beyond it, the ring-axiom suite once per trial and

@@ -564,8 +564,8 @@ def _family_product_orbit_failures(
 def _hamiltonian_orbit_failures(
     n: int, graphs: Sequence[SimpleGraph], limits: Limits
 ) -> tuple[int, int]:
-    """The cycle spectrum over one bijection per coset of the cycle's
-    automorphisms against the full product spectrum, on every corpus graph."""
+    """The cycle spectrum by the subset recursion against the full product
+    spectrum, on every corpus graph."""
     cycle = cycle_graph(n)
     checks = failures = 0
     for g in graphs:
@@ -703,7 +703,7 @@ def run_identity(
     """Run an algebraic identity suite; deterministic for a fixed seed."""
     if subject not in IDENTITY_SUBJECTS:
         raise UsageError(f"unknown identity subject {subject!r}")
-    if trials < 1:
+    if "trials" in IDENTITY_READS[subject] and trials < 1:
         raise UsageError(f"need at least one trial, got {trials}")
     if "n" in IDENTITY_READS[subject] and (not ns or min(ns) < 2):
         # no order checks nothing, and the gadgets start at order 2

@@ -204,6 +204,16 @@ def test_hamiltonian_equivalence_at_order_seven():
 
 
 @pytest.mark.slow
+def test_hamiltonian_equivalence_at_order_eight():
+    # the brute-force oracle is most of the time
+    t0 = time.perf_counter()
+    report = ver.run_theorem("hamiltonian", max_n=8, limits=Limits(max_n=8))
+    elapsed = time.perf_counter() - t0
+    assert report["summary"] == {"rows": 12111, "tasks": 12111, "disagreements": 0}
+    _passed(10, "Hamiltonian numbers agree on 12111 graphs up to n=8", elapsed)
+
+
+@pytest.mark.slow
 def test_domination_equivalence_at_order_eight():
     t0 = time.perf_counter()
     report = ver.run_theorem("domination", max_n=8, limits=Limits(max_n=8))

@@ -447,6 +447,26 @@ def test_hamiltonian_honours_limits():
         hamiltonian_spectrum(C4, C4, Limits(deadline=0.0))
 
 
+def test_hamiltonian_cycle_guards_count_the_recursion_and_the_totals():
+    # 2^(n-1) * n^2 subset steps; the cycles of P4 have lengths 6 and 8
+    assert hamiltonian_spectrum(C4, P4, Limits(max_steps=128)).as_integers() == (6, 8)
+    with pytest.raises(SizeGuardError, match="needs 128 steps"):
+        hamiltonian_spectrum(C4, P4, Limits(max_steps=127))
+    assert hamiltonian_spectrum(C4, P4, Limits(max_family=2)).as_integers() == (6, 8)
+    with pytest.raises(SizeGuardError, match="needs 2 members"):
+        hamiltonian_spectrum(C4, P4, Limits(max_family=1))
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_hamiltonian_numbers_of_cycles_paths_and_stars(n):
+    # h(C_n) = n and h(T) = 2(n-1) for every tree T (Goodman & Hedetniemi,
+    # "On Hamiltonian walks in graphs", 1974), past the oracle's orders
+    limits = Limits(max_n=n)
+    assert hamiltonian_number(cycle_graph(n), limits) == n
+    assert hamiltonian_number(path_graph(n), limits) == 2 * (n - 1)
+    assert hamiltonian_number(star_graph(n), limits) == 2 * (n - 1)
+
+
 def test_weighted_characterizations_honour_limits():
     from combspectra.families import in_palette_family
 

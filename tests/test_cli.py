@@ -222,6 +222,24 @@ def test_verify_reader_rows_catch_a_miscounting_scan(monkeypatch):
     assert readers == {"strength": 5, "one-two-three": 5, "antimagic": 5, "edge-roman": 5}
 
 
+def test_verify_hamiltonian_row_catches_a_recursion_without_its_closing_edge(monkeypatch):
+    # the mutant adds no distance back to vertex 1, so every cycle comes out
+    # one closing edge short of the full product's totals
+    import inspect
+
+    from combspectra import characterize as ch
+    from combspectra.verify import run_identity
+
+    source = inspect.getsource(ch._cycle_lengths)
+    closing = "out |= lengths << dist[v][0]"
+    assert source.count(closing) == 1
+    namespace = dict(vars(ch))
+    exec(source.replace(closing, "out |= lengths"), namespace)
+    monkeypatch.setattr(ch, "_cycle_lengths", namespace["_cycle_lengths"])
+    rows = run_identity("orbit", ns=(3, 4, 5), trials=1)["rows"]
+    assert [row["failures"] for row in rows if row["search"] == "hamiltonian"] == [2, 6, 21]
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--trials", "-5"), ("--trials", "0"), ("--trials", "x"),
@@ -330,9 +348,18 @@ def test_bad_environment_value_exits_usage(capsys, monkeypatch, p3_file, name, v
 def test_run_identity_rejects_no_trials():
     from combspectra.verify import run_identity
 
-    for trials in (0, -5):
-        with pytest.raises(ValueError):
-            run_identity("ring-axioms", trials=trials)
+    for subject in ("ring-axioms", "orbit", "all"):
+        for trials in (0, -5):
+            with pytest.raises(ValueError):
+                run_identity(subject, trials=trials)
+
+
+def test_run_identity_ignores_trials_where_it_reads_none():
+    from combspectra.verify import run_identity
+
+    for subject in ("S1", "E1", "R1"):
+        report = run_identity(subject, ns=(3,), trials=0)
+        assert report["summary"] == {"rows": 1, "disagreements": 0}
 
 
 @pytest.mark.parametrize(
@@ -686,7 +713,7 @@ def test_hamiltonian_step_guard_names_the_spectrum(capsys, tmp_path):
     code, _out, err = run(capsys, "check", "hamiltonian", str(c4), "--max-steps", "10")
     assert code == EXIT_SIZE_GUARD
     assert err == (
-        "error (size-guard): step guard exceeded: Hamiltonian spectrum needs 24 steps"
+        "error (size-guard): step guard exceeded: Hamiltonian spectrum needs 128 steps"
         " > max_steps=10\n"
     )
 

@@ -1,6 +1,5 @@
 """Weighted complete graphs, probe gadgets and the star product."""
 
-import math
 from random import Random
 
 import pytest
@@ -14,7 +13,6 @@ from combspectra.gadgets import (
     contrast_reader,
     cover_pair,
     cover_reader,
-    cycle_pair_maps,
     degree_reader,
     distance_weighting,
     domination_probe,
@@ -295,28 +293,8 @@ def test_bijection_maps_identity_first():
 def test_pair_maps_send_each_pair_to_the_rank_of_its_image():
     # entry (f, m): the pair of rank p, (u, v), goes to rank pair_index(f(u), f(v))
     for n in range(1, 7):
-        entries = bijection_pair_maps(n) + (cycle_pair_maps(n) if n >= 3 else ())
-        for f, pmap in entries:
+        for f, pmap in bijection_pair_maps(n):
             assert pmap == tuple(pair_index(f[u - 1], f[v - 1]) for u, v in pairs_in_rank_order(n))
-
-
-def test_cycle_pair_maps_are_least_coset_representatives():
-    for n in (3, 4, 5, 6):
-        full = dict(bijection_pair_maps(n))
-        # the dihedral automorphisms of the cycle 1-2-...-n, as tuples
-        rotations = [tuple((i + r) % n + 1 for i in range(n)) for r in range(n)]
-        dihedral = rotations + [tuple(reversed(s)) for s in rotations]
-        reps = cycle_pair_maps(n)
-        fs = [f for f, _m in reps]
-        assert fs == sorted(fs) and len(fs) == math.factorial(n - 1) // 2
-        cosets = set()
-        for f, pmap in reps:
-            coset = frozenset(tuple(f[s[i] - 1] for i in range(n)) for s in dihedral)
-            assert f == min(coset) and pmap == full[f]
-            cosets.add(coset)
-        assert len(cosets) == len(reps)
-    with pytest.raises(ValueError):
-        cycle_pair_maps(2)
 
 
 def test_generator_pair_maps():

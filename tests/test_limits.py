@@ -1,6 +1,7 @@
 """Limits: the deadline poll cadence and its validation."""
 
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import combspectra
 from combspectra import characterize, families, limits as limits_module, oracles, verify
 from combspectra.errors import TimeLimitError
 from combspectra.gadgets import indicator
-from combspectra.graphs import SimpleGraph, complete_graph, to_graph6
+from combspectra.graphs import SimpleGraph, complete_graph, cycle_graph, to_graph6
 from combspectra.limits import Limits
 
 
@@ -59,8 +60,12 @@ def test_polled_yields_items_appended_while_iterating(limits):
         (lambda limits: oracles.edge_roman_oracle(complete_graph(5), limits), 15),
         (lambda limits: characterize.edge_roman_at_most(complete_graph(5), 3, limits), 15),
         (lambda limits: families.power_fixpoint(families.edge_deleted_family(5), limits), 22),
+        # 2^13 vertex subsets
+        (lambda limits: characterize.hamiltonian_cycle_spectrum(
+            cycle_graph(14), replace(limits, max_n=14)), 3),
     ],
-    ids=["edge_roman_oracle(K5)", "edge_roman_at_most(K5,3)", "power_fixpoint(deleted(5))"],
+    ids=["edge_roman_oracle(K5)", "edge_roman_at_most(K5,3)", "power_fixpoint(deleted(5))",
+         "hamiltonian_cycle_spectrum(C14)"],
 )
 def test_enumerations_poll_at_the_pinned_cadence(polls, call, expected):
     # a cached relabel closure is not polled, so build it afresh
