@@ -566,6 +566,9 @@ def edge_roman_at_most(
 # -- Hamiltonian spectra ---------------------------------------------------------------
 
 
+_NEEDS_CONNECTED = "the Hamiltonian spectrum needs a connected graph"
+
+
 @lru_cache(maxsize=None)
 def _subset_steps(n: int) -> tuple[tuple[int, ...], ...]:
     """For each set s of the vertices 1..n-1 (0-based, bit w-1 of s standing
@@ -579,10 +582,11 @@ def _subset_steps(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _cycle_lengths(g: SimpleGraph, limits: Limits) -> int:
-    """The lengths of the Hamiltonian cycles of g's distance weighting, as a
-    bitset: bit t is set when some cyclic order of the vertices has distance
-    sum t.
+def _cycle_lengths(dist: list[list[int]], limits: Limits) -> int:
+    """The lengths of the Hamiltonian cycles of a graph's distance weighting,
+    as a bitset: bit t is set when some cyclic order of the vertices has
+    distance sum t.  ``dist[u][v]`` is the distance of the 0-based vertices u
+    and v.
 
     Held & Karp's subset recursion ("A dynamic programming approach to
     sequencing problems", 1962) with a bitset of path lengths in place of a
@@ -592,9 +596,7 @@ def _cycle_lengths(g: SimpleGraph, limits: Limits) -> int:
     and s, and end at v: v in s, or v = 0 for the empty s.  Extending such a
     path to w is one shift-or, and the last step closes every path through
     all vertices back to vertex 0."""
-    n = g.n
-    table = all_pairs_distances(g)
-    dist = [[table.get(u, v) for v in range(1, n + 1)] for u in range(1, n + 1)]
+    n = len(dist)
     steps = _subset_steps(n)
     paths = [0] * (n << (n - 1))
     paths[0] = 1  # the path of length 0 that stays at vertex 0
@@ -622,33 +624,26 @@ def hamiltonian_spectrum(
     is built.  ``verify --identity orbit`` checks the result against the full
     products.
 
-    When h is the labelled cycle 1-2-...-n, the totals are the lengths of g's
-    Hamiltonian cycles under its distance weighting, read from one bitset
-    (:func:`_cycle_lengths`); the step guard counts the recursion's
-    2^(n-1)*n^2 steps.  Any other h scans all n! bijections and the step
-    guard counts them.  The indicator's weights are 0 and 1, so the total is
-    sum_c N_c(f) * W_c, where W_c runs over the distinct pair weights of g's
-    distance weighting and N_c(f) counts the edges of h that f maps onto a
-    pair of weight W_c.  Each bijection yields only its counts, packed into
-    one int with a field of |E(h)|.bit_length() bits per class, so no count
-    spills into the next field; the exact ring total is formed once per
-    distinct count vector.  On either route the family guard counts the
-    distinct totals."""
+    When h is the labelled cycle 1-2-...-n, this is
+    :func:`hamiltonian_cycle_spectrum`.  Any other h scans all n! bijections
+    and the step guard counts them.  The indicator's weights are 0 and 1, so
+    the total is sum_c N_c(f) * W_c, where W_c runs over the distinct pair
+    weights of g's distance weighting and N_c(f) counts the edges of h that f
+    maps onto a pair of weight W_c.  Each bijection yields only its counts,
+    packed into one int with a field of |E(h)|.bit_length() bits per class,
+    so no count spills into the next field; the exact ring total is formed
+    once per distinct count vector.  The family guard counts the distinct
+    totals."""
     n = g.n
     if h.n != n:
         raise PreconditionError(
             f"graphs must share one order, got {h.n} and {n}"
         )
-    if not is_connected(g):
-        raise PreconditionError("the Hamiltonian spectrum needs a connected graph")
-    limits.check_n(n)
     if n >= 3 and h == cycle_graph(n):
-        limits.check_steps(2 ** (n - 1) * n * n, "Hamiltonian spectrum")
-        lengths = _cycle_lengths(g, limits)
-        limits.check_family(lengths.bit_count(), "Hamiltonian spectrum")
-        return Spectrum(
-            ring.const(t) for t in range(lengths.bit_length()) if lengths >> t & 1
-        )
+        return hamiltonian_cycle_spectrum(g, limits)
+    limits.check_n(n)
+    if not is_connected(g):
+        raise PreconditionError(_NEEDS_CONNECTED)
     limits.check_steps(math.factorial(n), "Hamiltonian spectrum")
     distances = distance_weighting(g).weights
     classes = {w: c for c, w in enumerate(dict.fromkeys(distances))}
@@ -673,10 +668,25 @@ def hamiltonian_spectrum(
 
 def hamiltonian_cycle_spectrum(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Spectrum:
     """The Hamiltonian spectrum of the n-cycle in g; its minimum is the
-    Hamiltonian number."""
-    if g.n < 3:
+    Hamiltonian number.
+
+    The totals are the lengths of g's Hamiltonian cycles under its distance
+    weighting, read from one bitset (:func:`_cycle_lengths`); the step guard
+    counts the recursion's 2^(n-1)*n^2 steps and the family guard the
+    distinct lengths.  The one distance table also shows whether g is
+    connected: a pair is absent from it when no path joins it."""
+    n = g.n
+    if n < 3:
         raise PreconditionError("the Hamiltonian number needs at least 3 vertices")
-    return hamiltonian_spectrum(cycle_graph(g.n), g, limits)
+    limits.check_n(n)
+    table = all_pairs_distances(g)
+    dist = [[table.get(u, v) for v in range(1, n + 1)] for u in range(1, n + 1)]
+    if any(None in row for row in dist):
+        raise PreconditionError(_NEEDS_CONNECTED)
+    limits.check_steps(2 ** (n - 1) * n * n, "Hamiltonian spectrum")
+    lengths = _cycle_lengths(dist, limits)
+    limits.check_family(lengths.bit_count(), "Hamiltonian spectrum")
+    return Spectrum(ring.const(t) for t in range(lengths.bit_length()) if lengths >> t & 1)
 
 
 def hamiltonian_number(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> int:

@@ -128,7 +128,7 @@ def domination_oracle(
     limits.check_steps(math.comb(g.n, k), "domination oracle")
     for enumerated, subset in enumerate(limits.polled(combinations(range(1, g.n + 1), k)), 1):
         chosen = set(subset)
-        if all(v in chosen or nbrs & chosen for v, nbrs in enumerate(adj, 1)):
+        if all(v in chosen or not nbrs.isdisjoint(chosen) for v, nbrs in enumerate(adj, 1)):
             return OracleResult(True, frozenset(subset), enumerated)
     return OracleResult(False, None, enumerated)
 

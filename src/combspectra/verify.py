@@ -174,14 +174,23 @@ def _rows_one_two_three(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Lim
 
 
 def _dominates(g: SimpleGraph, chosen: frozenset) -> bool:
-    return all(v in chosen or nbrs & chosen for v, nbrs in enumerate(g.adjacency, 1))
+    return all(
+        v in chosen or not nbrs.isdisjoint(chosen) for v, nbrs in enumerate(g.adjacency, 1)
+    )
 
 
 def _rows_domination(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
+    # A superset of a dominating set dominates, so the oracle holds at k
+    # exactly when k >= gamma(G): one upward oracle search for gamma answers
+    # every k.  The whole vertex set dominates, so gamma is n when no smaller
+    # k does.
+    gamma = next(
+        (k for k in range(1, g.n) if orc.domination_oracle(g, k, limits).value), g.n
+    )
     rows = []
     for k in range(1, g.n):
         verdict = ch.dominating_k(g, k, limits)
-        oracle = orc.domination_oracle(g, k, limits).value
+        oracle = k >= gamma
         witness_ok = True
         if verdict.holds:
             assert verdict.witness_bijection is not None

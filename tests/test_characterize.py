@@ -430,6 +430,10 @@ def test_hamiltonian_examples():
     assert hamiltonian_number(star_graph(4)) == 6
     with pytest.raises(PreconditionError):
         hamiltonian_number(SimpleGraph(4, [(1, 2)]))
+    # the cycle route and the n! scan reject a disconnected graph alike
+    for h in (C4, star_graph(4)):
+        with pytest.raises(PreconditionError, match="Hamiltonian spectrum needs a connected graph"):
+            hamiltonian_spectrum(h, SimpleGraph(4, [(1, 2)]))
     with pytest.raises(PreconditionError):
         hamiltonian_spectrum(C4, P3)
     with pytest.raises(PreconditionError):

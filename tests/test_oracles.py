@@ -8,6 +8,7 @@ import pytest
 
 from combspectra import oracles
 
+from combspectra.corpus import connected_graphs_up_to
 from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
 from combspectra.graphs import (
     SimpleGraph,
@@ -90,6 +91,16 @@ def test_domination_oracle_examples():
         assert domination_oracle(star_graph(n), 1).value is True
     with pytest.raises(PreconditionError):
         domination_oracle(P3, 0)
+
+
+def test_domination_oracle_holds_exactly_from_gamma_up():
+    # A superset of a dominating set dominates, so over k = 1..n the oracle
+    # fails below gamma(G), the least k that holds, and holds from it on.
+    # The domination sweep reads every k from one search for gamma.
+    for g in connected_graphs_up_to(6):
+        values = [domination_oracle(g, k).value for k in range(1, g.n + 1)]
+        gamma = values.index(True) + 1
+        assert values == [k >= gamma for k in range(1, g.n + 1)], g
 
 
 def test_edge_roman_oracle_examples():

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from combspectra import verify
+from combspectra import oracles, verify
+from combspectra.corpus import connected_graphs_up_to
 from combspectra.errors import UsageError
 from combspectra.graphs import parse_graph6, to_graph6
 from combspectra.limits import DEFAULT_LIMITS
@@ -95,6 +96,31 @@ def test_each_graph_is_encoded_once_per_task(monkeypatch):
     report = verify.run_theorem("domination", max_n=5)
     assert len(calls) == report["summary"]["tasks"] == 30
     assert len(set(calls)) == len(calls)
+
+
+def test_domination_rows_match_a_fresh_oracle_search_per_k():
+    # the rows read the oracle at every k from one search for gamma
+    rows = verify.run_theorem("domination", max_n=5)["rows"]
+    assert len(rows) == 107  # sum of n - 1 over the 30 graphs of orders 2..5
+    for row in rows:
+        g = parse_graph6(row["graph"])
+        assert row["oracle"] == oracles.domination_oracle(g, row["k"]).value, row
+
+
+def test_domination_sweep_searches_the_oracle_only_up_to_gamma(monkeypatch):
+    search = oracles.domination_oracle
+    calls = []
+
+    def counting(g, k, limits=DEFAULT_LIMITS):
+        calls.append((g, k))
+        return search(g, k, limits)
+
+    monkeypatch.setattr(oracles, "domination_oracle", counting)
+    verify.run_theorem("domination", max_n=5)
+    graphs = connected_graphs_up_to(5, 2)
+    gammas = [next(k for k in range(1, g.n + 1) if search(g, k).value) for g in graphs]
+    assert calls == [(g, k) for g, gamma in zip(graphs, gammas) for k in range(1, gamma + 1)]
+    assert len(calls) == sum(gammas) == 42 < sum(g.n - 1 for g in graphs) == 107
 
 
 def test_sweeps_stop_at_the_graph6_order_cap():
