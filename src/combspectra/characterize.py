@@ -39,11 +39,11 @@ from .gadgets import (
     contrast_reader,
     cover_reader,
     degree_reader,
-    distance_weighting,
     domination_probe,
     identity_pair_maps,
     pair_index,
     pair_reader,
+    pairs_in_rank_order,
     star_sum,
 )
 from .graphs import (
@@ -51,7 +51,6 @@ from .graphs import (
     all_pairs_distances,
     component_orders,
     cycle_graph,
-    is_connected,
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .ring import GaussInt, RingElem
@@ -633,7 +632,8 @@ def hamiltonian_spectrum(
     packed into one int with a field of |E(h)|.bit_length() bits per class,
     so no count spills into the next field; the exact ring total is formed
     once per distinct count vector.  The family guard counts the distinct
-    totals."""
+    totals.  A pair absent from g's distance table shows that g is not
+    connected."""
     n = g.n
     if h.n != n:
         raise PreconditionError(
@@ -642,10 +642,11 @@ def hamiltonian_spectrum(
     if n >= 3 and h == cycle_graph(n):
         return hamiltonian_cycle_spectrum(g, limits)
     limits.check_n(n)
-    if not is_connected(g):
+    table = all_pairs_distances(g)
+    distances = [table.get(u, v) for u, v in pairs_in_rank_order(n)]
+    if None in distances:
         raise PreconditionError(_NEEDS_CONNECTED)
     limits.check_steps(math.factorial(n), "Hamiltonian spectrum")
-    distances = distance_weighting(g).weights
     classes = {w: c for c, w in enumerate(dict.fromkeys(distances))}
     width = h.m.bit_length()
     mask = (1 << width) - 1
@@ -657,10 +658,8 @@ def hamiltonian_spectrum(
         key = sum(map(unit.__getitem__, map(pmap.__getitem__, edges)))
         if key not in seen:
             seen.add(key)
-            total = ring.ZERO
-            for w, c in classes.items():
-                total += w * ((key >> (width * c)) & mask)
-            totals.add(total)
+            total = sum(w * ((key >> (width * c)) & mask) for w, c in classes.items())
+            totals.add(ring.const(total))
             if len(totals) > limits.max_family:
                 limits.check_family(len(totals), "Hamiltonian spectrum")
     return Spectrum(totals)

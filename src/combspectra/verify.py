@@ -16,6 +16,7 @@ worker counts.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -26,7 +27,7 @@ from . import characterize as ch
 from . import oracles as orc
 from . import ring
 from .corpus import connected_graphs, connected_graphs_up_to
-from .errors import PreconditionError, UsageError
+from .errors import CombSpectraError, PreconditionError, UsageError
 from .families import (
     ROMAN_PALETTE,
     GraphFamily,
@@ -293,30 +294,103 @@ def _theorem_task(args: tuple) -> list[dict]:
     return _THEOREMS[subject].rows(g6, parse_graph6(g6), ks, limits)
 
 
-# Pool batches per worker: enough that the small tail of a largest-first
-# order still balances the workers, few enough that the per-batch pickling
-# and queue traffic stays below the work of sub-millisecond tasks.
+# Batches per worker: enough that the small tail of a largest-first order
+# still balances the workers, few enough that reading a batch number and
+# sending its rows back stays below the work of sub-millisecond tasks.
 _BATCHES_PER_WORKER = 8
+
+
+def _batches(sizes: list[tuple[int, int]], workers: int) -> list[list[int]]:
+    """Task indices cut into batches, largest (n, m) first (Graham's
+    largest-first list schedule), about ``_BATCHES_PER_WORKER`` per worker.
+
+    The batch queue holds each batch number as 4 bytes, all written at once,
+    so there are at most ``PIPE_BUF // 4`` batches: a pipe write of at most
+    ``PIPE_BUF`` bytes is atomic and fits in any pipe, so it never blocks."""
+    from select import PIPE_BUF
+
+    order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+    size = max(
+        1, len(order) // (_BATCHES_PER_WORKER * workers), -(-len(order) // (PIPE_BUF // 4))
+    )
+    return [order[i : i + size] for i in range(0, len(order), size)]
+
+
+def _run_batches(queue: int, batches: list[list[int]], tasks: list[tuple]) -> dict[int, list[dict]]:
+    """The rows of each task in the batches this process takes from the
+    queue, by task index, until the queue is empty."""
+    rows_at = {}
+    while record := os.read(queue, 4):
+        for i in batches[int.from_bytes(record, "little")]:
+            rows_at[i] = _theorem_task(tasks[i])
+    return rows_at
 
 
 def _pool_results(
     tasks: list[tuple], sizes: list[tuple[int, int]], workers: int
 ) -> list[list[dict]]:
-    """Each task's rows, computed in a process pool and listed in task order.
+    """Each task's rows, computed by this process and up to ``workers - 1``
+    forked children, listed in task order.
 
-    The tasks go out largest (n, m) first, so the longest one starts at once
-    instead of last (Graham's largest-first list schedule), in batches of
-    ``len(tasks) // (_BATCHES_PER_WORKER * workers)``, and the pool starts no
-    more processes than there are batches.  The pool module is imported
-    here, so that a one-worker run does not pay for importing it."""
-    from concurrent.futures import ProcessPoolExecutor
+    Every batch number goes into one pipe before the first fork.  This
+    process and each child then take batch numbers from it and run their
+    batches until it is empty, so no process idles while work is left.  A
+    child sends back its rows, or the exception that stopped it, pickled
+    through a pipe of its own, and leaves by ``os._exit``.  A child's
+    exception is raised here unchanged; a child that exits nonzero, dies by
+    a signal or sends nothing raises :class:`CombSpectraError`.  No child
+    outlives the call.  ``pickle`` and ``signal`` are imported here, so that
+    a one-worker run does not pay for importing them."""
+    import pickle
+    import signal
 
-    order = sorted(range(len(tasks)), key=lambda i: sizes[i], reverse=True)
-    chunksize = max(1, len(tasks) // (_BATCHES_PER_WORKER * workers))
-    batches = -(-len(tasks) // chunksize)
-    with ProcessPoolExecutor(max_workers=min(workers, batches)) as pool:
-        done = pool.map(_theorem_task, [tasks[i] for i in order], chunksize=chunksize)
-        rows_at = dict(zip(order, done))
+    batches = _batches(sizes, workers)
+    queue, fill = os.pipe()
+    try:
+        os.write(fill, b"".join(b.to_bytes(4, "little") for b in range(len(batches))))
+    finally:
+        os.close(fill)
+    children: dict[int, int] = {}  # pid -> read end of its reply pipe, until reaped
+    try:
+        for _ in range(min(workers, len(batches)) - 1):
+            reply, send = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        payload = _run_batches(queue, batches, tasks)
+                    except BaseException as exc:
+                        payload = exc
+                    with open(send, "wb") as out:
+                        pickle.dump(payload, out, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    # never unwind into the caller's stack or flush its buffers
+                    os._exit(status)
+            os.close(send)
+            children[pid] = reply
+        rows_at = _run_batches(queue, batches, tasks)
+        for worker, (pid, reply) in enumerate(list(children.items()), start=1):
+            with open(reply, "rb", closefd=False) as inp:
+                data = inp.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            os.close(reply)
+            if status or not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise CombSpectraError(f"sweep worker {worker} (pid {pid}) {how} without its rows")
+            payload = pickle.loads(data)
+            if isinstance(payload, BaseException):
+                raise payload
+            rows_at.update(payload)
+    finally:
+        os.close(queue)
+        for pid, reply in children.items():
+            os.close(reply)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return [rows_at[i] for i in range(len(tasks))]
 
 
@@ -329,10 +403,11 @@ def run_theorem(
 ) -> dict:
     """Sweep a theorem subject over the connected-graph corpus.
 
-    With ``workers > 1`` the per-graph tasks run in a process pool: largest
-    (n, m) first, in batches, on at most one process per batch, and each
-    task's rows are put back at its corpus index, so the report is the same
-    at every worker count.
+    With ``workers > 1`` the per-graph tasks run in this process and up to
+    ``workers - 1`` forked children, which take batches of tasks, largest
+    (n, m) first, from one queue; each task's rows are put back at its
+    corpus index, so the report is the same at every worker count.  Where
+    the platform has no ``os.fork`` the sweep runs in this process alone.
 
     Returns a deterministic report dict; ``summary.disagreements`` counts rows
     where the two routes differ or a witness failed its own definition.
@@ -362,7 +437,7 @@ def run_theorem(
     graphs = theorem.graphs(max_n, theorem.min_n, limits=limits)
     tasks = [(subject, to_graph6(g), tuple(ks), limits) for g in graphs]
     limits.check_time()
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(tasks) > 1 and hasattr(os, "fork"):
         results = _pool_results(tasks, [(g.n, g.m) for g in graphs], workers)
         limits.check_time()
     else:

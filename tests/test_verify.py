@@ -1,78 +1,163 @@
-"""Corpus sweeps in a process pool: dispatch order, batch size, worker count."""
+"""Corpus sweeps on several workers: batch order and count, forked children,
+errors raised or deaths in a child."""
 
+import dataclasses
 import inspect
+import json
 import os
+import select
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from combspectra import oracles, verify
+from combspectra import cli, oracles, verify
 from combspectra.corpus import connected_graphs_up_to
-from combspectra.errors import UsageError
+from combspectra.errors import SizeGuardError, TimeLimitError, UsageError
 from combspectra.graphs import parse_graph6, to_graph6
 from combspectra.limits import DEFAULT_LIMITS
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records what the sweep asks of the
-    pool and runs the tasks in this process, starting none."""
-
-    def __init__(self, pools, max_workers):
-        self.max_workers = max_workers
-        self.chunksize = None
-        self.tasks = None
-        pools.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        self.tasks = list(tasks)
-        self.chunksize = chunksize
-        return map(fn, self.tasks)
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture()
-def pools(monkeypatch):
-    recorded = []
-    # the sweep imports the pool class from its module when it needs a pool
-    monkeypatch.setattr(
-        "concurrent.futures.ProcessPoolExecutor",
-        lambda max_workers: RecordingPool(recorded, max_workers),
-    )
-    return recorded
+def test_batches_go_largest_first_in_sizes_set_per_worker():
+    sizes = [(g.n, g.m) for g in connected_graphs_up_to(6, 2)]
+    batches = verify._batches(sizes, 2)
+    order = [i for batch in batches for i in batch]
+    assert sorted(order) == list(range(len(sizes))) == list(range(142))
+    assert [sizes[i] for i in order] == sorted(sizes, reverse=True)
+    assert sizes[order[0]] == (6, 15)
+    size = 142 // (verify._BATCHES_PER_WORKER * 2)
+    assert [len(b) for b in batches] == [size] * 17 + [142 - 17 * size]
 
 
-def _size(task):
-    g = parse_graph6(task[1])
-    return g.n, g.m
+def test_batch_count_fits_one_atomic_queue_write():
+    # planning only: nothing is forked
+    cap = select.PIPE_BUF // 4
+    batches = verify._batches([(7, i % 21) for i in range(5000)], workers=10_000)
+    assert len(batches) <= cap
+    assert sorted(i for batch in batches for i in batch) == list(range(5000))
+    assert verify._batches([(2, 1)] * 3, workers=10_000) == [[0], [1], [2]]
 
 
-def test_pool_starts_at_most_one_process_per_batch(pools):
+def test_sweep_forks_one_child_less_than_its_batches(monkeypatch):
+    fork = os.fork
+    forks = []
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    # two tasks, K3 and K2, make two batches: the caller takes one, a child the other
     report = verify.run_theorem("fixpoint", max_n=3, workers=64)
-    (pool,) = pools
-    assert pool.max_workers <= 2
-    assert pool.chunksize == 1
-    # one task per order, carrying K_n
-    assert [_size(task) for task in pool.tasks] == [(3, 3), (2, 1)]
+    assert len(forks) == 1
+    _no_child_left()
     assert report == verify.run_theorem("fixpoint", max_n=3, workers=1)
 
 
-def test_pool_sends_largest_first_in_batches_and_keeps_corpus_order(pools):
+def test_sweep_on_two_workers_keeps_corpus_order():
     report = verify.run_theorem("domination", max_n=6, workers=2)
-    (pool,) = pools
-    sizes = [_size(task) for task in pool.tasks]
-    assert len(sizes) == report["summary"]["tasks"] == 142
-    assert sizes[0] == (6, 15)
-    assert sizes == sorted(sizes, reverse=True)
-    assert pool.chunksize > 1
-    assert pool.max_workers <= -(-len(sizes) // pool.chunksize)
+    _no_child_left()
+    assert report["summary"]["tasks"] == 142
     assert report == verify.run_theorem("domination", max_n=6, workers=1)
+
+
+def test_sweep_without_fork_runs_in_the_caller(monkeypatch):
+    def unused(*args):
+        raise AssertionError("no worker may start without os.fork")
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(verify, "_pool_results", unused)
+    report = verify.run_theorem("fixpoint", max_n=4, workers=2)
+    monkeypatch.undo()
+    assert report == verify.run_theorem("fixpoint", max_n=4, workers=1)
+
+
+def _fail_in_a_child(monkeypatch, fail):
+    """Make the fixpoint row builder call ``fail()`` in a forked child.
+
+    The caller's first task waits until every child has exited, so a child
+    takes at least one of the three batches of ``fixpoint --max-n 4``."""
+    caller = os.getpid()
+    theorem = verify._THEOREMS["fixpoint"]
+    gate, held = os.pipe()  # read end, write end; each child inherits both
+    open_ends = [gate, held]
+
+    def rows(g6, g, ks, limits):
+        if os.getpid() != caller:
+            fail()
+        if held in open_ends:
+            os.close(held)
+            open_ends.remove(held)
+            assert os.read(gate, 1) == b""  # every write end is closed
+        return theorem.rows(g6, g, ks, limits)
+
+    monkeypatch.setitem(verify._THEOREMS, "fixpoint", dataclasses.replace(theorem, rows=rows))
+    return open_ends
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _exits_3():
+    os._exit(3)
+
+
+def _out_of_time():
+    raise TimeLimitError("deadline passed in a worker")
+
+
+def _too_large():
+    raise SizeGuardError("family too large in a worker")
+
+
+@pytest.mark.parametrize(
+    "fail, code, kind, message",
+    [
+        (_killed, cli.EXIT_INTERNAL, "internal", "was killed by signal 9"),
+        (_exits_3, cli.EXIT_INTERNAL, "internal", "exited with status 3"),
+        (_out_of_time, cli.EXIT_TIMEOUT, "timeout", "deadline passed in a worker"),
+        (_too_large, cli.EXIT_SIZE_GUARD, "size-guard", "family too large in a worker"),
+    ],
+    ids=["killed", "exits-3", "time-limit", "size-guard"],
+)
+def test_a_failing_child_maps_to_its_exit_code(monkeypatch, capsys, fail, code, kind, message):
+    open_ends = _fail_in_a_child(monkeypatch, fail)
+    try:
+        argv = ["verify", "--theorem", "fixpoint", "--max-n", "4", "--workers", "2", "--json"]
+        assert cli.main(argv) == code
+    finally:
+        for fd in open_ends:
+            os.close(fd)
+    _no_child_left()
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == kind
+    assert message in error["message"]
+    if kind == "internal":
+        assert error["message"].startswith("sweep worker 1 (pid ")
+
+
+def test_an_error_in_the_caller_leaves_no_child(monkeypatch, capsys):
+    caller = os.getpid()
+    theorem = verify._THEOREMS["fixpoint"]
+
+    def rows(g6, g, ks, limits):
+        if os.getpid() == caller:
+            raise TimeLimitError("deadline passed in the caller")
+        return theorem.rows(g6, g, ks, limits)
+
+    monkeypatch.setitem(verify._THEOREMS, "fixpoint", dataclasses.replace(theorem, rows=rows))
+    argv = ["verify", "--theorem", "fixpoint", "--max-n", "4", "--workers", "2", "--json"]
+    assert cli.main(argv) == cli.EXIT_TIMEOUT
+    _no_child_left()
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "timeout"
 
 
 def test_theorem_task_takes_one_task_tuple():
@@ -129,10 +214,10 @@ def test_sweeps_stop_at_the_graph6_order_cap():
 
 
 def test_importing_the_cli_loads_no_pool():
-    # only --workers > 1 sweeps need concurrent.futures and multiprocessing
+    # only --workers > 1 sweeps fork, and only they need pickle and signal
     code = (
         "import sys, combspectra.cli; print(sorted(m for m in sys.modules"
-        " if m.startswith(('concurrent', 'multiprocessing'))))"
+        " if m.startswith(('concurrent', 'multiprocessing')) or m in ('pickle', 'signal')))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
     out = subprocess.run(
