@@ -7,13 +7,14 @@ The labeling checks and edge Roman domination read a reader gadget along the
 identity alone, one :func:`_scan` step per member: a single weighting
 (:func:`_weighting_scan`) or each coloring of a graph's edges
 (:func:`_coloring_scan`).  :func:`dominating_k` reads its spectrum without
-ring sums, by tail bitmasks, and :func:`hamiltonian_spectrum` reads the
-cycle's as a bitset of Hamiltonian cycle lengths from a subset recursion and
-any other pattern's by distance-class counts.  ``verify --identity orbit``
-checks each against the full n! scan.  Searches run in a fixed lexicographic
-order (colorings first, bijections second) and short-circuit on the first
-witness, which is also the first witness of the full n! scan, so results are
-fully deterministic; pass ``exhaustive=True`` to count every witness instead.
+ring sums, by tail bitmasks, and :func:`hamiltonian_spectrum` reads every
+pattern's as a bitset of integer distance sums: the cycle's from a subset
+recursion, any other pattern's from the n! bijections.  ``verify --identity
+orbit`` checks each against the full n! scan.  Searches run in a fixed
+lexicographic order (colorings first, bijections second) and short-circuit
+on the first witness, which is also the first witness of the full n! scan,
+so results are fully deterministic; pass ``exhaustive=True`` to count every
+witness instead.
 """
 
 from __future__ import annotations
@@ -573,8 +574,8 @@ def _subset_steps(n: int) -> tuple[tuple[int, ...], ...]:
     """For each set s of the vertices 1..n-1 (0-based, bit w-1 of s standing
     for w), one step per vertex w outside s: the index ``(s | {w}) * n + w``
     of the paths through s and w that end at w, in the table of
-    :func:`_cycle_lengths`.  Precomputed once per n, like
-    :func:`bijection_pair_maps`."""
+    :func:`_cycle_lengths`.  It depends on n alone, so it is built once per
+    n and kept for every graph of that order."""
     return tuple(
         tuple((s | 1 << (w - 1)) * n + w for w in range(1, n) if not s >> (w - 1) & 1)
         for s in range(1 << (n - 1))
@@ -613,6 +614,24 @@ def _cycle_lengths(dist: list[list[int]], limits: Limits) -> int:
     return out
 
 
+def _distance_matrix(g: SimpleGraph, limits: Limits) -> list[list[int]]:
+    """The head both Hamiltonian routes share: the size guard, then g's
+    distance matrix (:func:`all_pairs_distances`), which also shows whether g
+    is connected: an entry is None when no path joins its pair."""
+    limits.check_n(g.n)
+    dist = all_pairs_distances(g)
+    if any(None in row for row in dist):
+        raise PreconditionError(_NEEDS_CONNECTED)
+    return dist
+
+
+def _length_spectrum(lengths: int, limits: Limits) -> Spectrum:
+    """The tail both Hamiltonian routes share: the family guard on the
+    distinct totals, then the spectrum of the set bits of ``lengths``."""
+    limits.check_family(lengths.bit_count(), "Hamiltonian spectrum")
+    return Spectrum(ring.const(t) for t in range(lengths.bit_length()) if lengths >> t & 1)
+
+
 def hamiltonian_spectrum(
     h: SimpleGraph, g: SimpleGraph, limits: Limits = DEFAULT_LIMITS
 ) -> Spectrum:
@@ -626,14 +645,10 @@ def hamiltonian_spectrum(
     When h is the labelled cycle 1-2-...-n, this is
     :func:`hamiltonian_cycle_spectrum`.  Any other h scans all n! bijections
     and the step guard counts them.  The indicator's weights are 0 and 1, so
-    the total is sum_c N_c(f) * W_c, where W_c runs over the distinct pair
-    weights of g's distance weighting and N_c(f) counts the edges of h that f
-    maps onto a pair of weight W_c.  Each bijection yields only its counts,
-    packed into one int with a field of |E(h)|.bit_length() bits per class,
-    so no count spills into the next field; the exact ring total is formed
-    once per distinct count vector.  The family guard counts the distinct
-    totals.  A pair absent from g's distance table shows that g is not
-    connected."""
+    the total under f is the sum of the distances of the pairs that f maps
+    h's edges onto: a nonnegative integer, kept as one bit of a bitset of
+    totals, like the cycle lengths.  The family guard counts the distinct
+    totals once the scan is done."""
     n = g.n
     if h.n != n:
         raise PreconditionError(
@@ -641,28 +656,14 @@ def hamiltonian_spectrum(
         )
     if n >= 3 and h == cycle_graph(n):
         return hamiltonian_cycle_spectrum(g, limits)
-    limits.check_n(n)
-    table = all_pairs_distances(g)
-    distances = [table.get(u, v) for u, v in pairs_in_rank_order(n)]
-    if None in distances:
-        raise PreconditionError(_NEEDS_CONNECTED)
+    dist = _distance_matrix(g, limits)
     limits.check_steps(math.factorial(n), "Hamiltonian spectrum")
-    classes = {w: c for c, w in enumerate(dict.fromkeys(distances))}
-    width = h.m.bit_length()
-    mask = (1 << width) - 1
-    unit = [1 << (width * classes[w]) for w in distances]
+    distances = [dist[u - 1][v - 1] for u, v in pairs_in_rank_order(n)]
     edges = [pair_index(u, v) for u, v in h.edges]
-    seen: set[int] = set()
-    totals: set[RingElem] = set()
+    lengths = 0
     for _f, pmap in limits.polled(bijection_pair_maps(n)):
-        key = sum(map(unit.__getitem__, map(pmap.__getitem__, edges)))
-        if key not in seen:
-            seen.add(key)
-            total = sum(w * ((key >> (width * c)) & mask) for w, c in classes.items())
-            totals.add(ring.const(total))
-            if len(totals) > limits.max_family:
-                limits.check_family(len(totals), "Hamiltonian spectrum")
-    return Spectrum(totals)
+        lengths |= 1 << sum([distances[pmap[e]] for e in edges])
+    return _length_spectrum(lengths, limits)
 
 
 def hamiltonian_cycle_spectrum(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Spectrum:
@@ -672,20 +673,13 @@ def hamiltonian_cycle_spectrum(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) 
     The totals are the lengths of g's Hamiltonian cycles under its distance
     weighting, read from one bitset (:func:`_cycle_lengths`); the step guard
     counts the recursion's 2^(n-1)*n^2 steps and the family guard the
-    distinct lengths.  The one distance table also shows whether g is
-    connected: a pair is absent from it when no path joins it."""
+    distinct lengths."""
     n = g.n
     if n < 3:
         raise PreconditionError("the Hamiltonian number needs at least 3 vertices")
-    limits.check_n(n)
-    table = all_pairs_distances(g)
-    dist = [[table.get(u, v) for v in range(1, n + 1)] for u in range(1, n + 1)]
-    if any(None in row for row in dist):
-        raise PreconditionError(_NEEDS_CONNECTED)
+    dist = _distance_matrix(g, limits)
     limits.check_steps(2 ** (n - 1) * n * n, "Hamiltonian spectrum")
-    lengths = _cycle_lengths(dist, limits)
-    limits.check_family(lengths.bit_count(), "Hamiltonian spectrum")
-    return Spectrum(ring.const(t) for t in range(lengths.bit_length()) if lengths >> t & 1)
+    return _length_spectrum(_cycle_lengths(dist, limits), limits)
 
 
 def hamiltonian_number(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> int:

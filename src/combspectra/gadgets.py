@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import ring
 from .errors import PreconditionError
-from .graphs import SimpleGraph, all_pairs_distances, is_connected, pairs_in_rank_order
+from .graphs import SimpleGraph, all_pairs_distances, pairs_in_rank_order
 from .ring import RingElem, GaussInt
 
 __all__ = [
@@ -108,7 +108,9 @@ def bijection_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]]
     """For each bijection f (lex order), the induced map on pair ranks.
 
     Entry ``(f, m)`` satisfies: the pair at rank p maps to the pair at rank
-    ``m[p]`` under f.  Precomputed once per n and reused by every search.
+    ``m[p]`` under f.  Precomputed once per n and kept for the n! scan of
+    ``hamiltonian_spectrum`` over a pattern other than the cycle, for the
+    n! references of ``verify`` and for the benchmark harness.
     """
     return tuple((f, _pair_map_of(f, n)) for f in all_bijections(n))
 
@@ -277,23 +279,8 @@ def star_sum(
         if not a:
             continue
         b = gw[pair_map[p]]._terms
-        if not b:
-            continue
-        for (ax, ay), (ar, ai) in a.items():
-            for (bx, by), (br, bi) in b.items():
-                key = (ax + bx, ay + by)
-                pr = ar * br - ai * bi
-                pi = ar * bi + ai * br
-                cur = acc.get(key)
-                if cur is None:
-                    if pr or pi:
-                        acc[key] = (pr, pi)
-                else:
-                    nre, nim = cur[0] + pr, cur[1] + pi
-                    if nre or nim:
-                        acc[key] = (nre, nim)
-                    else:
-                        del acc[key]
+        if b:
+            ring._add_product(acc, a, b)
     return RingElem._raw(acc)
 
 
@@ -328,13 +315,11 @@ def weighted_embedding(
 
 def distance_weighting(g: SimpleGraph) -> WeightedCompleteGraph:
     """Each pair weighted by its shortest-path distance; requires connectivity."""
-    if not is_connected(g):
+    dist = all_pairs_distances(g)
+    weights = [dist[u - 1][v - 1] for u, v in pairs_in_rank_order(g.n)]
+    if None in weights:
         raise PreconditionError("distance weighting needs a connected graph")
-    table = all_pairs_distances(g)
-    weights = [
-        ring.const(table.get(u, v)) for u, v in pairs_in_rank_order(g.n)
-    ]
-    return WeightedCompleteGraph(g.n, weights)
+    return WeightedCompleteGraph(g.n, [ring.const(d) for d in weights])
 
 
 # -- basis gadgets -------------------------------------------------------------
@@ -517,12 +502,7 @@ def hamiltonian_sum(h: SimpleGraph, g: SimpleGraph, f: Sequence[int]) -> int:
         raise PreconditionError(
             f"graphs must share one order, got {h.n} and {g.n}"
         )
-    if not is_connected(g):
+    dist = all_pairs_distances(g)
+    if any(None in row for row in dist):
         raise PreconditionError("the distance-weighted graph must be connected")
-    table = all_pairs_distances(g)
-    total = 0
-    for u, v in h.edges:
-        d = table.get(f[u - 1], f[v - 1])
-        assert d is not None
-        total += d
-    return total
+    return sum(dist[f[u - 1] - 1][f[v - 1] - 1] for u, v in h.edges)

@@ -1,7 +1,9 @@
 """Simple unweighted graphs on vertices {1..n}: parsing, distances, components.
 
-Vertices are 1-based everywhere in this package.  Two input formats are
-accepted behind one parse entry point:
+Vertices are 1-based everywhere in this package; what is indexed by vertex
+(:attr:`SimpleGraph.adjacency`, its bitmasks and the distance matrix of
+:func:`all_pairs_distances`) holds vertex v at index v-1.  Two input formats
+are accepted behind one parse entry point:
 
 * edge-list text: first line ``n m``, then ``m`` lines ``u v``; blank lines
   and ``#`` comments are ignored;
@@ -18,7 +20,6 @@ from .errors import ParseError, PreconditionError
 
 __all__ = [
     "SimpleGraph",
-    "DistanceTable",
     "parse_edge_list",
     "parse_graph6",
     "parse_graph",
@@ -121,40 +122,27 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={sorted(self.edges)})"
 
 
-class DistanceTable:
-    """Shortest-path distances for unordered pairs; absent means unreachable."""
+def all_pairs_distances(g: SimpleGraph) -> list[list[int | None]]:
+    """The distance matrix, by breadth-first search from every vertex.
 
-    __slots__ = ("n", "_dist")
-
-    def __init__(self, n: int, dist: dict[tuple[int, int], int]):
-        self.n = n
-        self._dist = dist
-
-    def get(self, u: int, v: int) -> int | None:
-        if u == v:
-            return 0
-        key = (u, v) if u < v else (v, u)
-        return self._dist.get(key)
-
-
-def all_pairs_distances(g: SimpleGraph) -> DistanceTable:
-    """Breadth-first search from every vertex; disconnected pairs are absent."""
-    dist: dict[tuple[int, int], int] = {}
+    Rows and columns are indexed like :attr:`SimpleGraph.adjacency`:
+    ``dist[u-1][v-1]`` is the distance of u and v, 0 on the diagonal and
+    None when no path joins them."""
     adj = g.adjacency
+    dist = []
     for src in range(1, g.n + 1):
-        seen = {src: 0}
+        row: list[int | None] = [None] * g.n
+        row[src - 1] = 0
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            du = seen[u]
+            du = row[u - 1] + 1
             for w in adj[u - 1]:
-                if w not in seen:
-                    seen[w] = du + 1
+                if row[w - 1] is None:
+                    row[w - 1] = du
                     queue.append(w)
-        for v, d in seen.items():
-            if src < v:
-                dist[(src, v)] = d
-    return DistanceTable(g.n, dist)
+        dist.append(row)
+    return dist
 
 
 def component_orders(g: SimpleGraph) -> tuple[int, ...]:

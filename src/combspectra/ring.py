@@ -394,6 +394,14 @@ def product(p: RingElem, q: RingElem) -> RingElem:
     if a == _UNIT_TERMS:
         return q
     out: dict[tuple[int, int], tuple[int, int]] = {}
+    _add_product(out, a, b)
+    return RingElem._raw(out)
+
+
+def _add_product(out: dict, a: dict, b: dict) -> None:
+    """Add the product of the term maps ``a`` and ``b`` into the term map
+    ``out``, deleting each term that cancels to zero.  The one convolution
+    loop of :func:`product` and of ``gadgets.star_sum``."""
     for (ax, ay), (ar, ai) in a.items():
         for (bx, by), (br, bi) in b.items():
             key = (ax + bx, ay + by)
@@ -409,7 +417,6 @@ def product(p: RingElem, q: RingElem) -> RingElem:
                     out[key] = (nre, nim)
                 else:
                     del out[key]
-    return RingElem._raw(out)
 
 
 def _coerce(value) -> RingElem | None:

@@ -58,7 +58,7 @@ from .gadgets import (
     star_indicator,
     star_sum,
 )
-from .graphs import SimpleGraph, complete_graph, cycle_graph, parse_graph6, to_graph6
+from .graphs import SimpleGraph, complete_graph, cycle_graph, parse_graph6, path_graph, to_graph6
 from .limits import DEFAULT_LIMITS, Limits
 from .ring import GaussInt, random_element, random_gauss_int
 
@@ -646,18 +646,17 @@ def _family_product_orbit_failures(
 
 
 def _hamiltonian_orbit_failures(
-    n: int, graphs: Sequence[SimpleGraph], limits: Limits
+    h: SimpleGraph, graphs: Sequence[SimpleGraph], limits: Limits
 ) -> tuple[int, int]:
-    """The cycle spectrum by the subset recursion against the full product
+    """The Hamiltonian spectrum of the pattern h against the full product
     spectrum, on every corpus graph."""
-    cycle = cycle_graph(n)
     checks = failures = 0
     for g in graphs:
         full = _full_product(
-            singleton(indicator(cycle)), singleton(distance_weighting(g)), limits
+            singleton(indicator(h)), singleton(distance_weighting(g)), limits
         )
         checks += 1
-        failures += ch.hamiltonian_spectrum(cycle, g, limits) != spectrum_of(full)
+        failures += ch.hamiltonian_spectrum(h, g, limits) != spectrum_of(full)
     return checks, failures
 
 
@@ -666,9 +665,10 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
     scan (:func:`_full_scan`, for domination over the whole corpus and each
     reader on ``trials`` random members of its palette), family products by the
     right factor's relabel closure on ``trials`` random left members, and the
-    Hamiltonian cycle spectrum over the whole corpus.  The ``weighting`` row
-    checks the single-weighting irregular and antimagic scans against their
-    definitions by probe spectra, on the strength and antimagic members."""
+    Hamiltonian spectra of the cycle and of the path over the whole corpus.
+    The ``weighting`` row checks the single-weighting irregular and antimagic
+    scans against their definitions by probe spectra, on the strength and
+    antimagic members."""
     rng = Random(seed)
     rows = []
     for n in ns:
@@ -707,8 +707,11 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
         checks, failures = _family_product_orbit_failures(n, graphs, trials, rng, limits)
         rows.append(_check_row("orbit", checks, failures, n=n, search="family-product"))
         if n >= 3:
-            checks, failures = _hamiltonian_orbit_failures(n, graphs, limits)
-            rows.append(_check_row("orbit", checks, failures, n=n, search="hamiltonian"))
+            # the labelled cycle takes the subset recursion, the path the n! scan
+            for search, h in (("hamiltonian", cycle_graph(n)),
+                              ("hamiltonian-pattern", path_graph(n))):
+                checks, failures = _hamiltonian_orbit_failures(h, graphs, limits)
+                rows.append(_check_row("orbit", checks, failures, n=n, search=search))
     return rows
 
 

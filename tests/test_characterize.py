@@ -18,6 +18,7 @@ from combspectra.characterize import (
     dominating_k,
     dominating_set_of,
     edge_roman_at_most,
+    hamiltonian_cycle_spectrum,
     hamiltonian_number,
     hamiltonian_spectrum,
     irregular_weighted,
@@ -499,6 +500,17 @@ def test_hamiltonian_spectrum_of_other_patterns_scans_all_bijections():
             assert set(hamiltonian_spectrum(h, g).as_integers()) == expected
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_relabelled_cycle_scan_matches_the_cycle_recursion(n):
+    # 1-3-2-4-...-n-1 is an n-cycle but not the labelled one, so it takes the
+    # n! scan; its totals are the same cyclic orders' lengths
+    order = (1, 3, 2, *range(4, n + 1))
+    h = SimpleGraph(n, zip(order, order[1:] + order[:1]))
+    assert h != cycle_graph(n)
+    for g in connected_graphs(n):
+        assert hamiltonian_spectrum(h, g) == hamiltonian_cycle_spectrum(g)
+
+
 def _pattern(kind, n, seed):
     if kind == "cycle":
         return cycle_graph(n)
@@ -520,7 +532,7 @@ def _pattern(kind, n, seed):
     seed=st.integers(0, 2**16),
 )
 def test_hamiltonian_spectrum_is_the_set_of_ring_star_sums(n, index, kind, seed):
-    # the count route against the ring total of every one of the n! placements
+    # the bitset of totals against the ring total of every one of the n! placements
     assume(kind != "cycle" or n >= 3)
     graphs = connected_graphs(n)
     g = graphs[index % len(graphs)]
@@ -541,6 +553,10 @@ def test_hamiltonian_family_guard_counts_totals_not_count_vectors():
     assert str(raised.value) == (
         "family-size guard exceeded: Hamiltonian spectrum needs 2 members > max_family=1"
     )
+    # the guard runs once the scan is done and names every distinct total,
+    # as on the cycle route: P4 placed in P4 has lengths 3 to 7
+    with pytest.raises(SizeGuardError, match="needs 5 members > max_family=1"):
+        hamiltonian_spectrum(P4, P4, Limits(max_family=1))
 
 
 # -- coefficient structure of the combined reader ---------------------------------------

@@ -165,11 +165,12 @@ def test_verify_orbit_identity(capsys):
     )
     assert code == EXIT_OK
     rows = json.loads(out)["rows"]
-    assert [(row["n"], row["search"]) for row in rows[:8]] == [
+    assert [(row["n"], row["search"]) for row in rows[:9]] == [
         (3, "domination"), (3, "strength"), (3, "one-two-three"), (3, "antimagic"),
         (3, "edge-roman"), (3, "weighting"), (3, "family-product"), (3, "hamiltonian"),
+        (3, "hamiltonian-pattern"),
     ]
-    assert len(rows) == 24
+    assert len(rows) == 27
     assert all(row["agree"] and row["checks"] > 0 for row in rows)
     assert [row["checks"] for row in rows if row["search"] == "domination"] == [4, 18, 84]
     # closed right families (two up to n=4, one above), the two singleton
@@ -177,6 +178,7 @@ def test_verify_orbit_identity(capsys):
     assert [row["checks"] for row in rows if row["search"] == "family-product"] == [100, 100, 80]
     # every connected graph of each order
     assert [row["checks"] for row in rows if row["search"] == "hamiltonian"] == [2, 6, 21]
+    assert [row["checks"] for row in rows if row["search"] == "hamiltonian-pattern"] == [2, 6, 21]
     # the strength and the antimagic member of each trial
     assert [row["checks"] for row in rows if row["search"] == "weighting"] == [40, 40, 40]
 
@@ -238,6 +240,26 @@ def test_verify_hamiltonian_row_catches_a_recursion_without_its_closing_edge(mon
     monkeypatch.setattr(ch, "_cycle_lengths", namespace["_cycle_lengths"])
     rows = run_identity("orbit", ns=(3, 4, 5), trials=1)["rows"]
     assert [row["failures"] for row in rows if row["search"] == "hamiltonian"] == [2, 6, 21]
+
+
+def test_verify_hamiltonian_pattern_row_catches_a_scan_that_drops_an_edge(monkeypatch):
+    # the mutant leaves one edge of the pattern out of every total, so each
+    # spectrum loses its least value; the cycle row takes the recursion and
+    # still agrees
+    import inspect
+
+    from combspectra import characterize as ch
+    from combspectra.verify import run_identity
+
+    source = inspect.getsource(ch.hamiltonian_spectrum)
+    placed = "for e in edges]"
+    assert source.count(placed) == 1
+    namespace = dict(vars(ch))
+    exec(source.replace(placed, "for e in edges[1:]]"), namespace)
+    monkeypatch.setattr(ch, "hamiltonian_spectrum", namespace["hamiltonian_spectrum"])
+    rows = run_identity("orbit", ns=(3, 4, 5), trials=1)["rows"]
+    assert [row["failures"] for row in rows if row["search"] == "hamiltonian-pattern"] == [2, 6, 21]
+    assert [row["failures"] for row in rows if row["search"] == "hamiltonian"] == [0, 0, 0]
 
 
 @pytest.mark.parametrize(

@@ -55,23 +55,20 @@ def test_parse_ignores_blanks_and_comments():
 
 
 def test_distances():
-    t = all_pairs_distances(path_graph(3))
-    assert (t.get(1, 2), t.get(2, 3), t.get(1, 3)) == (1, 1, 2)
-    assert t.get(2, 2) == 0
-    k3 = all_pairs_distances(complete_graph(3))
-    assert all(k3.get(u, v) == 1 for u in (1, 2, 3) for v in (1, 2, 3) if u != v)
-    iso = all_pairs_distances(SimpleGraph(2))
-    assert iso.get(1, 2) is None
+    # 0-based rows and columns, 0 on the diagonal, None for an unreachable pair
+    assert all_pairs_distances(path_graph(3)) == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert all_pairs_distances(complete_graph(3)) == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    assert all_pairs_distances(SimpleGraph(2)) == [[0, None], [None, 0]]
+    assert all_pairs_distances(SimpleGraph(1)) == [[0]]
 
 
 def test_distance_symmetry_and_triangle():
-    g = cycle_graph(6)
-    t = all_pairs_distances(g)
-    for u in range(1, 7):
-        for v in range(1, 7):
-            assert t.get(u, v) == t.get(v, u)
-            for w in range(1, 7):
-                assert t.get(u, v) <= t.get(u, w) + t.get(w, v)
+    dist = all_pairs_distances(cycle_graph(6))
+    for u in range(6):
+        for v in range(6):
+            assert dist[u][v] == dist[v][u]
+            for w in range(6):
+                assert dist[u][v] <= dist[u][w] + dist[w][v]
 
 
 def test_component_orders():
@@ -124,6 +121,14 @@ def test_graph6_round_trip_and_networkx_bytes_up_to_62(g):
     ours = to_graph6(g)
     assert parse_graph6(ours) == g
     assert nx.to_graph6_bytes(_networkx(g), header=False) == ours.encode() + b"\n"
+
+
+@given(graphs_up_to_62())
+@settings(max_examples=60, deadline=None)
+def test_distances_against_networkx(g):
+    lengths = dict(nx.all_pairs_shortest_path_length(_networkx(g)))
+    expected = [[lengths[u].get(v) for v in range(g.n)] for u in range(g.n)]
+    assert all_pairs_distances(g) == expected
 
 
 @given(graphs_up_to_62(), st.integers(1, 63))

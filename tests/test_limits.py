@@ -11,7 +11,7 @@ import combspectra
 from combspectra import characterize, families, limits as limits_module, oracles, verify
 from combspectra.errors import TimeLimitError
 from combspectra.gadgets import indicator
-from combspectra.graphs import SimpleGraph, complete_graph, cycle_graph, to_graph6
+from combspectra.graphs import SimpleGraph, complete_graph, cycle_graph, star_graph, to_graph6
 from combspectra.limits import Limits
 
 
@@ -63,9 +63,12 @@ def test_polled_yields_items_appended_while_iterating(limits):
         # 2^13 vertex subsets
         (lambda limits: characterize.hamiltonian_cycle_spectrum(
             cycle_graph(14), replace(limits, max_n=14)), 3),
+        # 7! = 5040 bijections
+        (lambda limits: characterize.hamiltonian_spectrum(
+            star_graph(7), complete_graph(7), limits), 2),
     ],
     ids=["edge_roman_oracle(K5)", "edge_roman_at_most(K5,3)", "power_fixpoint(deleted(5))",
-         "hamiltonian_cycle_spectrum(C14)"],
+         "hamiltonian_cycle_spectrum(C14)", "hamiltonian_spectrum(S7,K7)"],
 )
 def test_enumerations_poll_at_the_pinned_cadence(polls, call, expected):
     # a cached relabel closure is not polled, so build it afresh
