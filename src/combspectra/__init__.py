@@ -16,6 +16,7 @@ from .characterize import (
     dominating_k,
     dominating_set_of,
     edge_roman_at_most,
+    hamiltonian_cycle_spectrum,
     hamiltonian_number,
     hamiltonian_spectrum,
     irregular_weighted,

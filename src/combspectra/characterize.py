@@ -13,8 +13,8 @@ recursion, any other pattern's from the n! bijections.  ``verify --identity
 orbit`` checks each against the full n! scan.  Searches run in a fixed
 lexicographic order (colorings first, bijections second) and short-circuit
 on the first witness, which is also the first witness of the full n! scan,
-so results are fully deterministic; pass ``exhaustive=True`` to count every
-witness instead.
+so results are fully deterministic; :func:`dominating_k` with
+``exhaustive=True`` counts every witness instead.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .gadgets import (
     cover_reader,
     degree_reader,
     domination_probe,
-    identity_pair_maps,
+    identity_bijection,
     pair_index,
     pair_reader,
     pairs_in_rank_order,
@@ -148,11 +148,18 @@ def _scan(
 ) -> Verdict:
     """Read s(H *_f gadget) along the identity f for each member H, in the
     given order; the first accepted member is the witness of the
-    :class:`Verdict`.  Starring along another bijection must leave
-    ``accept`` unchanged, so the identity decides each member for all n!:
-    with ``exhaustive``, ``stats.witnesses`` counts n! per accepted member.
+    :class:`Verdict`.  With ``exhaustive``, ``stats.witnesses`` counts n! per
+    accepted member.
+
+    Starring a graph with a reader gadget along f only permutes the
+    x-coefficients of the total; for the contrast reader it may also negate
+    their real parts, when all weights are real.  Each ``accept`` tests a
+    property invariant under both, so the identity decides each member for
+    all n! bijections; ``verify --identity orbit`` checks each reading
+    against all n! of :func:`bijection_pair_maps`.
     """
-    [(f, pmap)] = identity_pair_maps(gadget.n)
+    n = gadget.n
+    f, pmap = identity_bijection(n), range(n * (n - 1) // 2)
     stats = SearchStats(witnesses=0 if exhaustive else None)
     first = None
     for h in limits.polled(members):
@@ -165,7 +172,7 @@ def _scan(
                 )
             if not exhaustive:
                 break
-            stats.witnesses += math.factorial(gadget.n)
+            stats.witnesses += math.factorial(n)
     stats.bijections = stats.members
     return first if first is not None else Verdict(False, stats=stats)
 
@@ -194,7 +201,6 @@ def _coloring_scan(
     accept: Callable[[WeightedCompleteGraph, RingElem], bool],
     what: str,
     limits: Limits,
-    exhaustive: bool,
 ) -> Verdict:
     """Scan every coloring of g's edges by the p colors of ``palette(p)``
     against ``gadget(n)`` along the identity.  The guards come first (the
@@ -203,16 +209,14 @@ def _coloring_scan(
     limits.check_n(n)
     limits.check_family(p**m, f"{p}-colorings of {m} edges")
     limits.check_steps(p**m * math.factorial(n), f"{what} search")
-    return _scan(iter_colorings(g, palette(p)), gadget(n), accept, limits, exhaustive)
+    return _scan(iter_colorings(g, palette(p)), gadget(n), accept, limits)
 
 
 # -- antimagic ----------------------------------------------------------------
 
 
 def antimagic_weighted(
-    g: WeightedCompleteGraph,
-    is_complete: bool | None = None,
-    limits: Limits = DEFAULT_LIMITS,
+    g: WeightedCompleteGraph, limits: Limits = DEFAULT_LIMITS
 ) -> Verdict:
     """Single-graph antimagic test via the two spectrum conditions.
 
@@ -224,20 +228,13 @@ def antimagic_weighted(
     :func:`antimagic_family` decides this: it asks only that the pair weights
     cover {1..|E|}, but the |E| nonzero weights that cover it are exactly
     {1..|E|}, and 0 is among the pair weights exactly when the weighting is
-    not complete.  ``is_complete`` defaults to whether every pair weight is
-    nonzero; a value that contradicts the weights makes the verdict false.
+    not complete.
     """
     if g.n < 2:
         raise PreconditionError("antimagic needs at least two vertices")
-    if is_complete is None or is_complete == g.is_complete_weighting():
-        accept = _antimagic_accept(g.n)
-    else:
-        accept = _reject
-    return _weighting_scan(g, _antimagic_gadget, accept, "antimagic check", limits)
-
-
-def _reject(_h: WeightedCompleteGraph, _p: RingElem) -> bool:
-    return False
+    return _weighting_scan(
+        g, _antimagic_gadget, _antimagic_accept(g.n), "antimagic check", limits
+    )
 
 
 def _antimagic_accept(n: int):
@@ -257,11 +254,7 @@ def _antimagic_gadget(n: int) -> WeightedCompleteGraph:
     return degree_reader(n) + pair_reader(n).scale(ring.x_pow(n))
 
 
-def antimagic_family(
-    fam: GraphFamily,
-    limits: Limits = DEFAULT_LIMITS,
-    exhaustive: bool = False,
-) -> Verdict:
+def antimagic_family(fam: GraphFamily, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Does the family contain an antimagic weighting?
 
     Searches the spectrum against the combined reader (degrees in the first n
@@ -276,14 +269,10 @@ def antimagic_family(
     for h in fam:
         _require_constant_nonneg(h)
     limits.check_steps(len(fam) * math.factorial(n), "antimagic family search")
-    return _scan(fam, _antimagic_gadget(n), _antimagic_accept(n), limits, exhaustive)
+    return _scan(fam, _antimagic_gadget(n), _antimagic_accept(n), limits)
 
 
-def antimagic_unweighted(
-    g: SimpleGraph,
-    limits: Limits = DEFAULT_LIMITS,
-    exhaustive: bool = False,
-) -> Verdict:
+def antimagic_unweighted(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Is the plain graph antimagic?  Searches all |E|-colorings of its edges.
 
     The coloring family is enumerated directly; it equals the family-algebra
@@ -293,8 +282,7 @@ def antimagic_unweighted(
     if any(g.degree(v) == 0 for v in range(1, g.n + 1)):
         raise PreconditionError("antimagic needs a graph without isolated vertices")
     return _coloring_scan(
-        g, g.m, integer_palette, _antimagic_gadget, _antimagic_accept(g.n), "antimagic",
-        limits, exhaustive,
+        g, g.m, integer_palette, _antimagic_gadget, _antimagic_accept(g.n), "antimagic", limits
     )
 
 
@@ -320,12 +308,7 @@ def irregular_weighted(
     )
 
 
-def strength_at_most(
-    g: SimpleGraph,
-    k: int,
-    limits: Limits = DEFAULT_LIMITS,
-    exhaustive: bool = False,
-) -> Verdict:
+def strength_at_most(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Does some edge labeling by {1..k} give pairwise distinct vertex sums?
 
     Holds exactly when the irregularity strength is at most k.  Coefficients
@@ -336,8 +319,7 @@ def strength_at_most(
     if any(g.degree(v) == 0 for v in range(1, g.n + 1)):
         raise PreconditionError("irregularity strength needs no isolated vertices")
     return _coloring_scan(
-        g, k, integer_palette, degree_reader, _strength_accept(g.n), "strength",
-        limits, exhaustive,
+        g, k, integer_palette, degree_reader, _strength_accept(g.n), "strength", limits
     )
 
 
@@ -370,11 +352,7 @@ def _one_two_three_accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
     return True
 
 
-def one_two_three(
-    g: SimpleGraph,
-    limits: Limits = DEFAULT_LIMITS,
-    exhaustive: bool = False,
-) -> Verdict:
+def one_two_three(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Does some edge labeling by {1,2,3} make the graph locally irregular?
 
     Requires every component to have order at least 3.  A labeling is accepted
@@ -387,8 +365,7 @@ def one_two_three(
             f"a component of order {orders[0]} < 3 is present"
         )
     return _coloring_scan(
-        g, 3, integer_palette, contrast_reader, _one_two_three_accept, "1-2-3",
-        limits, exhaustive,
+        g, 3, integer_palette, contrast_reader, _one_two_three_accept, "1-2-3", limits
     )
 
 
@@ -535,12 +512,7 @@ def _edge_roman_accept(n: int, m: int, k: int):
     return accept
 
 
-def edge_roman_at_most(
-    g: SimpleGraph,
-    k: int,
-    limits: Limits = DEFAULT_LIMITS,
-    exhaustive: bool = False,
-) -> Verdict:
+def edge_roman_at_most(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Is the edge Roman domination number at most k?
 
     Enumerates {0,-1,y} colorings; a coloring qualifies when (a) no
@@ -559,7 +531,7 @@ def edge_roman_at_most(
         raise PreconditionError("k must be nonnegative")
     return _coloring_scan(
         g, len(ROMAN_PALETTE), lambda _p: ROMAN_PALETTE, cover_reader,
-        _edge_roman_accept(n, m, k), "edge Roman", limits, exhaustive,
+        _edge_roman_accept(n, m, k), "edge Roman", limits,
     )
 
 

@@ -348,6 +348,8 @@ def _run_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     check = _CHECKS[subject]
     reads = [flag for flag, read in (("k", check.takes_k), ("by", check.witness is None)) if read]
     _check_flags(f"check {subject}", args, ("k", "by", "seed"), reads)
+    if args.by == "-" and args.graph == "-":
+        raise UsageError("the graph and --by cannot both be read from standard input")
     pattern = None
     if args.by is not None:
         patterns = _load_graphs(args.by)

@@ -76,49 +76,63 @@ __all__ = [
 ]
 
 
-class GraphFamily:
-    """A deduplicated set of weighted complete graphs of one order.
+class _SortedSet:
+    """A frozen set whose canonical sorted order, by the subclass's
+    ``_sort_key``, is computed on first read.  Length, membership, equality
+    and hashing use the set."""
 
-    Length, membership, equality and hashing use the set; ``members`` is the
-    canonical sorted order, computed on first read."""
+    __slots__ = ("_items", "_order")
+    _sort_key: Callable
 
-    __slots__ = ("n", "_member_set", "_members")
+    def __init__(self, items: Iterable) -> None:
+        self._items = frozenset(items)
+        self._order: tuple | None = None
+
+    @property
+    def _sorted(self) -> tuple:
+        if self._order is None:
+            # on the type: a plain function stored on the class would bind to self
+            self._order = tuple(sorted(self._items, key=type(self)._sort_key))
+        return self._order
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self) -> Iterator:
+        return iter(self._sorted)
+
+    def __contains__(self, item: object) -> bool:
+        return item in self._items
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+
+class GraphFamily(_SortedSet):
+    """A deduplicated set of weighted complete graphs of one order;
+    ``members`` is the canonical sorted order."""
+
+    __slots__ = ("n",)
+    _sort_key = WeightedCompleteGraph.sort_key
+    members = _SortedSet._sorted
 
     def __init__(self, n: int, members: Iterable[WeightedCompleteGraph]):
-        member_set = frozenset(members)
-        for m in member_set:
+        super().__init__(members)
+        for m in self._items:
             if m.n != n:
                 raise PreconditionError(
                     f"family of order {n} cannot contain a graph of order {m.n}"
                 )
         self.n = n
-        self._member_set = member_set
-        self._members: tuple[WeightedCompleteGraph, ...] | None = None
-
-    @property
-    def members(self) -> tuple[WeightedCompleteGraph, ...]:
-        if self._members is None:
-            self._members = tuple(sorted(self._member_set, key=WeightedCompleteGraph.sort_key))
-        return self._members
-
-    def __len__(self) -> int:
-        return len(self._member_set)
-
-    def __iter__(self) -> Iterator[WeightedCompleteGraph]:
-        return iter(self.members)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._member_set
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GraphFamily)
-            and self.n == other.n
-            and self._member_set == other._member_set
-        )
+        return super().__eq__(other) and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash((self.n, self._member_set))
+        return hash((self.n, self._items))
 
     def __repr__(self) -> str:
         return f"GraphFamily(n={self.n}, members={len(self)})"
@@ -131,36 +145,13 @@ class GraphFamily:
         return out
 
 
-class Spectrum:
+class Spectrum(_SortedSet):
     """The deduplicated set of total weights of a family; ``values`` is the
-    canonical sorted order, computed on first read."""
+    canonical sorted order."""
 
-    __slots__ = ("_value_set", "_values")
-
-    def __init__(self, values: Iterable[RingElem]):
-        self._value_set = frozenset(values)
-        self._values: tuple[RingElem, ...] | None = None
-
-    @property
-    def values(self) -> tuple[RingElem, ...]:
-        if self._values is None:
-            self._values = tuple(sorted(self._value_set, key=RingElem.sort_key))
-        return self._values
-
-    def __len__(self) -> int:
-        return len(self._value_set)
-
-    def __iter__(self) -> Iterator[RingElem]:
-        return iter(self.values)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._value_set
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Spectrum) and self._value_set == other._value_set
-
-    def __hash__(self) -> int:
-        return hash(self._value_set)
+    __slots__ = ()
+    _sort_key = RingElem.sort_key
+    values = _SortedSet._sorted
 
     def as_integers(self) -> tuple[int, ...]:
         """Sorted integer values; raises unless every member is a real integer constant."""
@@ -189,7 +180,7 @@ def singleton(member: WeightedCompleteGraph) -> GraphFamily:
 
 
 def spectrum_of(family: GraphFamily | Iterable[WeightedCompleteGraph]) -> Spectrum:
-    members = family._member_set if isinstance(family, GraphFamily) else family
+    members = family._items if isinstance(family, GraphFamily) else family
     return Spectrum(m.total_weight() for m in members)
 
 
@@ -236,7 +227,7 @@ def _relabel_closure(
     Cached per (family, max_family) in a bounded LRU; the deadline is not
     part of the key, so a hit does not poll it and callers must."""
     gens = [pair_map for _f, pair_map in generator_pair_maps(family.n)]
-    closure = list(family._member_set)
+    closure = list(family._items)
     seen = set(closure)
     # the loop also visits the relabelings it appends, in the order found
     for g in limits.polled(closure):
@@ -275,7 +266,7 @@ def family_product(
     )
     closure = _relabel_closure(right, limits)
     out: set[WeightedCompleteGraph] = set()
-    for h, g in limits.polled(itertools.product(left._member_set, closure)):
+    for h, g in limits.polled(itertools.product(left._items, closure)):
         out.add(h * g)
         if len(out) > limits.max_family:
             limits.check_family(len(out), "family product")
@@ -292,7 +283,7 @@ def family_sum(
         )
     limits.check_steps(len(left) * len(right), "family sum")
     out: set[WeightedCompleteGraph] = set()
-    for h, g in limits.polled(itertools.product(left._member_set, right._member_set)):
+    for h, g in limits.polled(itertools.product(left._items, right._items)):
         out.add(h + g)
         if len(out) > limits.max_family:
             limits.check_family(len(out), "family sum")
@@ -359,7 +350,7 @@ def _all_colorings(n: int, k: int, limits: Limits) -> GraphFamily:
     full = indicator(complete_graph(n))
     acc = singleton(WeightedCompleteGraph.zero(n))
     if k > 1:
-        base_members = set(power_fixpoint(edge_deleted_family(n), limits).family._member_set)
+        base_members = set(power_fixpoint(edge_deleted_family(n), limits).family._items)
         base_members.add(full)
         base = GraphFamily(n, base_members)
         for _ in range(k - 1):
@@ -393,7 +384,7 @@ def in_palette_family(
         return True
     probe = singleton(edge_indicator(1, 2, h.n))
     spec = spectrum_of(family_product(singleton(h), probe, limits))
-    return spec._value_set <= set(palette)
+    return spec._items <= set(palette)
 
 
 def iter_colorings(

@@ -37,7 +37,6 @@ __all__ = [
     "pairs_in_rank_order",
     "all_bijections",
     "bijection_pair_maps",
-    "identity_pair_maps",
     "generator_pair_maps",
     "identity_bijection",
     "indicator",
@@ -123,19 +122,6 @@ def generator_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]]
         return ()
     gens = ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1))
     return tuple((f, _pair_map_of(f, n)) for f in gens)
-
-
-def identity_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The identity bijection alone, in the form of :func:`bijection_pair_maps`.
-
-    Starring a graph with a reader gadget along f only permutes the
-    x-coefficients of the total; for the contrast reader it may also negate
-    their real parts, when all weights are real.  The reader-gadget
-    characterizations test properties invariant under both, so they read
-    each member along this bijection alone; ``verify --identity orbit``
-    checks each reading against all n! of :func:`bijection_pair_maps`.
-    """
-    return ((identity_bijection(n), tuple(range(n * (n - 1) // 2))),)
 
 
 class WeightedCompleteGraph:

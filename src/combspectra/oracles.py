@@ -64,6 +64,7 @@ def antimagic_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> OracleR
     """Exhaust all |E|! bijective labelings 1..|E| looking for distinct
     weighted degrees."""
     _check_no_isolated(g)
+    limits.check_n(g.n)
     edges = g.sorted_edges()
     m = len(edges)
     limits.check_steps(math.factorial(m), "antimagic oracle")
@@ -82,6 +83,7 @@ def strength_oracle(
     """Smallest k <= k_max admitting an irregular labeling E -> {1..k};
     value None when no such k exists in range."""
     _check_no_isolated(g)
+    limits.check_n(g.n)
     edges = g.sorted_edges()
     m = len(edges)
     enumerated = 0
@@ -107,6 +109,7 @@ def chi_sigma_oracle(
     orders = _component_orders(g)
     if orders and orders[0] < 3:
         raise PreconditionError("oracle needs no component of order < 3")
+    limits.check_n(g.n)
     edges = g.sorted_edges()
     m = len(edges)
     limits.check_steps(k**m, "vertex-coloring labeling oracle")
@@ -124,6 +127,7 @@ def domination_oracle(
     """Does some k-subset of vertices dominate the graph?"""
     if not 1 <= k <= g.n:
         raise PreconditionError(f"k must be in 1..{g.n}, got {k}")
+    limits.check_n(g.n)
     adj = g.adjacency
     limits.check_steps(math.comb(g.n, k), "domination oracle")
     for enumerated, subset in enumerate(limits.polled(combinations(range(1, g.n + 1), k)), 1):
@@ -140,6 +144,7 @@ def edge_roman_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Oracle
     m = len(edges)
     if m < 1:
         raise PreconditionError("edge Roman domination needs at least one edge")
+    limits.check_n(g.n)
     limits.check_steps(3**m, "edge Roman oracle")
     adjacent = [
         [j for j in range(m) if j != i and set(edges[i]) & set(edges[j])]
@@ -166,6 +171,7 @@ def hamiltonian_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Oracl
     vertex 1 pinned and reflections skipped."""
     if g.n < 3:
         raise PreconditionError("the Hamiltonian number needs at least 3 vertices")
+    limits.check_n(g.n)
     dist = _bfs_all_pairs(g)
     if any(
         dist[u][v] is None for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1)

@@ -39,7 +39,6 @@ from combspectra.gadgets import (
     domination_probe,
     edge_indicator,
     hamiltonian_sum,
-    identity_pair_maps,
     indicator,
     pairs_in_rank_order,
     star_indicator,
@@ -73,7 +72,7 @@ def embed(g, values):
 
 def test_antimagic_weighted_examples():
     assert antimagic_weighted(embed(P3, (1, 2))).holds
-    assert not antimagic_weighted(embed(K2, (1,)), is_complete=True).holds
+    assert not antimagic_weighted(embed(K2, (1,))).holds
     assert not antimagic_weighted(embed(P3, (1, 1))).holds
 
 
@@ -97,9 +96,9 @@ def test_antimagic_family_examples():
     assert v.witness_polynomial == (
         ring.ONE + 3 * ring.X + 2 * x_pow(2) + x_pow(3) + 2 * x_pow(5)
     )
-    v = antimagic_family(singleton(embed(P3, (1, 1))), exhaustive=True)
+    v = antimagic_family(singleton(embed(P3, (1, 1))))
     assert not v.holds
-    assert v.stats.bijections == 1 and v.stats.witnesses == 0
+    assert v.stats.bijections == 1
 
 
 def test_antimagic_family_empty_fails():
@@ -149,15 +148,9 @@ def _check_antimagic_lemma(h):
     from combspectra.characterize import _antimagic_accept, _antimagic_gadget
 
     expected = _antimagic_by_definition(h)
-    [(_f, identity)] = identity_pair_maps(h.n)
+    identity = range(len(h.weights))
     assert _antimagic_accept(h.n)(h, star_sum(h, _antimagic_gadget(h.n), identity)) == expected
     assert antimagic_weighted(h).holds == expected
-    complete = h.is_complete_weighting()
-    assert antimagic_weighted(h, is_complete=complete).holds == expected
-    # an is_complete that contradicts the weights: false, after the one scan
-    contradicted = antimagic_weighted(h, is_complete=not complete)
-    assert not contradicted.holds
-    assert contradicted.stats.to_json() == {"members": 1, "bijections": 1}
     return expected
 
 
@@ -627,7 +620,7 @@ def test_verdict_json_shape():
 
 
 def test_stats_counters():
-    v = antimagic_family(singleton(embed(P3, (1, 1))), exhaustive=True)
+    v = antimagic_family(singleton(embed(P3, (1, 1))))
     assert v.stats.members == 1
     assert v.stats.bijections == 1  # the identity decides the member
     # a single weighting is one scan along the identity
@@ -668,7 +661,7 @@ def test_antimagic_matches_member_level_checks():
 
     for g in (P3, C3, K2):
         member_route = any(
-            antimagic_weighted(h, is_complete=(g.m == g.n * (g.n - 1) // 2)).holds
+            antimagic_weighted(h).holds
             for h in iter_colorings(g, integer_palette(g.m))
         )
         assert antimagic_unweighted(g).holds == member_route

@@ -489,11 +489,15 @@ def test_max_n_variable_sets_the_verify_order(capsys, monkeypatch):
     assert max(row["n"] for row in data["rows"]) == 5
 
 
-def _readme_table(first_header: str) -> list[list[str]]:
-    """The body cells of the README "Command line" table whose first header
-    cell is ``first_header``."""
+def _readme_section(heading: str) -> str:
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_table(first_header: str, heading: str = "Command line") -> list[list[str]]:
+    """The body cells of the table in the README section ``heading`` whose
+    first header cell is ``first_header``."""
+    section = _readme_section(heading)
     lines = section.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith(f"| {first_header} |"))
     rows = []
@@ -531,9 +535,41 @@ def test_readme_subject_tables_match_the_code():
     assert identities == list(IDENTITY_SUBJECTS)
 
 
+def test_readme_predicates_and_oracles_exist():
+    import combspectra
+    from combspectra import oracles
+
+    rows = _readme_table("problem", "What it computes")
+    assert len(rows) == 6
+    for row in rows:
+        for name in _names(row[1]):
+            assert hasattr(combspectra, name), name
+        for name in _names(row[2]):
+            assert hasattr(oracles, name), name
+
+
+def test_readme_library_quick_tour_runs():
+    """Every line of the tour runs, and each bare expression with a trailing
+    comment evaluates to the value that comment shows."""
+    block = _readme_section("Library quick tour").split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("  #")
+        try:
+            compile(code, "<tour>", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        if comment:
+            assert repr(value) == comment.strip().split("  ")[0], line
+            checked += 1
+    assert checked >= 5
+
+
 def test_readme_command_line_examples_exit_ok(capsys, monkeypatch, tmp_path):
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    block = _readme_section("Command line").split("```sh", 1)[1].split("```", 1)[0]
     examples = [shlex.split(line) for line in block.splitlines() if line.startswith("combspectra ")]
     assert len(examples) >= 10
 
@@ -644,6 +680,31 @@ def test_check_hamiltonian_honours_max_n(capsys, monkeypatch):
     code, _out, err = run(capsys, "check", "hamiltonian", "-")
     assert code == EXIT_SIZE_GUARD
     assert "max_n=7" in err
+
+
+def test_oracle_honours_max_n(capsys, monkeypatch):
+    import io
+
+    assert to_graph6(path_graph(9)) == "HhCGGC@"
+    monkeypatch.setattr("sys.stdin", io.StringIO("HhCGGC@\n"))
+    code, _out, err = run(capsys, "oracle", "hamiltonian", "-")
+    assert code == EXIT_SIZE_GUARD
+    assert "max_n=7" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO("HhCGGC@\n"))
+    code, out, _ = run(capsys, "oracle", "hamiltonian", "-", "--max-n", "9", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == 16
+
+
+def test_check_refuses_graph_and_pattern_both_on_stdin(capsys, monkeypatch):
+    import io
+
+    stdin = io.StringIO("Bw\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "check", "hamiltonian", "-", "--by", "-")
+    assert code == EXIT_USAGE
+    assert out == "" and "standard input" in err
+    assert stdin.tell() == 0  # refused before anything was read
 
 
 def test_check_timeout_before_first_bijection(capsys, monkeypatch):

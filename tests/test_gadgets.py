@@ -19,7 +19,6 @@ from combspectra.gadgets import (
     edge_indicator,
     generator_pair_maps,
     hamiltonian_sum,
-    identity_pair_maps,
     indicator,
     pair_index,
     pair_rank,
@@ -287,7 +286,6 @@ def test_bijection_maps_identity_first():
     assert maps[0][0] == (1, 2, 3, 4)
     assert maps[0][1] == tuple(range(6))
     assert len(maps) == 24
-    assert identity_pair_maps(4) == maps[:1]
 
 
 def test_pair_maps_send_each_pair_to_the_rank_of_its_image():

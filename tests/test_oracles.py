@@ -163,6 +163,26 @@ def test_oracles_poll_the_deadline_before_their_loop(call):
         call(Limits(deadline=0.0))
 
 
+P8 = path_graph(8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: antimagic_oracle(P8),
+        lambda: strength_oracle(P8, 2),
+        lambda: chi_sigma_oracle(P8, 2),
+        lambda: domination_oracle(P8, 1),
+        lambda: edge_roman_oracle(P8),
+        lambda: hamiltonian_oracle(P8),
+    ],
+)
+def test_oracles_honour_the_order_guard(call):
+    # the default max_n is 7, so an 8-vertex graph is refused before any work
+    with pytest.raises(SizeGuardError, match="max_n=7"):
+        call()
+
+
 def test_oracles_stay_independent_of_the_spectral_code():
     """The oracles import only the plain graph type, the errors and the
     limits from the package, and never read the bitmasks the spectral

@@ -214,10 +214,13 @@ def test_sweeps_stop_at_the_graph6_order_cap():
 
 
 def test_importing_the_cli_loads_no_pool():
-    # only --workers > 1 sweeps fork, and only they need pickle and signal
+    # only --workers > 1 sweeps fork, and only they need pickle and signal;
+    # and the package has no runtime dependency: networkx and the test tools
+    # are for the tests alone
     code = (
         "import sys, combspectra.cli; print(sorted(m for m in sys.modules"
-        " if m.startswith(('concurrent', 'multiprocessing')) or m in ('pickle', 'signal')))"
+        " if m.startswith(('concurrent', 'multiprocessing')) or m in ('pickle', 'signal')"
+        " or m.split('.')[0] in ('networkx', 'hypothesis', 'pytest', '_pytest')))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
     out = subprocess.run(
