@@ -14,7 +14,8 @@ orbit`` checks each against the full n! scan.  Searches run in a fixed
 lexicographic order (colorings first, bijections second) and short-circuit
 on the first witness, which is also the first witness of the full n! scan,
 so results are fully deterministic; :func:`dominating_k` with
-``exhaustive=True`` counts every witness instead.
+``exhaustive=True`` counts every witness instead (a reader member's full
+scan accepts all n! bijections or none).
 """
 
 from __future__ import annotations
@@ -144,12 +145,10 @@ def _scan(
     gadget: WeightedCompleteGraph,
     accept: Callable[[WeightedCompleteGraph, RingElem], bool],
     limits: Limits,
-    exhaustive: bool = False,
 ) -> Verdict:
     """Read s(H *_f gadget) along the identity f for each member H, in the
-    given order; the first accepted member is the witness of the
-    :class:`Verdict`.  With ``exhaustive``, ``stats.witnesses`` counts n! per
-    accepted member.
+    given order, up to the first accepted member: the witness of the
+    :class:`Verdict`.
 
     Starring a graph with a reader gadget along f only permutes the
     x-coefficients of the total; for the contrast reader it may also negate
@@ -160,21 +159,16 @@ def _scan(
     """
     n = gadget.n
     f, pmap = identity_bijection(n), range(n * (n - 1) // 2)
-    stats = SearchStats(witnesses=0 if exhaustive else None)
-    first = None
+    stats = SearchStats()
     for h in limits.polled(members):
         stats.members += 1
+        stats.bijections += 1
         p = star_sum(h, gadget, pmap)
         if accept(h, p):
-            if first is None:
-                first = Verdict(
-                    True, witness_polynomial=p, witness_graph=h, witness_bijection=f, stats=stats
-                )
-            if not exhaustive:
-                break
-            stats.witnesses += math.factorial(n)
-    stats.bijections = stats.members
-    return first if first is not None else Verdict(False, stats=stats)
+            return Verdict(
+                True, witness_polynomial=p, witness_graph=h, witness_bijection=f, stats=stats
+            )
+    return Verdict(False, stats=stats)
 
 
 def _weighting_scan(

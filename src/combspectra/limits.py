@@ -33,7 +33,8 @@ class Limits:
     Every enumeration of bijections, colorings, family members, oracle
     candidates or the vertex subsets of the Hamiltonian cycle recursion
     iterates :meth:`polled`.  Loops whose every step is costly
-    poll once per step instead: corpus sweeps between tasks, the
+    poll once per step instead: corpus sweeps after each task, in the
+    calling process and in every forked worker, the
     corpus once per order read from its table and once per parent graph of
     an order generated beyond it, the ring-axiom suite once per trial and
     the reader suites before each order, after its build and after its

@@ -8,12 +8,13 @@ through ``g.edges`` (and ``sorted_edges``) and the neighbour sets of
 read.  Enumeration orders are lexicographic (edges sorted, labels ascending,
 permutations in standard order), so any failure is reproducible.
 
-A witness is returned as soon as it passes the definition's test, and is not
-re-derived afterwards.  Two oracles assert more about it: ``antimagic_oracle``
-that its labels are distinct, and ``strength_oracle`` that none exceeds k.
-``edge_roman_oracle`` and ``hamiltonian_oracle`` assert only that a best
-candidate was found; ``chi_sigma_oracle`` and ``domination_oracle`` assert
-nothing.
+Each definition's test is one private predicate, which ``verify`` also
+checks the spectral witnesses with.  A witness is returned as soon as it
+passes its predicate, and is not re-derived afterwards.  Two oracles assert
+more about it: ``antimagic_oracle`` that its labels are distinct, and
+``strength_oracle`` that none exceeds k.  ``edge_roman_oracle`` and
+``hamiltonian_oracle`` assert only that a best candidate was found;
+``chi_sigma_oracle`` and ``domination_oracle`` assert nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .errors import PreconditionError
 from .graphs import SimpleGraph
@@ -54,6 +55,30 @@ def _weighted_degrees(g: SimpleGraph, labels: Mapping[tuple[int, int], int]) -> 
     return sums[1:]
 
 
+def _irregular(g: SimpleGraph, labels: Mapping[tuple[int, int], int]) -> bool:
+    """Are the weighted degrees of the edge labeling pairwise distinct?"""
+    return len(set(_weighted_degrees(g, labels))) == g.n
+
+
+def _locally_irregular(g: SimpleGraph, labels: Mapping[tuple[int, int], int]) -> bool:
+    """Do adjacent vertices get distinct weighted degrees?"""
+    degrees = _weighted_degrees(g, labels)
+    return all(degrees[u - 1] != degrees[v - 1] for u, v in g.edges)
+
+
+def _dominates(g: SimpleGraph, chosen: Collection[int]) -> bool:
+    """Is every vertex chosen or adjacent to a chosen one, that is, do the
+    closed neighbourhoods of the chosen vertices cover the graph?"""
+    adj = g.adjacency
+    return len(set(chosen).union(*[adj[v - 1] for v in chosen])) == g.n
+
+
+def _edge_roman_valid(g: SimpleGraph, fn: Mapping[tuple[int, int], int]) -> bool:
+    """Does every edge labelled 0 share an end with an edge labelled 2?"""
+    covered = {v for e in g.edges if fn[e] == 2 for v in e}  # the ends of the 2-edges
+    return all(fn[e] != 0 or not covered.isdisjoint(e) for e in g.edges)
+
+
 def _check_no_isolated(g: SimpleGraph) -> None:
     covered = {v for e in g.edges for v in e}
     if len(covered) < g.n:
@@ -70,8 +95,7 @@ def antimagic_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> OracleR
     limits.check_steps(math.factorial(m), "antimagic oracle")
     for enumerated, perm in enumerate(limits.polled(permutations(range(1, m + 1))), 1):
         labels = dict(zip(edges, perm))
-        degrees = _weighted_degrees(g, labels)
-        if len(set(degrees)) == g.n:
+        if _irregular(g, labels):
             assert len(set(labels.values())) == m  # bijectivity self-check
             return OracleResult(True, labels, enumerated)
     return OracleResult(False, None, enumerated)
@@ -92,8 +116,7 @@ def strength_oracle(
         for combo in limits.polled(product(range(1, k + 1), repeat=m)):
             enumerated += 1
             labels = dict(zip(edges, combo))
-            degrees = _weighted_degrees(g, labels)
-            if len(set(degrees)) == g.n:
+            if _irregular(g, labels):
                 assert max(combo) <= k
                 return OracleResult(k, labels, enumerated)
     return OracleResult(None, None, enumerated)
@@ -115,8 +138,7 @@ def chi_sigma_oracle(
     limits.check_steps(k**m, "vertex-coloring labeling oracle")
     for enumerated, combo in enumerate(limits.polled(product(range(1, k + 1), repeat=m)), 1):
         labels = dict(zip(edges, combo))
-        degrees = _weighted_degrees(g, labels)
-        if all(degrees[u - 1] != degrees[v - 1] for u, v in edges):
+        if _locally_irregular(g, labels):
             return OracleResult(True, labels, enumerated)
     return OracleResult(False, None, enumerated)
 
@@ -128,11 +150,9 @@ def domination_oracle(
     if not 1 <= k <= g.n:
         raise PreconditionError(f"k must be in 1..{g.n}, got {k}")
     limits.check_n(g.n)
-    adj = g.adjacency
     limits.check_steps(math.comb(g.n, k), "domination oracle")
     for enumerated, subset in enumerate(limits.polled(combinations(range(1, g.n + 1), k)), 1):
-        chosen = set(subset)
-        if all(v in chosen or not nbrs.isdisjoint(chosen) for v, nbrs in enumerate(adj, 1)):
+        if _dominates(g, subset):
             return OracleResult(True, frozenset(subset), enumerated)
     return OracleResult(False, None, enumerated)
 
@@ -146,22 +166,15 @@ def edge_roman_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Oracle
         raise PreconditionError("edge Roman domination needs at least one edge")
     limits.check_n(g.n)
     limits.check_steps(3**m, "edge Roman oracle")
-    adjacent = [
-        [j for j in range(m) if j != i and set(edges[i]) & set(edges[j])]
-        for i in range(m)
-    ]
     best: int | None = None
     best_fn = None
     for enumerated, combo in enumerate(limits.polled(product((0, 1, 2), repeat=m)), 1):
         if best is not None and sum(combo) >= best:
             continue
-        ok = all(
-            value != 0 or any(combo[j] == 2 for j in adjacent[i])
-            for i, value in enumerate(combo)
-        )
-        if ok:
+        fn = dict(zip(edges, combo))
+        if _edge_roman_valid(g, fn):
             best = sum(combo)
-            best_fn = dict(zip(edges, combo))
+            best_fn = fn
     assert best is not None  # labeling everything 1 is always valid
     return OracleResult(best, best_fn, enumerated)
 

@@ -9,13 +9,16 @@ label bounds (None when it takes none) and the graphs it sweeps,
 ``_IDENTITIES`` an identity subject's suite and the options it reads.  A
 theorem sweep runs one task per graph, which for ``fixpoint`` is K_n for each
 order: the graph goes out as its graph6 line, encoded once, and the task
-decodes it once for the row builder.  Reports contain no timing and keep a
-canonical row order, so the emitted JSON is byte-identical across runs and
-worker counts.
+decodes it once for the row builder; every worker count takes the batch
+queue of :func:`_pool_results`.  Per-k rows come from :func:`_bound_rows`,
+and each labeling and domination row checks the spectral witness by the
+oracle's own predicate.  Reports contain no timing and keep a canonical row
+order, so the emitted JSON is byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from . import characterize as ch
 from . import oracles as orc
 from . import ring
 from .corpus import connected_graphs, connected_graphs_up_to
-from .errors import CombSpectraError, PreconditionError, UsageError
+from .errors import CombSpectraError, UsageError
 from .families import (
     ROMAN_PALETTE,
     GraphFamily,
@@ -136,48 +139,59 @@ def _rows_fixpoint(_g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits)
     ]
 
 
+def _labels_ok(g: SimpleGraph, verdict: ch.Verdict, top: int, definition: Callable) -> bool:
+    """Whether the witness member of the holding verdict, read as labels on
+    g's edges, labels each edge by an integer in 1..top and meets the oracle's
+    ``definition(g, labels)``."""
+    label_of = {ring.const(c): c for c in range(1, top + 1)}
+    labels = {e: label_of.get(verdict.witness_graph.weight(*e)) for e in g.sorted_edges()}
+    return None not in labels.values() and definition(g, labels)
+
+
+def _antimagic(g: SimpleGraph, labels: dict[tuple[int, int], int]) -> bool:
+    # the labels 1..m each once, and distinct weighted degrees
+    return len(set(labels.values())) == g.m and orc._irregular(g, labels)
+
+
 def _rows_antimagic(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    try:
-        spectral = ch.antimagic_unweighted(g, limits).holds
-    except PreconditionError:
-        spectral = None
-    try:
-        oracle = orc.antimagic_oracle(g, limits).value
-    except PreconditionError:
-        oracle = None
-    return [_agreement_row(g6, g, spectral, oracle)]
+    verdict = ch.antimagic_unweighted(g, limits)
+    oracle = orc.antimagic_oracle(g, limits).value
+    witness_ok = not verdict.holds or _labels_ok(g, verdict, g.m, _antimagic)
+    return [_agreement_row(g6, g, verdict.holds, oracle, witness_ok=witness_ok)]
 
 
-def _rows_strength(g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
-    k_max = max(ks)
-    try:
-        minimum = orc.strength_oracle(g, k_max, limits).value
-    except PreconditionError:
-        minimum = "rejected"
+def _bound_rows(
+    g6: str, g: SimpleGraph, ks: Sequence[int], least: int | None, search: Callable,
+    limits: Limits, witness: Callable,
+) -> list[dict]:
+    """One row per bound k: ``search(g, k, limits)`` against the oracle,
+    which holds at k exactly when its least bound ``least`` (None when no
+    bound in range holds) is at most k.  ``witness_ok`` is true where the
+    search fails, else ``witness(g, verdict, k)``."""
     rows = []
     for k in ks:
-        try:
-            spectral = ch.strength_at_most(g, k, limits).holds
-        except PreconditionError:
-            spectral = None
-        if minimum == "rejected":
-            oracle = None
-        else:
-            oracle = minimum is not None and minimum <= k
-        rows.append(_agreement_row(g6, g, spectral, oracle, k=k))
+        verdict = search(g, k, limits)
+        witness_ok = not verdict.holds or witness(g, verdict, k)
+        oracle = least is not None and least <= k
+        rows.append(_agreement_row(g6, g, verdict.holds, oracle, k=k, witness_ok=witness_ok))
     return rows
 
 
+def _rows_strength(g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
+    least = orc.strength_oracle(g, max(ks), limits).value
+    witness = partial(_labels_ok, definition=orc._irregular)
+    return _bound_rows(g6, g, ks, least, ch.strength_at_most, limits, witness)
+
+
 def _rows_one_two_three(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    spectral = ch.one_two_three(g, limits).holds
+    verdict = ch.one_two_three(g, limits)
     oracle = orc.chi_sigma_oracle(g, 3, limits).value
-    return [_agreement_row(g6, g, spectral, oracle)]
+    witness_ok = not verdict.holds or _labels_ok(g, verdict, 3, orc._locally_irregular)
+    return [_agreement_row(g6, g, verdict.holds, oracle, witness_ok=witness_ok)]
 
 
-def _dominates(g: SimpleGraph, chosen: frozenset) -> bool:
-    return all(
-        v in chosen or not nbrs.isdisjoint(chosen) for v, nbrs in enumerate(g.adjacency, 1)
-    )
+def _dominating_witness(g: SimpleGraph, verdict: ch.Verdict, k: int) -> bool:
+    return orc._dominates(g, ch.dominating_set_of(verdict.witness_bijection, g.n, k))
 
 
 def _rows_domination(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
@@ -188,33 +202,15 @@ def _rows_domination(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits
     gamma = next(
         (k for k in range(1, g.n) if orc.domination_oracle(g, k, limits).value), g.n
     )
-    rows = []
-    for k in range(1, g.n):
-        verdict = ch.dominating_k(g, k, limits)
-        oracle = k >= gamma
-        witness_ok = True
-        if verdict.holds:
-            assert verdict.witness_bijection is not None
-            chosen = ch.dominating_set_of(verdict.witness_bijection, g.n, k)
-            witness_ok = _dominates(g, chosen)
-        rows.append(_agreement_row(g6, g, verdict.holds, oracle, k=k, witness_ok=witness_ok))
-    return rows
+    return _bound_rows(g6, g, range(1, g.n), gamma, ch.dominating_k, limits, _dominating_witness)
 
 
-def _roman_valid(g: SimpleGraph, fn: dict[tuple[int, int], int]) -> bool:
-    edges = g.sorted_edges()
-    for e in edges:
-        if fn[e] == 0:
-            if not any(
-                fn[e2] == 2 and e2 != e and set(e) & set(e2) for e2 in edges
-            ):
-                return False
-    return True
+def _roman_witness(g: SimpleGraph, verdict: ch.Verdict, k: int) -> bool:
+    fn = ch.decode_edge_roman(verdict.witness_graph, g)
+    return orc._edge_roman_valid(g, fn) and sum(fn.values()) <= k
 
 
 def _rows_edge_roman(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    if g.m < 1:
-        return []
     gamma = orc.edge_roman_oracle(g, limits).value
     # Weight identity: the decoded weight of every coloring must equal
     # |E| plus its total weight at y=1.
@@ -237,16 +233,9 @@ def _rows_edge_roman(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits
             "agree": identity_failures == 0,
         }
     ]
-    for k in range(1, g.m):
-        verdict = ch.edge_roman_at_most(g, k, limits)
-        oracle = gamma <= k
-        witness_ok = True
-        if verdict.holds:
-            assert verdict.witness_graph is not None
-            fn = ch.decode_edge_roman(verdict.witness_graph, g)
-            witness_ok = _roman_valid(g, fn) and sum(fn.values()) <= k
-        rows.append(_agreement_row(g6, g, verdict.holds, oracle, k=k, witness_ok=witness_ok))
-    return rows
+    return rows + _bound_rows(
+        g6, g, range(1, g.m), gamma, ch.edge_roman_at_most, limits, _roman_witness
+    )
 
 
 def _rows_hamiltonian(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
@@ -318,11 +307,13 @@ def _batches(sizes: list[tuple[int, int]], workers: int) -> list[list[int]]:
 
 def _run_batches(queue: int, batches: list[list[int]], tasks: list[tuple]) -> dict[int, list[dict]]:
     """The rows of each task in the batches this process takes from the
-    queue, by task index, until the queue is empty."""
+    queue, by task index, until the queue is empty.  After each task the
+    deadline of the ``Limits`` it carries is polled."""
     rows_at = {}
     while record := os.read(queue, 4):
         for i in batches[int.from_bytes(record, "little")]:
             rows_at[i] = _theorem_task(tasks[i])
+            tasks[i][-1].check_time()
     return rows_at
 
 
@@ -339,8 +330,9 @@ def _pool_results(
     through a pipe of its own, and leaves by ``os._exit``.  A child's
     exception is raised here unchanged; a child that exits nonzero, dies by
     a signal or sends nothing raises :class:`CombSpectraError`.  No child
-    outlives the call.  ``pickle`` and ``signal`` are imported here, so that
-    a one-worker run does not pay for importing them."""
+    outlives the call.  At one worker no child is forked and this process
+    takes every batch.  ``pickle`` and ``signal`` are imported here, so that
+    importing the package does not load them."""
     import pickle
     import signal
 
@@ -403,11 +395,12 @@ def run_theorem(
 ) -> dict:
     """Sweep a theorem subject over the connected-graph corpus.
 
-    With ``workers > 1`` the per-graph tasks run in this process and up to
-    ``workers - 1`` forked children, which take batches of tasks, largest
-    (n, m) first, from one queue; each task's rows are put back at its
-    corpus index, so the report is the same at every worker count.  Where
-    the platform has no ``os.fork`` the sweep runs in this process alone.
+    The per-graph tasks run in this process and up to ``workers - 1``
+    forked children, which take batches of tasks, largest (n, m) first, from
+    one queue (:func:`_pool_results`); each task's rows are put back at its
+    corpus index, so the report is the same at every worker count.  At one
+    worker, or where the platform has no ``os.fork``, this process takes
+    every batch.  Every process polls the deadline after each task.
 
     Returns a deterministic report dict; ``summary.disagreements`` counts rows
     where the two routes differ or a witness failed its own definition.
@@ -437,14 +430,8 @@ def run_theorem(
     graphs = theorem.graphs(max_n, theorem.min_n, limits=limits)
     tasks = [(subject, to_graph6(g), tuple(ks), limits) for g in graphs]
     limits.check_time()
-    if workers > 1 and len(tasks) > 1 and hasattr(os, "fork"):
-        results = _pool_results(tasks, [(g.n, g.m) for g in graphs], workers)
-        limits.check_time()
-    else:
-        results = []
-        for t in tasks:
-            results.append(_theorem_task(t))
-            limits.check_time()
+    workers = workers if hasattr(os, "fork") else 1
+    results = _pool_results(tasks, [(g.n, g.m) for g in graphs], workers)
     rows = [row for chunk in results for row in chunk]
     disagreements = sum(1 for row in rows if not row["agree"])
     return {
@@ -687,9 +674,10 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
                     [rng.choice(palette) if pair in g.edges else ring.ZERO
                      for pair in pairs_in_rank_order(n)],
                 )
-                read = ch._scan((member,), gadget, accept, limits, exhaustive=True)
+                # the identity decides the member for all n! bijections
+                read = ch._scan((member,), gadget, accept, limits).holds
                 reader_failures[name] += (
-                    read.stats.witnesses != _full_scan(member, gadget, accept, limits)[2]
+                    math.factorial(n) * read != _full_scan(member, gadget, accept, limits)[2]
                 )
             for h in (members["strength"], members["antimagic"]):
                 scanned = (

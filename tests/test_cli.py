@@ -205,19 +205,19 @@ def test_verify_weighting_row_catches_a_wrong_accept(monkeypatch, name, broken):
 
 
 def test_verify_reader_rows_catch_a_miscounting_scan(monkeypatch):
-    # the reader rows compare the identity reading with an independent n! scan
+    # the reader rows compare the identity reading, n! accepted bijections or
+    # none, with an independent n! scan; a flipped verdict miscounts by n!
     from combspectra import characterize as ch
     from combspectra.verify import run_identity
 
     scan = ch._scan
 
-    def miscounting(*args, **kwargs):
+    def flipped(*args, **kwargs):
         verdict = scan(*args, **kwargs)
-        if verdict.stats.witnesses is not None:
-            verdict.stats.witnesses += 1
+        verdict.holds = not verdict.holds
         return verdict
 
-    monkeypatch.setattr(ch, "_scan", miscounting)
+    monkeypatch.setattr(ch, "_scan", flipped)
     rows = run_identity("orbit", ns=(3,), trials=5)["rows"]
     readers = {row["search"]: row["failures"] for row in rows if row["search"] in (
         "strength", "one-two-three", "antimagic", "edge-roman")}

@@ -1,5 +1,6 @@
-"""Corpus sweeps on several workers: batch order and count, forked children,
-errors raised or deaths in a child."""
+"""Corpus sweeps: batch order and count, forked children, errors raised or
+deaths in a child, the deadline poll after each task, and the per-k rows and
+witness checks of the theorem subjects."""
 
 import dataclasses
 import inspect
@@ -9,13 +10,16 @@ import select
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from combspectra import characterize as ch
 from combspectra import cli, oracles, verify
 from combspectra.corpus import connected_graphs_up_to
 from combspectra.errors import SizeGuardError, TimeLimitError, UsageError
+from combspectra.gadgets import WeightedCompleteGraph, indicator
 from combspectra.graphs import parse_graph6, to_graph6
 from combspectra.limits import DEFAULT_LIMITS
 
@@ -69,14 +73,43 @@ def test_sweep_on_two_workers_keeps_corpus_order():
 
 
 def test_sweep_without_fork_runs_in_the_caller(monkeypatch):
-    def unused(*args):
-        raise AssertionError("no worker may start without os.fork")
-
+    # with os.fork deleted, any attempt to fork fails the sweep
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(verify, "_pool_results", unused)
     report = verify.run_theorem("fixpoint", max_n=4, workers=2)
     monkeypatch.undo()
     assert report == verify.run_theorem("fixpoint", max_n=4, workers=1)
+
+
+def test_one_worker_sweep_forks_nothing(monkeypatch):
+    multi = verify.run_theorem("domination", max_n=5, workers=2)
+
+    def refused():
+        raise AssertionError("a one-worker sweep forked")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert verify.run_theorem("domination", max_n=5, workers=1) == multi
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_polls_the_deadline_after_each_task(monkeypatch, capsys, workers):
+    started = []
+
+    def overrunning(g6, g, ks, limits):
+        # outlasts the deadline without polling it itself
+        started.append(g.n)
+        while time.time() <= limits.deadline:
+            time.sleep(0.01)
+        return []
+
+    theorem = dataclasses.replace(verify._THEOREMS["fixpoint"], rows=overrunning)
+    monkeypatch.setitem(verify._THEOREMS, "fixpoint", theorem)
+    argv = ["verify", "--theorem", "fixpoint", "--max-n", "4", "--workers", str(workers),
+            "--timeout-seconds", "0.5", "--json"]
+    assert cli.main(argv) == cli.EXIT_TIMEOUT
+    _no_child_left()
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "timeout"
+    # the caller ran its first task, K4 as the largest, and started no second
+    assert started == [4]
 
 
 def _fail_in_a_child(monkeypatch, fail):
@@ -204,7 +237,11 @@ def test_domination_sweep_searches_the_oracle_only_up_to_gamma(monkeypatch):
     verify.run_theorem("domination", max_n=5)
     graphs = connected_graphs_up_to(5, 2)
     gammas = [next(k for k in range(1, g.n + 1) if search(g, k).value) for g in graphs]
-    assert calls == [(g, k) for g, gamma in zip(graphs, gammas) for k in range(1, gamma + 1)]
+    # the tasks run largest first, so the calls are compared per graph
+    per_graph: dict = {}
+    for g, k in calls:
+        per_graph.setdefault(g, []).append(k)
+    assert per_graph == {g: list(range(1, gamma + 1)) for g, gamma in zip(graphs, gammas)}
     assert len(calls) == sum(gammas) == 42 < sum(g.n - 1 for g in graphs) == 107
 
 
@@ -214,7 +251,7 @@ def test_sweeps_stop_at_the_graph6_order_cap():
 
 
 def test_importing_the_cli_loads_no_pool():
-    # only --workers > 1 sweeps fork, and only they need pickle and signal;
+    # only sweeps fork, and only they need pickle and signal;
     # and the package has no runtime dependency: networkx and the test tools
     # are for the tests alone
     code = (
@@ -227,3 +264,77 @@ def test_importing_the_cli_loads_no_pool():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "subject, search",
+    [
+        ("irregular-strength", "strength_at_most"),
+        ("domination", "dominating_k"),
+        ("edge-roman", "edge_roman_at_most"),
+    ],
+)
+def test_bound_rows_look_their_search_up_when_the_sweep_runs(monkeypatch, subject, search):
+    # the benchmark's trace replaces these module attributes, so a table
+    # filled at import would keep the unwrapped function
+    original = getattr(ch, search)
+    calls = []
+
+    def counting(g, k, limits):
+        calls.append((g, k))
+        return original(g, k, limits)
+
+    monkeypatch.setattr(ch, search, counting)
+    rows = verify.run_theorem(subject, max_n=4)["rows"]
+    assert len(calls) == sum(1 for row in rows if row["k"] is not None) > 0
+
+
+def _all_ones(g, *_args):
+    """A search that holds with the all-ones labeling of g as its witness."""
+    return ch.Verdict(True, witness_graph=indicator(g))
+
+
+@pytest.mark.parametrize(
+    "subject, search",
+    [
+        ("antimagic", "antimagic_unweighted"),
+        ("irregular-strength", "strength_at_most"),
+        ("one-two-three", "one_two_three"),
+    ],
+)
+def test_labeling_rows_catch_a_wrong_witness(monkeypatch, subject, search):
+    monkeypatch.setattr(ch, search, _all_ones)
+    report = verify.run_theorem(subject, max_n=4)
+    rows = report["rows"]
+    ones = [
+        oracles._locally_irregular(g, dict.fromkeys(g.edges, 1))
+        for g in map(parse_graph6, (row["graph"] for row in rows))
+    ]
+    # all ones are never irregular (two vertices share a degree) nor, with
+    # more than one edge, a bijection onto 1..m; they are locally irregular
+    # on the stars of orders 3 and 4
+    expected = ones if subject == "one-two-three" else [False] * len(rows)
+    assert [row["witness_ok"] for row in rows] == expected
+    assert report["summary"]["disagreements"] == expected.count(False) > 0
+
+
+def test_bound_rows_catch_a_wrong_witness(monkeypatch):
+    # domination: the identity bijection offers the last k vertices as the
+    # dominating set; edge Roman: the zero coloring decodes to all ones,
+    # of weight m > k
+    def last_k(g, k, _limits):
+        return ch.Verdict(True, witness_bijection=tuple(range(1, g.n + 1)))
+
+    def all_ones(g, k, _limits):
+        return ch.Verdict(True, witness_graph=WeightedCompleteGraph.zero(g.n))
+
+    monkeypatch.setattr(ch, "dominating_k", last_k)
+    rows = verify.run_theorem("domination", max_n=4)["rows"]
+    for row in rows:
+        g, tail = parse_graph6(row["graph"]), set(range(row["n"] - row["k"] + 1, row["n"] + 1))
+        dominated = all(v in tail or g.adjacency[v - 1] & tail for v in range(1, g.n + 1))
+        assert row["witness_ok"] == dominated and row["agree"] == (dominated and row["oracle"])
+    assert not all(row["agree"] for row in rows)
+    monkeypatch.setattr(ch, "edge_roman_at_most", all_ones)
+    rows = [row for row in verify.run_theorem("edge-roman", max_n=4)["rows"] if row["k"]]
+    assert rows and not any(row["witness_ok"] or row["agree"] for row in rows)
