@@ -4,8 +4,9 @@ Each predicate searches a combinatorial spectrum (total weights of star
 products over colorings and bijections) for a polynomial whose coefficients
 certify the property, and returns a :class:`Verdict` carrying the witness.
 The labeling checks and edge Roman domination read a reader gadget along the
-identity alone, one :func:`_scan` step per member: a single weighting
-(:func:`_weighting_scan`) or each coloring of a graph's edges
+identity alone, one :func:`_scan` step per member, decided by its polynomial
+alone.  The members are given weightings, one or a family
+(:func:`_weighting_scan`), or each coloring of a graph's edges
 (:func:`_coloring_scan`).  :func:`dominating_k` reads its spectrum without
 ring sums, by tail bitmasks, and :func:`hamiltonian_spectrum` reads every
 pattern's as a bitset of integer distance sums: the cycle's from a subset
@@ -34,18 +35,16 @@ from .families import (
     Spectrum,
     integer_palette,
     iter_colorings,
+    singleton,
 )
 from .gadgets import (
     WeightedCompleteGraph,
-    bijection_pair_maps,
     contrast_reader,
     cover_reader,
     degree_reader,
     domination_probe,
     identity_bijection,
-    pair_index,
     pair_reader,
-    pairs_in_rank_order,
     star_sum,
 )
 from .graphs import (
@@ -143,7 +142,7 @@ def _dense_x_constants(p: RingElem, size: int) -> list[tuple[int, int]]:
 def _scan(
     members: Iterable[WeightedCompleteGraph],
     gadget: WeightedCompleteGraph,
-    accept: Callable[[WeightedCompleteGraph, RingElem], bool],
+    accept: Callable[[RingElem], bool],
     limits: Limits,
 ) -> Verdict:
     """Read s(H *_f gadget) along the identity f for each member H, in the
@@ -155,7 +154,8 @@ def _scan(
     their real parts, when all weights are real.  Each ``accept`` tests a
     property invariant under both, so the identity decides each member for
     all n! bijections; ``verify --identity orbit`` checks each reading
-    against all n! of :func:`bijection_pair_maps`.
+    against the full n! scan.  ``accept`` reads the polynomial, never the
+    member.
     """
     n = gadget.n
     f, pmap = identity_bijection(n), range(n * (n - 1) // 2)
@@ -164,7 +164,7 @@ def _scan(
         stats.members += 1
         stats.bijections += 1
         p = star_sum(h, gadget, pmap)
-        if accept(h, p):
+        if accept(p):
             return Verdict(
                 True, witness_polynomial=p, witness_graph=h, witness_bijection=f, stats=stats
             )
@@ -172,19 +172,22 @@ def _scan(
 
 
 def _weighting_scan(
-    g: WeightedCompleteGraph,
+    members: Sequence[WeightedCompleteGraph],
+    n: int,
     gadget: Callable[[int], WeightedCompleteGraph],
-    accept: Callable[[WeightedCompleteGraph, RingElem], bool],
+    accept: Callable[[RingElem], bool],
     what: str,
     limits: Limits,
 ) -> Verdict:
-    """Scan the single weighting g against ``gadget(n)`` along the identity,
-    after the guards: constant nonnegative weights, the order, and the n!
-    bijections of the full scan."""
-    _require_constant_nonneg(g)
-    limits.check_n(g.n)
-    limits.check_steps(math.factorial(g.n), what)
-    return _scan((g,), gadget(g.n), accept, limits)
+    """Scan the given weightings of order n against ``gadget(n)`` along the
+    identity, after the guards in this order: the order n, each member's
+    constant nonnegative weights, and the len(members) * n! bijections of the
+    full scan.  A single weighting and a family take this one path."""
+    limits.check_n(n)
+    for h in members:
+        _require_constant_nonneg(h)
+    limits.check_steps(len(members) * math.factorial(n), what)
+    return _scan(members, gadget(n), accept, limits)
 
 
 def _coloring_scan(
@@ -192,7 +195,7 @@ def _coloring_scan(
     p: int,
     palette: Callable[[int], Sequence[RingElem]],
     gadget: Callable[[int], WeightedCompleteGraph],
-    accept: Callable[[WeightedCompleteGraph, RingElem], bool],
+    accept: Callable[[RingElem], bool],
     what: str,
     limits: Limits,
 ) -> Verdict:
@@ -212,7 +215,8 @@ def _coloring_scan(
 def antimagic_weighted(
     g: WeightedCompleteGraph, limits: Limits = DEFAULT_LIMITS
 ) -> Verdict:
-    """Single-graph antimagic test via the two spectrum conditions.
+    """Single-graph antimagic test via the two spectrum conditions:
+    :func:`antimagic_family` on the singleton family, guards included.
 
     Scans the weighting against the combined reader: its first n
     coefficients, the spectrum against a star probe, are the endpoint sums
@@ -224,20 +228,18 @@ def antimagic_weighted(
     {1..|E|}, and 0 is among the pair weights exactly when the weighting is
     not complete.
     """
-    if g.n < 2:
-        raise PreconditionError("antimagic needs at least two vertices")
-    return _weighting_scan(
-        g, _antimagic_gadget, _antimagic_accept(g.n), "antimagic check", limits
-    )
+    return antimagic_family(singleton(g), limits)
 
 
 def _antimagic_accept(n: int):
     size = n + n * (n - 1) // 2
 
-    def accept(h: WeightedCompleteGraph, p: RingElem) -> bool:
+    def accept(p: RingElem) -> bool:
         coeffs = _dense_x_constants(p, size)
+        # the pair coefficients permute the pair weights: |E| are nonzero
+        edges = size - n - coeffs[n:].count((0, 0))
         return len(set(coeffs[:n])) == n and set(coeffs[n:]) >= {
-            (c, 0) for c in range(1, h.nonzero_count() + 1)
+            (c, 0) for c in range(1, edges + 1)
         }
 
     return accept
@@ -254,16 +256,15 @@ def antimagic_family(fam: GraphFamily, limits: Limits = DEFAULT_LIMITS) -> Verdi
     Searches the spectrum against the combined reader (degrees in the first n
     coefficients, pair weights shifted above them) for a polynomial with n
     pairwise distinct head coefficients whose remaining coefficients cover
-    {1..|E|}; |E| is each member's count of nonzero weights.
+    {1..|E|}; |E|, the member's count of nonzero weights, is the count of
+    nonzero remaining coefficients.
     """
     n = fam.n
     if n < 2:
         raise PreconditionError("antimagic needs at least two vertices")
-    limits.check_n(n)
-    for h in fam:
-        _require_constant_nonneg(h)
-    limits.check_steps(len(fam) * math.factorial(n), "antimagic family search")
-    return _scan(fam, _antimagic_gadget(n), _antimagic_accept(n), limits)
+    return _weighting_scan(
+        fam.members, n, _antimagic_gadget, _antimagic_accept(n), "antimagic family search", limits
+    )
 
 
 def antimagic_unweighted(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -284,7 +285,7 @@ def antimagic_unweighted(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Ver
 
 
 def _strength_accept(n: int):
-    def accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
+    def accept(p: RingElem) -> bool:
         return len(set(_dense_x_constants(p, n))) == n
 
     return accept
@@ -298,7 +299,7 @@ def irregular_weighted(
     if g.n < 2:
         raise PreconditionError("irregularity needs at least two vertices")
     return _weighting_scan(
-        g, degree_reader, _strength_accept(g.n), "irregularity check", limits
+        (g,), g.n, degree_reader, _strength_accept(g.n), "irregularity check", limits
     )
 
 
@@ -330,14 +331,12 @@ def local_irregular_weighted(
     an adjacent tie.  The identity bijection decides, as in
     :func:`one_two_three`.
     """
-    # a single vertex has no pair to contrast: the zero gadget's total 0 passes
-    gadget = contrast_reader if g.n >= 2 else WeightedCompleteGraph.zero
     return _weighting_scan(
-        g, gadget, _one_two_three_accept, "local irregularity search", limits
+        (g,), g.n, contrast_reader, _one_two_three_accept, "local irregularity search", limits
     )
 
 
-def _one_two_three_accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
+def _one_two_three_accept(p: RingElem) -> bool:
     # No nonzero purely imaginary x-coefficient; same test as running
     # classify() over every coefficient.
     for (_dx, _dy), (re, im) in p._terms.items():
@@ -477,7 +476,7 @@ def decode_edge_roman(
 def _edge_roman_accept(n: int, m: int, k: int):
     divisor = GaussInt(2 * n - 4, 1)
 
-    def accept(_h: WeightedCompleteGraph, p: RingElem) -> bool:
+    def accept(p: RingElem) -> bool:
         # A coefficient lies in -i + Z exactly when its y-free part has
         # imaginary part -1 and no y term rescues it; same test as
         # classify() per coefficient.  The coefficient sum is p(1, 1).
@@ -614,7 +613,8 @@ def hamiltonian_spectrum(
     the total under f is the sum of the distances of the pairs that f maps
     h's edges onto: a nonnegative integer, kept as one bit of a bitset of
     totals, like the cycle lengths.  The family guard counts the distinct
-    totals once the scan is done."""
+    totals once the scan is done.  The bijections are generated one at a
+    time, and no table of them is kept."""
     n = g.n
     if h.n != n:
         raise PreconditionError(
@@ -624,11 +624,10 @@ def hamiltonian_spectrum(
         return hamiltonian_cycle_spectrum(g, limits)
     dist = _distance_matrix(g, limits)
     limits.check_steps(math.factorial(n), "Hamiltonian spectrum")
-    distances = [dist[u - 1][v - 1] for u, v in pairs_in_rank_order(n)]
-    edges = [pair_index(u, v) for u, v in h.edges]
+    edges = [(u - 1, v - 1) for u, v in h.edges]
     lengths = 0
-    for _f, pmap in limits.polled(bijection_pair_maps(n)):
-        lengths |= 1 << sum([distances[pmap[e]] for e in edges])
+    for f in limits.polled(itertools.permutations(range(n))):
+        lengths |= 1 << sum([dist[f[u]][f[v]] for u, v in edges])
     return _length_spectrum(lengths, limits)
 
 

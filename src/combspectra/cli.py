@@ -111,12 +111,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         max_family=pick(args.max_family, "MAX_FAMILY", DEFAULT_LIMITS.max_family, _positive_int),
         max_steps=pick(args.max_steps, "MAX_STEPS", DEFAULT_LIMITS.max_steps, _positive_int),
         workers=pick(args.workers, "WORKERS", os.cpu_count() or 1, _positive_int),
-        json_output=pick(
-            True if args.json else None,
-            "JSON",
-            False,
-            lambda s: s.strip().lower() in ("1", "true", "yes"),
-        ),
+        json_output=pick(True if args.json else None, "JSON", False, _switch),
         seed=pick(args.seed, "SEED", None, int),
         timeout_seconds=pick(args.timeout_seconds, "TIMEOUT_SECONDS", None, _seconds),
     )
@@ -146,6 +141,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _switch(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise argparse.ArgumentTypeError(f"not one of 1, true, yes, 0, false, no: {text!r}")
+    return value in ("1", "true", "yes")
 
 
 def _seconds(text: str) -> float:

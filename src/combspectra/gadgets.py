@@ -107,9 +107,9 @@ def bijection_pair_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]]
     """For each bijection f (lex order), the induced map on pair ranks.
 
     Entry ``(f, m)`` satisfies: the pair at rank p maps to the pair at rank
-    ``m[p]`` under f.  Precomputed once per n and kept for the n! scan of
-    ``hamiltonian_spectrum`` over a pattern other than the cycle, for the
-    n! references of ``verify`` and for the benchmark harness.
+    ``m[p]`` under f.  Precomputed once per n and kept, n! maps of C(n, 2)
+    ranks each, for the n! references of ``verify`` and for the benchmark
+    harness; no search reads it.
     """
     return tuple((f, _pair_map_of(f, n)) for f in all_bijections(n))
 
@@ -410,7 +410,8 @@ def domination_probe(k: int, n: int) -> WeightedCompleteGraph:
 #
 # Each reader is a sum of x^j times a basis gadget, one term per vertex or per
 # pair.  The readers write each pair's weight directly: summing C(n, 2) full
-# probe graphs would touch O(n^4) weights.
+# probe graphs would touch O(n^4) weights.  At n = 1 each is the empty sum,
+# the one-vertex graph with no pair.
 
 
 @lru_cache(maxsize=None)
@@ -420,8 +421,6 @@ def degree_reader(n: int) -> WeightedCompleteGraph:
 
     The total weight of a product with this reader lists every weighted
     vertex degree as an x-coefficient."""
-    if n < 2:
-        raise ValueError("reader gadgets need n >= 2")
     return WeightedCompleteGraph(
         n,
         [RingElem._raw({(u - 1, 0): (1, 0), (v - 1, 0): (1, 0)})
@@ -433,8 +432,6 @@ def degree_reader(n: int) -> WeightedCompleteGraph:
 def pair_reader(n: int) -> WeightedCompleteGraph:
     """Sum of x^rank * edge_indicator over all pairs: reads each pair weight
     into its own x-coefficient."""
-    if n < 2:
-        raise ValueError("reader gadgets need n >= 2")
     return WeightedCompleteGraph(n, [ring.x_pow(p) for p in range(n * (n - 1) // 2)])
 
 
@@ -461,8 +458,6 @@ def _pair_probe_reader(n: int, signed: bool) -> WeightedCompleteGraph:
 def contrast_reader(n: int) -> WeightedCompleteGraph:
     """Sum of x^rank * contrast_pair over all pairs: one endpoint-sum contrast
     per x-coefficient."""
-    if n < 2:
-        raise ValueError("reader gadgets need n >= 2")
     return _pair_probe_reader(n, signed=True)
 
 
@@ -471,8 +466,6 @@ def cover_reader(n: int) -> WeightedCompleteGraph:
     """Sum of x^rank * cover_pair over all pairs: one adjacency-coverage probe
     per x-coefficient.  At x=1 this collapses to (2n-4+i) times the complete
     indicator."""
-    if n < 2:
-        raise ValueError("reader gadgets need n >= 2")
     return _pair_probe_reader(n, signed=False)
 
 

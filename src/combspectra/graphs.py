@@ -300,8 +300,11 @@ def parse_graphs(text: str) -> list[SimpleGraph]:
 
 
 def parse_graph(text: str) -> SimpleGraph:
-    """The first graph of :func:`parse_graphs`."""
-    return parse_graphs(text)[0]
+    """The one graph of :func:`parse_graphs`; a text with more is a ParseError."""
+    graphs = parse_graphs(text)
+    if len(graphs) > 1:
+        raise ParseError(f"expected one graph, the input holds {len(graphs)}")
+    return graphs[0]
 
 
 def to_edge_list(g: SimpleGraph) -> str:

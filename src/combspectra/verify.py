@@ -519,7 +519,7 @@ def _domination_accept(n: int, k: int):
     x^0..x^(n-k-1) present."""
     needed = n - k
 
-    def accept(_h: WeightedCompleteGraph, p: ring.RingElem) -> bool:
+    def accept(p: ring.RingElem) -> bool:
         present = {dx for (dx, _dy) in p._terms}
         return len(present) >= needed and all(j in present for j in range(needed))
 
@@ -529,7 +529,7 @@ def _domination_accept(n: int, k: int):
 def _full_scan(
     h: WeightedCompleteGraph,
     gadget: WeightedCompleteGraph,
-    accept: Callable[[WeightedCompleteGraph, ring.RingElem], bool],
+    accept: Callable[[ring.RingElem], bool],
     limits: Limits,
 ) -> tuple[tuple[int, ...] | None, ring.RingElem | None, int]:
     """The n! reference: s(h *_f gadget) for every bijection f in lex order.
@@ -538,7 +538,7 @@ def _full_scan(
     first, accepted = None, 0
     for f, pmap in limits.polled(bijection_pair_maps(h.n)):
         p = star_sum(h, gadget, pmap)
-        if accept(h, p):
+        if accept(p):
             accepted += 1
             first = first or (f, p)
     f, p = first or (None, None)
@@ -781,7 +781,7 @@ def run_identity(
     if "trials" in IDENTITY_READS[subject] and trials < 1:
         raise UsageError(f"need at least one trial, got {trials}")
     if "n" in IDENTITY_READS[subject] and (not ns or min(ns) < 2):
-        # no order checks nothing, and the gadgets start at order 2
+        # no order, or order 1 with no pair, would check nothing
         raise UsageError(f"{subject} needs orders of at least 2 (--n), got {list(ns)}")
     suites = _IDENTITIES.values() if subject == "all" else [_IDENTITIES[subject]]
     rows = [row for suite in suites for row in suite.rows(ns, trials, seed, limits)]

@@ -149,7 +149,7 @@ def _check_antimagic_lemma(h):
 
     expected = _antimagic_by_definition(h)
     identity = range(len(h.weights))
-    assert _antimagic_accept(h.n)(h, star_sum(h, _antimagic_gadget(h.n), identity)) == expected
+    assert _antimagic_accept(h.n)(star_sum(h, _antimagic_gadget(h.n), identity)) == expected
     assert antimagic_weighted(h).holds == expected
     return expected
 
@@ -230,6 +230,12 @@ def test_local_irregular_examples():
     assert not local_irregular_weighted(indicator(K2)).holds
     assert not local_irregular_weighted(indicator(C4)).holds
     assert local_irregular_weighted(embed(C4, (1, 2, 1, 2))).holds
+    # one vertex: the contrast reader is the empty sum, its total 0 passes
+    assert local_irregular_weighted(WeightedCompleteGraph(1, ())).to_json() == {
+        "holds": True,
+        "witness": {"polynomial": [], "graph": {"n": 1, "weights": []}, "bijection": [1]},
+        "stats": {"members": 1, "bijections": 1},
+    }
 
 
 def test_local_irregular_matches_contrast_pair_over_all_bijections():
@@ -331,7 +337,7 @@ def test_dominating_k_matches_the_ring_scan_over_all_bijections(n):
     # every coefficient x^0..x^(n-k-1) required nonzero
     for g in connected_graphs(n):
         for k in range(1, n):
-            def accept(_h, p, needed=n - k):
+            def accept(p, needed=n - k):
                 return all(not p.coeff_x(j).is_zero for j in range(needed))
 
             kernel = dominating_k(g, k, exhaustive=True)
@@ -483,6 +489,47 @@ def test_weighted_characterizations_honour_limits():
     # the all-ones star on 8 vertices is over the default max_n=7
     with pytest.raises(SizeGuardError):
         local_irregular_weighted(indicator(star_graph(8)))
+
+
+_WEIGHTING_SEARCHES = (
+    antimagic_weighted,
+    lambda h: antimagic_family(singleton(h)),
+    irregular_weighted,
+    local_irregular_weighted,
+)
+
+
+@pytest.mark.parametrize("search", _WEIGHTING_SEARCHES)
+def test_weighting_searches_guard_the_order_before_the_weights(search):
+    # one path for every given weighting: the order, then the weights
+    over = WeightedCompleteGraph(8, [const(-1)] + [ring.ONE] * 27)
+    with pytest.raises(SizeGuardError):
+        search(over)
+    under = WeightedCompleteGraph(3, [const(-1), ring.ONE, ring.ONE])
+    with pytest.raises(PreconditionError):
+        search(under)
+
+
+def test_hamiltonian_pattern_scan_reads_no_pair_map_table(monkeypatch):
+    import combspectra.characterize
+    import combspectra.gadgets
+    from combspectra.families import spectrum_of
+    from combspectra.verify import _full_product
+
+    def refuse(n):
+        raise AssertionError("the pattern scan read the n! pair-map table")
+
+    h = path_graph(6)
+    expected = {
+        g: spectrum_of(_full_product(
+            singleton(indicator(h)), singleton(distance_weighting(g)), Limits()
+        ))
+        for g in (path_graph(6), star_graph(6), cycle_graph(6))
+    }
+    for module in (combspectra.gadgets, combspectra.characterize):
+        monkeypatch.setattr(module, "bijection_pair_maps", refuse, raising=False)
+    for g, spectrum in expected.items():
+        assert hamiltonian_spectrum(h, g) == spectrum
 
 
 def test_hamiltonian_spectrum_of_other_patterns_scans_all_bijections():

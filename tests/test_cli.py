@@ -19,6 +19,7 @@ from combspectra.cli import (
     main,
 )
 from combspectra.graphs import complete_graph, path_graph, to_edge_list, to_graph6
+from combspectra.ring import const
 
 
 @pytest.fixture()
@@ -183,16 +184,29 @@ def test_verify_orbit_identity(capsys):
     assert [row["checks"] for row in rows if row["search"] == "weighting"] == [40, 40, 40]
 
 
+def _antimagic_accept_counting_every_pair(n):
+    # the real label test, but with |E| = C(n, 2) as if every pair were an edge
+    pairs = n * (n - 1) // 2
+
+    def accept(p):
+        heads = {p.coeff_x(j) for j in range(n)}
+        labels = {p.coeff_x(n + r) for r in range(pairs)}
+        return len(heads) == n and labels >= {const(c) for c in range(1, pairs + 1)}
+
+    return accept
+
+
 @pytest.mark.parametrize(
     "name, broken",
     [
         # checks that the endpoint sums are distinct and skips the labels
         ("_antimagic_accept",
-         lambda n: lambda _h, p: len({p.coeff_x(j) for j in range(n)}) == n),
+         lambda n: lambda p: len({p.coeff_x(j) for j in range(n)}) == n),
+        ("_antimagic_accept", _antimagic_accept_counting_every_pair),
         # accepts every weighting as irregular
-        ("_strength_accept", lambda n: lambda _h, _p: True),
+        ("_strength_accept", lambda n: lambda _p: True),
     ],
-    ids=["antimagic-skips-labels", "strength-accepts-all"],
+    ids=["antimagic-skips-labels", "antimagic-counts-every-pair", "strength-accepts-all"],
 )
 def test_verify_weighting_row_catches_a_wrong_accept(monkeypatch, name, broken):
     from combspectra import characterize as ch
@@ -252,10 +266,10 @@ def test_verify_hamiltonian_pattern_row_catches_a_scan_that_drops_an_edge(monkey
     from combspectra.verify import run_identity
 
     source = inspect.getsource(ch.hamiltonian_spectrum)
-    placed = "for e in edges]"
+    placed = "for u, v in edges]"
     assert source.count(placed) == 1
     namespace = dict(vars(ch))
-    exec(source.replace(placed, "for e in edges[1:]]"), namespace)
+    exec(source.replace(placed, "for u, v in edges[1:]]"), namespace)
     monkeypatch.setattr(ch, "hamiltonian_spectrum", namespace["hamiltonian_spectrum"])
     rows = run_identity("orbit", ns=(3, 4, 5), trials=1)["rows"]
     assert [row["failures"] for row in rows if row["search"] == "hamiltonian-pattern"] == [2, 6, 21]
@@ -356,7 +370,7 @@ def test_nan_timeout_flag_exits_usage(capsys, p3_file):
 @pytest.mark.parametrize(
     "name, value",
     [("MAX_N", "abc"), ("MAX_N", "0"), ("MAX_STEPS", "-1"), ("TIMEOUT_SECONDS", "soon"),
-     ("TIMEOUT_SECONDS", "nan"), ("WORKERS", "0")],
+     ("TIMEOUT_SECONDS", "nan"), ("WORKERS", "0"), ("JSON", "ture"), ("JSON", "")],
 )
 def test_bad_environment_value_exits_usage(capsys, monkeypatch, p3_file, name, value):
     monkeypatch.setenv("COMBSPECTRA_" + name, value)
@@ -365,6 +379,17 @@ def test_bad_environment_value_exits_usage(capsys, monkeypatch, p3_file, name, v
     assert out == ""
     assert err.startswith(f"error (usage): COMBSPECTRA_{name}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value, as_json",
+    [("1", True), ("TRUE", True), (" Yes ", True), ("0", False), ("False", False), ("no", False)],
+)
+def test_json_environment_value_switches_the_output(capsys, monkeypatch, p3_file, value, as_json):
+    monkeypatch.setenv("COMBSPECTRA_JSON", value)
+    code, out, _ = run(capsys, "check", "domination", "--k", "1", p3_file)
+    assert code == EXIT_OK
+    assert out.startswith("{") == as_json
 
 
 def test_run_identity_rejects_no_trials():

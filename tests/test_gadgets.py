@@ -133,12 +133,19 @@ def _reader_by_probes(n, probe, key):
     return acc
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_readers_equal_their_sum_of_probes_definition(n):
+    # at n = 1 both sides are the empty sum, WeightedCompleteGraph.zero(1)
     assert degree_reader(n) == _reader_by_probes(n, star_indicator, lambda j: j - 1)
     assert pair_reader(n) == _reader_by_probes(n, edge_indicator, pair_index)
     assert contrast_reader(n) == _reader_by_probes(n, contrast_pair, pair_index)
     assert cover_reader(n) == _reader_by_probes(n, cover_pair, pair_index)
+
+
+def test_readers_refuse_order_zero():
+    for reader in (degree_reader, pair_reader, contrast_reader, cover_reader):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            reader(0)
 
 
 def test_wcg_add():

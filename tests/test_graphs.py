@@ -198,6 +198,9 @@ def test_parse_rejects_orders_above_62():
 def test_parse_graph_auto_detects():
     assert parse_graph("3 2\n1 2\n2 3\n") == path_graph(3)
     assert parse_graph("Bw\n") == complete_graph(3)
+    # a second graph is refused, not dropped
+    with pytest.raises(ParseError, match="holds 2"):
+        parse_graph("Bw\nCF\n")
 
 
 def test_constructors_and_accessors():
