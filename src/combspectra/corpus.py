@@ -3,8 +3,11 @@
 Orders 1..7 are read from ``corpus.g6`` beside this module: one graph6 line
 per graph, orders in turn, each in generation order.  It holds exactly what
 the generator below produces for those orders (the tests check this byte
-for byte), so reading it only saves the work.  Every later order is
-generated from the one before it.
+for byte), so reading it only saves the work.  The table is read once per
+process.  Every later order is generated from the one before it, and each
+of its graphs is encoded as graph6 once, when it is generated.  Each kept
+order holds its graphs and their graph6 lines, so a sweep that names its
+graphs by graph6 (:func:`connected_graph6_up_to`) encodes nothing.
 
 Generation is by vertex augmentation: every connected graph on n vertices
 arises from a connected graph P on n-1 vertices by attaching vertex n to a
@@ -37,10 +40,10 @@ from operator import or_
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import SimpleGraph, parse_graph6
+from .graphs import SimpleGraph, parse_graph6, to_graph6
 from .limits import DEFAULT_LIMITS, Limits
 
-__all__ = ["connected_graphs", "connected_graphs_up_to"]
+__all__ = ["connected_graphs", "connected_graphs_up_to", "connected_graph6_up_to"]
 
 # Known counts of connected graphs up to isomorphism (OEIS A001349), used as
 # a self-check.
@@ -49,9 +52,20 @@ _EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 # The stored orders: one graph6 line per graph, each order's lines together.
 _TABLE = Path(__file__).with_name("corpus.g6")
 
+# The table's graph6 lines by order, once it has been read.
+_STORED: dict[int, list[str]] | None = None
+
+
+class _Order(NamedTuple):
+    """A kept order: its graph6 lines and its graphs, in corpus order."""
+
+    lines: tuple[str, ...]
+    graphs: tuple[SimpleGraph, ...]
+
+
 # Every order read or generated so far; an order is kept only once it is
 # complete and its count checked.
-_ORDERS: dict[int, tuple[SimpleGraph, ...]] = {}
+_ORDERS: dict[int, _Order] = {}
 
 
 class _Form(NamedTuple):
@@ -198,10 +212,38 @@ def _counted(reps: tuple[SimpleGraph, ...], n: int, source: str) -> tuple[Simple
 
 def _stored(n: int) -> list[str]:
     """The graph6 lines of order n in the stored table, in corpus order;
-    empty for an order the table does not hold."""
-    head = chr(63 + n)
-    with open(_TABLE, encoding="ascii") as table:
-        return [line for line in table if line[0] == head]
+    empty for an order the table does not hold.  The first call reads the
+    whole table."""
+    global _STORED
+    if _STORED is None:
+        stored: dict[int, list[str]] = {}
+        with open(_TABLE, encoding="ascii") as table:
+            for line in table.read().split():
+                stored.setdefault(ord(line[0]) - 63, []).append(line)
+        _STORED = stored
+    return _STORED.get(n, [])
+
+
+def _order(n: int, limits: Limits) -> _Order:
+    """Order n as :func:`connected_graphs` reads or generates it, with its
+    graph6 lines: the stored lines, or for a generated order each graph
+    encoded once."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    order = _ORDERS.get(n)
+    if order is None:
+        lines = _stored(n)
+        if lines:
+            limits.check_time()
+            reps = _counted(tuple(map(parse_graph6, lines)), n, "corpus table holds")
+        else:
+            if n == 1:
+                reps = (SimpleGraph(1),)
+            else:
+                reps = _next_order(_order(n - 1, limits).graphs, n, limits)
+            lines = map(to_graph6, reps)
+        order = _ORDERS[n] = _Order(tuple(lines), reps)
+    return order
 
 
 def connected_graphs(n: int, *, limits: Limits = DEFAULT_LIMITS) -> tuple[SimpleGraph, ...]:
@@ -211,20 +253,7 @@ def connected_graphs(n: int, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Simple
     generated from order n-1 otherwise, once per process, and kept.  The
     deadline of ``limits`` is polled once per stored order read and once per
     parent graph generated from; an order it stops is not kept."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    reps = _ORDERS.get(n)
-    if reps is None:
-        lines = _stored(n)
-        if lines:
-            limits.check_time()
-            reps = _counted(tuple(map(parse_graph6, lines)), n, "corpus table holds")
-        elif n == 1:
-            reps = (SimpleGraph(1),)
-        else:
-            reps = _next_order(connected_graphs(n - 1, limits=limits), n, limits)
-        _ORDERS[n] = reps
-    return reps
+    return _order(n, limits).graphs
 
 
 def connected_graphs_up_to(
@@ -235,3 +264,11 @@ def connected_graphs_up_to(
     for n in range(min_n, max_n + 1):
         out.extend(connected_graphs(n, limits=limits))
     return out
+
+
+def connected_graph6_up_to(
+    max_n: int, min_n: int = 1, *, limits: Limits = DEFAULT_LIMITS
+) -> list[tuple[str, SimpleGraph]]:
+    """(graph6 line, graph) of each graph of :func:`connected_graphs_up_to`,
+    in its order; the lines are those the corpus kept, not encoded again."""
+    return [pair for n in range(min_n, max_n + 1) for pair in zip(*_order(n, limits))]

@@ -8,12 +8,13 @@ constructions rely on.  Each kind reads its subjects from one table:
 label bounds (None when it takes none) and the graphs it sweeps,
 ``_IDENTITIES`` an identity subject's suite and the options it reads.  A
 theorem sweep runs one task per graph, which for ``fixpoint`` is K_n for each
-order: the graph goes out as its graph6 line, encoded once, and the task
-decodes it once for the row builder; every worker count takes the batch
-queue of :func:`_pool_results`.  Per-k rows come from :func:`_bound_rows`,
-and each labeling and domination row checks the spectral witness by the
-oracle's own predicate.  Reports contain no timing and keep a canonical row
-order, so the emitted JSON is byte-identical across runs and worker counts.
+order: a task carries the graph and its graph6 line, which for a corpus
+graph is the line the corpus kept, so no task encodes or decodes graph6;
+every worker count takes the batch queue of :func:`_pool_results`.  Per-k
+rows come from :func:`_bound_rows`, and each labeling and domination row
+checks the spectral witness by the oracle's own predicate.  Reports contain
+no timing and keep a canonical row order, so the emitted JSON is
+byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 from . import characterize as ch
 from . import oracles as orc
 from . import ring
-from .corpus import connected_graphs, connected_graphs_up_to
+from .corpus import connected_graph6_up_to, connected_graphs
 from .errors import CombSpectraError, UsageError
 from .families import (
     ROMAN_PALETTE,
@@ -61,7 +62,7 @@ from .gadgets import (
     star_indicator,
     star_sum,
 )
-from .graphs import SimpleGraph, complete_graph, cycle_graph, parse_graph6, path_graph, to_graph6
+from .graphs import SimpleGraph, complete_graph, cycle_graph, path_graph, to_graph6
 from .limits import DEFAULT_LIMITS, Limits
 from .ring import GaussInt, random_element, random_gauss_int
 
@@ -244,21 +245,21 @@ def _rows_hamiltonian(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limit
     return [_agreement_row(g6, g, spectral, oracle)]
 
 
-def _complete_graphs(max_n: int, min_n: int, limits: Limits) -> list[SimpleGraph]:
-    return [complete_graph(n) for n in range(min_n, max_n + 1)]
+def _complete_graphs(max_n: int, min_n: int, limits: Limits) -> list[tuple[str, SimpleGraph]]:
+    return [(to_graph6(g), g) for g in map(complete_graph, range(min_n, max_n + 1))]
 
 
 @dataclass(frozen=True)
 class _Theorem:
     """A theorem sweep: its row builder, its least order, its default label
     bounds (None for a sweep that takes none), and the graphs it sweeps,
-    ``graphs(max_n, min_n, limits)``: the connected-graph corpus unless
-    given."""
+    ``graphs(max_n, min_n, limits)`` as (graph6 line, graph) pairs: the
+    connected-graph corpus unless given."""
 
     rows: Callable[[str, SimpleGraph, Sequence[int], Limits], list[dict]]
     min_n: int
     ks: tuple[int, ...] | None = None
-    graphs: Callable[[int, int, Limits], list[SimpleGraph]] = connected_graphs_up_to
+    graphs: Callable[[int, int, Limits], list[tuple[str, SimpleGraph]]] = connected_graph6_up_to
 
 
 _THEOREMS = {
@@ -279,8 +280,9 @@ THEOREM_SUBJECTS = tuple(_THEOREMS)
 
 
 def _theorem_task(args: tuple) -> list[dict]:
-    subject, g6, ks, limits = args
-    return _THEOREMS[subject].rows(g6, parse_graph6(g6), ks, limits)
+    subject, g6, g, ks, limits = args
+    # a copy, so the lazy adjacency and bitmask tables die with the task, not on the corpus
+    return _THEOREMS[subject].rows(g6, SimpleGraph(g.n, g.edges), ks, limits)
 
 
 # Batches per worker: enough that the small tail of a largest-first order
@@ -416,7 +418,7 @@ def run_theorem(
         # a sweep over no graph would report agreement having checked nothing
         raise UsageError(f"{subject} needs max_n >= {theorem.min_n}, got {max_n}")
     if max_n > 62:
-        # each task carries its graph as one graph6 line, which holds n <= 62
+        # each row names its graph by its graph6 line, which holds n <= 62
         raise UsageError(f"{subject} sweeps orders up to 62, got max_n={max_n}")
     if ks is None:
         ks = theorem.ks or ()
@@ -428,10 +430,10 @@ def run_theorem(
     elif ks and min(ks) < 1:
         raise UsageError(f"label bounds must be at least 1, got {list(ks)}")
     graphs = theorem.graphs(max_n, theorem.min_n, limits=limits)
-    tasks = [(subject, to_graph6(g), tuple(ks), limits) for g in graphs]
+    tasks = [(subject, g6, g, tuple(ks), limits) for g6, g in graphs]
     limits.check_time()
     workers = workers if hasattr(os, "fork") else 1
-    results = _pool_results(tasks, [(g.n, g.m) for g in graphs], workers)
+    results = _pool_results(tasks, [(g.n, g.m) for _g6, g in graphs], workers)
     rows = [row for chunk in results for row in chunk]
     disagreements = sum(1 for row in rows if not row["agree"])
     return {

@@ -22,11 +22,13 @@ TABLE = Path(corpus.__file__).with_name("corpus.g6")
 
 
 def _use_table(monkeypatch, tmp_path, text: str) -> None:
-    """Serve the corpus from a table holding text, with no order kept yet;
-    an empty table holds no order, so every order is generated."""
+    """Serve the corpus from a table holding text, not read yet, with no
+    order kept yet; an empty table holds no order, so every order is
+    generated."""
     path = tmp_path / "corpus.g6"
     path.write_text(text)
     monkeypatch.setattr(corpus, "_TABLE", path)
+    monkeypatch.setattr(corpus, "_STORED", None)
     monkeypatch.setattr(corpus, "_ORDERS", {})
 
 
@@ -119,6 +121,39 @@ def test_an_order_beyond_the_table_is_generated_from_its_last(monkeypatch, tmp_p
     sixes = "".join(to_graph6(g) + "\n" for g in connected_graphs(6))
     assert generated == [6]
     assert sixes == "".join(_table_lines(lambda line: line[0] == "E"))
+
+
+def test_the_table_is_read_once_per_process(monkeypatch, tmp_path):
+    _use_table(monkeypatch, tmp_path, TABLE.read_text())
+    opened = []
+
+    def counting(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, "open", counting, raising=False)
+    assert len(connected_graphs_up_to(7)) == 996
+    monkeypatch.setattr(corpus, "_ORDERS", {})
+    assert len(connected_graphs_up_to(7)) == 996
+    assert opened == [corpus._TABLE]
+
+
+def test_a_stored_order_keeps_its_table_lines(monkeypatch):
+    monkeypatch.setattr(corpus, "_ORDERS", {})
+    pairs = corpus.connected_graph6_up_to(7)
+    assert [g6 + "\n" for g6, _g in pairs] == _table_lines()
+    assert [g for _g6, g in pairs] == connected_graphs_up_to(7)
+
+
+def test_a_generated_order_keeps_the_graph6_of_its_graphs(monkeypatch, tmp_path):
+    _use_table(monkeypatch, tmp_path, "")
+    connected_graphs(5)
+    assert sorted(corpus._ORDERS) == [1, 2, 3, 4, 5]
+    for order in corpus._ORDERS.values():
+        assert order.lines == tuple(map(to_graph6, order.graphs))
+    assert corpus.connected_graph6_up_to(5, 2) == [
+        (to_graph6(g), g) for g in connected_graphs_up_to(5, 2)
+    ]
 
 
 def test_a_stored_order_polls_the_deadline_once(monkeypatch):

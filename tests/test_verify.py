@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from combspectra import characterize as ch
-from combspectra import cli, oracles, verify
+from combspectra import cli, corpus, oracles, verify
 from combspectra.corpus import connected_graphs_up_to
 from combspectra.errors import SizeGuardError, TimeLimitError, UsageError
 from combspectra.gadgets import WeightedCompleteGraph, indicator
@@ -196,24 +196,60 @@ def test_an_error_in_the_caller_leaves_no_child(monkeypatch, capsys):
 def test_theorem_task_takes_one_task_tuple():
     # The benchmark's trace wraps this function by name, one span per task.
     assert list(inspect.signature(verify._theorem_task).parameters) == ["args"]
-    rows = verify._theorem_task(("domination", "Bw", (), DEFAULT_LIMITS))
+    rows = verify._theorem_task(("domination", "Bw", parse_graph6("Bw"), (), DEFAULT_LIMITS))
     assert [(row["graph"], row["k"], row["agree"]) for row in rows] == [
         ("Bw", 1, True),
         ("Bw", 2, True),
     ]
 
 
+def _replace_everywhere(monkeypatch, func, replacement) -> None:
+    """Bind ``replacement`` at every name a module of the package binds
+    ``func`` by."""
+    for name, module in list(sys.modules.items()):
+        if name == "combspectra" or name.startswith("combspectra."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def test_each_graph_is_encoded_once_per_task(monkeypatch):
-    calls = []
+    # a corpus sweep names each graph by the line the corpus kept, so it
+    # encodes and decodes nothing; fixpoint encodes each K_n once
+    connected_graphs_up_to(5)
+    encoded, decoded = [], []
+    _replace_everywhere(monkeypatch, to_graph6, lambda g: encoded.append(g) or to_graph6(g))
+    _replace_everywhere(
+        monkeypatch, parse_graph6, lambda line: decoded.append(line) or parse_graph6(line)
+    )
+    assert verify.run_theorem("domination", max_n=5)["summary"]["tasks"] == 30
+    assert encoded == decoded == []
+    assert verify.run_theorem("fixpoint", max_n=5)["summary"]["tasks"] == len(encoded) == 4
+    assert len(set(encoded)) == len(encoded)
+    assert decoded == []
 
-    def counting(g):
-        calls.append(g)
-        return to_graph6(g)
 
-    monkeypatch.setattr(verify, "to_graph6", counting)
-    report = verify.run_theorem("domination", max_n=5)
-    assert len(calls) == report["summary"]["tasks"] == 30
-    assert len(set(calls)) == len(calls)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_corpus_sweep_runs_without_graph6_code(monkeypatch, workers):
+    expected = verify.run_theorem("domination", max_n=5, workers=workers)
+
+    def refused(*_args):
+        raise AssertionError("a corpus sweep encoded or decoded graph6")
+
+    for func in (to_graph6, parse_graph6):
+        _replace_everywhere(monkeypatch, func, refused)
+    monkeypatch.setattr(verify, "parse_graph6", refused, raising=False)
+    assert verify.run_theorem("domination", max_n=5, workers=workers) == expected
+
+
+def test_a_sweep_builds_no_table_on_the_corpus_graphs(monkeypatch):
+    # each task's rows read a copy of its graph, so the lazy adjacency and
+    # bitmask tables are freed with the task, not kept for the process
+    monkeypatch.setattr(corpus, "_ORDERS", {})
+    verify.run_theorem("domination", max_n=5)
+    graphs = connected_graphs_up_to(5, 2)
+    assert len(graphs) == 30
+    assert all(g._adj is None and g._masks is None for g in graphs)
 
 
 def test_domination_rows_match_a_fresh_oracle_search_per_k():
