@@ -14,9 +14,7 @@ recursion, any other pattern's from the n! bijections.  ``verify --identity
 orbit`` checks each against the full n! scan.  Searches run in a fixed
 lexicographic order (colorings first, bijections second) and short-circuit
 on the first witness, which is also the first witness of the full n! scan,
-so results are fully deterministic; :func:`dominating_k` with
-``exhaustive=True`` counts every witness instead (a reader member's full
-scan accepts all n! bijections or none).
+so results are fully deterministic.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .graphs import (
     cycle_graph,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .ring import GaussInt, RingElem
+from .ring import RingElem
 
 __all__ = [
     "SearchStats",
@@ -80,13 +78,9 @@ __all__ = [
 class SearchStats:
     members: int = 0
     bijections: int = 0
-    witnesses: int | None = None
 
     def to_json(self) -> dict:
-        out = {"members": self.members, "bijections": self.bijections}
-        if self.witnesses is not None:
-            out["witnesses"] = self.witnesses
-        return out
+        return {"members": self.members, "bijections": self.bijections}
 
 
 @dataclass
@@ -395,12 +389,7 @@ def _tail_masks(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...],
     )
 
 
-def dominating_k(
-    g: SimpleGraph,
-    k: int,
-    limits: Limits = DEFAULT_LIMITS,
-    exhaustive: bool = False,
-) -> Verdict:
+def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Does the graph have a dominating set of size k?
 
     Searches bijections f of the domination probe against the indicator; a
@@ -415,10 +404,10 @@ def dominating_k(
     The adjacency bitmasks are the graph's own :attr:`SimpleGraph.masks`,
     built once per graph and shared by every k; the tails come from a table
     cached per (k, n).  Only the witness polynomial is built, from those
-    counts, all nonzero.
-    ``verify --identity orbit`` checks the verdict, the witness bijection,
-    its polynomial and the exhaustive count against the ring scan over all
-    n! bijections.
+    counts, all nonzero.  The scan stops at the first accepted
+    representative, the first witness of the full n! scan.
+    ``verify --identity orbit`` checks the verdict, the witness bijection and
+    its polynomial against the ring scan over all n! bijections.
     """
     n = g.n
     if not 1 <= k <= n - 1:
@@ -427,28 +416,22 @@ def dominating_k(
     limits.check_steps(math.factorial(n), "domination search")
     table = _tail_masks(k, n)
     adj = g.masks
-    stats = SearchStats(members=1, witnesses=0 if exhaustive else None)
-    orbit = math.factorial(n) // len(table)
-    first = None
+    stats = SearchStats(members=1)
     for f, heads, tail in limits.polled(table):
         stats.bijections += 1
         for h in heads:
             if not adj[h] & tail:
                 break
         else:
-            if first is None:
-                counts = {(j, 0): ((adj[h] & tail).bit_count(), 0) for j, h in enumerate(heads)}
-                first = Verdict(
-                    True,
-                    witness_polynomial=RingElem._raw(counts),
-                    witness_graph=domination_probe(k, n),
-                    witness_bijection=f,
-                    stats=stats,
-                )
-            if not exhaustive:
-                return first
-            stats.witnesses += orbit
-    return first if first is not None else Verdict(False, stats=stats)
+            counts = {(j, 0): ((adj[h] & tail).bit_count(), 0) for j, h in enumerate(heads)}
+            return Verdict(
+                True,
+                witness_polynomial=RingElem._raw(counts),
+                witness_graph=domination_probe(k, n),
+                witness_bijection=f,
+                stats=stats,
+            )
+    return Verdict(False, stats=stats)
 
 
 # -- edge Roman domination -----------------------------------------------------------
@@ -474,7 +457,7 @@ def decode_edge_roman(
 
 
 def _edge_roman_accept(n: int, m: int, k: int):
-    divisor = GaussInt(2 * n - 4, 1)
+    scale = 2 * n - 4
 
     def accept(p: RingElem) -> bool:
         # A coefficient lies in -i + Z exactly when its y-free part has
@@ -491,14 +474,15 @@ def _edge_roman_accept(n: int, m: int, k: int):
             elif im == -1:
                 minus_i.add(dx)
         # Substituting x=1 collapses the reader to (2n-4+i) times the
-        # complete indicator, so the quotient is the coloring's total weight
-        # at y=1, the same for every bijection (property-tested).
-        quotient = GaussInt(total_re, total_im).exact_div(divisor)
-        if quotient.im != 0:
+        # complete indicator, so p(1,1) = (2n-4+i)w for the coloring's total
+        # weight w at y=1, the same for every bijection (property-tested).
+        # A quotient s+ti gives re - (2n-4)im = -t(1+(2n-4)^2): it is the
+        # real integer w = im exactly when re = (2n-4)im.
+        if total_re != scale * total_im:
             raise NotDivisibleError(
-                f"weight quotient {quotient} is not a real integer"
+                f"p(1,1) = {total_re}{total_im:+d}i is not (2n-4+i) times a real integer"
             )
-        if m + quotient.re > k:
+        if m + total_im > k:
             return False
         return not (minus_i - has_y)
 
@@ -511,7 +495,8 @@ def edge_roman_at_most(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) 
     Enumerates {0,-1,y} colorings; a coloring qualifies when (a) no
     x-coefficient of its cover-reader polynomial lies in -i + Z, and (b) the
     decoded weight |E| + p(1,1)/(2n-4+i) is at most k, where the quotient is
-    required to divide exactly to a real integer.
+    required to be a real integer; it is then Im p(1,1), read with no
+    division.
 
     The characterization's native range is k < |E|; for k >= |E| the same
     enumeration decides the (then trivially true) bound, since labeling every

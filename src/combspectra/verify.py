@@ -24,6 +24,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from random import Random
 from typing import Callable, Sequence
 
@@ -550,20 +551,25 @@ def _full_scan(
 def _domination_orbit_failures(n: int, limits: Limits) -> tuple[int, int]:
     """The tail-mask kernel of ``dominating_k`` against the full scan of the
     probe, on every (graph, k) of order n: the verdict, the first witness
-    bijection, its polynomial and the exhaustive count."""
+    bijection and its polynomial.  The full scan's count of accepted f must
+    also match the definition: (n-k)! * k! bijections per dominating
+    k-subset, the ways to place the heads and the tails."""
     checks = failures = 0
     for g in connected_graphs(n, limits=limits):
         for k in range(1, n):
-            reduced = ch.dominating_k(g, k, limits, exhaustive=True)
+            reduced = ch.dominating_k(g, k, limits)
             f, p, accepted = _full_scan(
                 domination_probe(k, n), indicator(g), _domination_accept(n, k), limits
+            )
+            dominating = sum(
+                orc._dominates(g, chosen) for chosen in combinations(range(1, n + 1), k)
             )
             checks += 1
             failures += (
                 reduced.holds != (f is not None)
                 or reduced.witness_bijection != f
                 or reduced.witness_polynomial != p
-                or reduced.stats.witnesses != accepted
+                or accepted != math.factorial(n - k) * math.factorial(k) * dominating
             )
     return checks, failures
 
@@ -620,17 +626,21 @@ def _family_product_orbit_failures(
     fixed += [singleton(star_indicator(1, n)), singleton(edge_indicator(1, 2, n))]
     complete = singleton(indicator(complete_graph(n)))
     is_closed: dict[GraphFamily, bool] = {}
+    failed: dict[tuple[GraphFamily, GraphFamily], bool] = {}
     checks = failures = 0
     for _ in range(trials):
         left = singleton(indicator(rng.choice(graphs)))
         for right in (*fixed, singleton(indicator(rng.choice(graphs)))):
             if right not in is_closed:
                 is_closed[right] = _full_product(complete, right, limits) == right
+            # a pair drawn again counts once per trial but is decided once
+            if (left, right) not in failed:
+                failed[left, right] = (
+                    is_relabel_closed(right, limits) != is_closed[right]
+                    or family_product(left, right, limits) != _full_product(left, right, limits)
+                )
             checks += 1
-            failures += (
-                is_relabel_closed(right, limits) != is_closed[right]
-                or family_product(left, right, limits) != _full_product(left, right, limits)
-            )
+            failures += failed[left, right]
     return checks, failures
 
 

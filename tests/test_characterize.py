@@ -1,7 +1,7 @@
 """Spectrum characterizations: worked examples, witnesses, structural identities."""
 
 import math
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from combspectra import ring
 from combspectra.characterize import (
+    _edge_roman_accept,
     _tail_masks,
     antimagic_family,
     antimagic_unweighted,
@@ -26,7 +27,12 @@ from combspectra.characterize import (
     one_two_three,
     strength_at_most,
 )
-from combspectra.errors import PreconditionError, SizeGuardError, TimeLimitError
+from combspectra.errors import (
+    NotDivisibleError,
+    PreconditionError,
+    SizeGuardError,
+    TimeLimitError,
+)
 from combspectra.corpus import connected_graphs
 from combspectra.families import ROMAN_PALETTE, Spectrum, iter_colorings, singleton
 from combspectra.gadgets import (
@@ -53,6 +59,7 @@ from combspectra.graphs import (
     star_graph,
 )
 from combspectra.limits import Limits
+from combspectra.oracles import _dominates
 from combspectra.ring import GaussInt, const, x_pow
 from combspectra.verify import _full_scan
 
@@ -340,12 +347,14 @@ def test_dominating_k_matches_the_ring_scan_over_all_bijections(n):
             def accept(p, needed=n - k):
                 return all(not p.coeff_x(j).is_zero for j in range(needed))
 
-            kernel = dominating_k(g, k, exhaustive=True)
+            kernel = dominating_k(g, k)
             f, p, accepted = _full_scan(domination_probe(k, n), indicator(g), accept, Limits())
             assert kernel.holds == (f is not None)
             assert kernel.witness_bijection == f
             assert kernel.witness_polynomial == p
-            assert kernel.stats.witnesses == accepted
+            # each dominating k-subset is the tail image of (n-k)! * k! bijections
+            dominating = sum(_dominates(g, s) for s in combinations(range(1, n + 1), k))
+            assert accepted == math.factorial(n - k) * math.factorial(k) * dominating
             if kernel.holds:
                 assert kernel.witness_graph == domination_probe(k, n)
 
@@ -409,6 +418,37 @@ def test_edge_roman_weight_evaluation_is_bijection_free():
         values = {star_sum(h, reader, pmap).eval(1, 1) for _f, pmap in maps}
         assert len(values) == 1
         assert values.pop() == GaussInt(2 * 4 - 4, 1) * h.total_weight().eval(1, 1)
+
+
+def _edge_roman_by_division(p, n, m, k):
+    # the weight as the Gaussian quotient p(1,1) / (2n-4+i), required real
+    quotient = p.eval(1, 1).exact_div(GaussInt(2 * n - 4, 1))
+    if quotient.im != 0:
+        raise NotDivisibleError(f"weight quotient {quotient} is not a real integer")
+    return m + quotient.re <= k and not any(
+        c.classify().is_in_minus_i_plus_z for c in p.coeffs_x().values()
+    )
+
+
+def test_edge_roman_accept_rejects_a_polynomial_off_the_weight_lattice():
+    # p(1,1) must be (2n-4+i) times a real integer: 1 is not a multiple of
+    # 2+i, and -1+2i = (2+i)i is one, but by the non-real i
+    for p in (ring.ONE, const(-1, 2)):
+        with pytest.raises(NotDivisibleError):
+            _edge_roman_accept(3, 2, 4)(p)
+        with pytest.raises(NotDivisibleError):
+            _edge_roman_by_division(p, 3, 2, 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_edge_roman_accept_reads_the_weight_of_the_gaussian_division(n):
+    # Im p(1,1) in place of p(1,1) / (2n-4+i), on every coloring and bound
+    pmap = bijection_pair_maps(n)[0][1]
+    for g in connected_graphs(n):
+        for h in iter_colorings(g, ROMAN_PALETTE):
+            p = star_sum(h, cover_reader(n), pmap)
+            for k in range(2 * g.m + 1):
+                assert _edge_roman_accept(n, g.m, k)(p) == _edge_roman_by_division(p, n, g.m, k)
 
 
 def test_edge_roman_bad_coefficient_detects_violations():
@@ -648,13 +688,10 @@ def test_verdict_invariant_holds_implies_witness():
         )
 
 
-def test_exhaustive_mode_counts_witnesses():
-    v = dominating_k(P3, 1, exhaustive=True)
-    assert v.holds
-    assert v.stats.witnesses == 2  # f maps vertex 2 into the tail in two ways
-    assert v.stats.bijections == 3  # one representative per tail set
+def test_dominating_k_stops_at_its_first_witness():
     first = dominating_k(P3, 1)
-    assert first.witness_bijection == v.witness_bijection == (1, 3, 2)
+    assert first.holds
+    assert first.witness_bijection == (1, 3, 2)
     assert first.stats.bijections == 2  # (1, 2, 3) is scanned and rejected first
 
 

@@ -238,6 +238,38 @@ def test_verify_reader_rows_catch_a_miscounting_scan(monkeypatch):
     assert readers == {"strength": 5, "one-two-three": 5, "antimagic": 5, "edge-roman": 5}
 
 
+@pytest.mark.parametrize(
+    "module, name, old, new, failures",
+    [
+        # a kernel that never tests its last head accepts too early
+        ("characterize", "dominating_k", "for h in heads:", "for h in heads[:-1]:", [1, 4, 11]),
+        # a reference accept that drops the last head's coefficient
+        ("verify", "_domination_accept", "needed = n - k\n", "needed = n - k - 1\n",
+         [1, 7, 40]),
+        # a reference scan that counts only its first accepted f keeps the
+        # verdict, witness and polynomial; only the definition count sees it
+        ("verify", "_full_scan", "accepted += 1", "accepted += first is None", [4, 16, 74]),
+    ],
+)
+def test_verify_domination_row_catches_a_broken_route(monkeypatch, module, name, old, new,
+                                                      failures):
+    # 4, 18 and 84 (graph, k) checks at n = 3, 4 and 5
+    import importlib
+    import inspect
+
+    from combspectra.verify import run_identity
+
+    mod = importlib.import_module(f"combspectra.{module}")
+    source = inspect.getsource(getattr(mod, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(mod))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(mod, name, namespace[name])
+    rows = run_identity("orbit", ns=(3, 4, 5), trials=1)["rows"]
+    domination = [(row["checks"], row["failures"]) for row in rows if row["search"] == "domination"]
+    assert domination == list(zip([4, 18, 84], failures))
+
+
 def test_verify_hamiltonian_row_catches_a_recursion_without_its_closing_edge(monkeypatch):
     # the mutant adds no distance back to vertex 1, so every cycle comes out
     # one closing edge short of the full product's totals
