@@ -29,6 +29,7 @@ from . import ring
 from .errors import NotDivisibleError, PreconditionError
 from .families import (
     GraphFamily,
+    ROMAN_LABELS,
     ROMAN_PALETTE,
     Spectrum,
     integer_palette,
@@ -114,10 +115,10 @@ class Verdict:
 
 def _require_constant_nonneg(g: WeightedCompleteGraph) -> None:
     for w in g.weights:
-        flags = w.classify()
-        if not flags.is_constant:
-            raise PreconditionError(f"weight {w} is not a constant")
-        c = w.constant_value()
+        try:
+            c = w.constant_value()
+        except ValueError:
+            raise PreconditionError(f"weight {w} is not a constant") from None
         if c.im != 0 or c.re < 0:
             raise PreconditionError(f"weight {w} is not a nonnegative integer")
 
@@ -440,19 +441,14 @@ def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Ver
 def decode_edge_roman(
     h: WeightedCompleteGraph, g: SimpleGraph
 ) -> dict[tuple[int, int], int]:
-    """Decode a {0,-1,y} coloring into an edge function E(G) -> {0,1,2}:
-    -1 maps to 0, 0 maps to 1, y maps to 2."""
+    """Decode a {0,-1,y} coloring into an edge function E(G) -> {0,1,2}
+    by ``ROMAN_LABELS``: -1 maps to 0, 0 maps to 1, y maps to 2."""
     out = {}
     for e in g.sorted_edges():
         w = h.weight(*e)
-        if w == ring.const(-1):
-            out[e] = 0
-        elif w.is_zero:
-            out[e] = 1
-        elif w == ring.Y:
-            out[e] = 2
-        else:
+        if w not in ROMAN_LABELS:
             raise ValueError(f"weight {w} on {e} is not one of 0, -1, y")
+        out[e] = ROMAN_LABELS[w]
     return out
 
 

@@ -228,9 +228,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_graphs(path: str) -> list[tuple[str, SimpleGraph]]:
     """Load (graph6-id, graph) pairs: one per graph6 line of stdin or of a
     graph6 file, or the one graph of an edge-list file."""
+    source = "standard input" if path == "-" else path
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode {source}: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {source}: {exc}") from None
     if path == "-":
         out = []
-        for line in sys.stdin.read().splitlines():
+        for line in text.splitlines():
             line = line.strip()
             if line:
                 g = parse_graph6(line)
@@ -238,10 +245,6 @@ def _load_graphs(path: str) -> list[tuple[str, SimpleGraph]]:
         if not out:
             raise ParseError("no graph6 lines on standard input")
         return out
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
     return [(to_graph6(g), g) for g in parse_graphs(text)]
 
 

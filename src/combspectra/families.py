@@ -27,12 +27,14 @@ canonical order, only when the order is read (``members``, iteration,
 construction order or worker interleaving.  Products, sums, closures and
 spectra work on the sets and sort nothing.
 
-Two bounded LRU caches keep what depends only on its inputs: the
-all-colorings family per (n, k) and the caller's caps, and the relabel
-closure per right factor and ``max_family``.  Each holds
-``_CACHE_ENTRIES`` entries of at most ``max_family`` members, a size the
-caller's guard already admitted; a hit still applies the guards and polls
-the deadline.
+Two ``functools.lru_cache`` caches keep what depends only on their
+arguments: the all-colorings family per (n, k, limits) and the relabel
+closure per (right factor, limits).  The key is the whole frozen
+:class:`Limits`, deadline included, so a CLI command, which builds one
+``Limits``, hits on its repeated families, and equal ``Limits`` built apart
+share entries.  Each cache holds ``_CACHE_ENTRIES`` entries of at most
+``max_family`` members, a size the caller's guard already admitted; a hit
+of the all-colorings cache still applies the guards and polls the deadline.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import OrderedDict
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import ring
 from .errors import PreconditionError, StabilizationError
@@ -71,6 +72,7 @@ __all__ = [
     "in_palette_family",
     "iter_colorings",
     "spectrum_of",
+    "ROMAN_LABELS",
     "ROMAN_PALETTE",
     "integer_palette",
 ]
@@ -189,33 +191,7 @@ def spectrum_of(family: GraphFamily | Iterable[WeightedCompleteGraph]) -> Spectr
 _CACHE_ENTRIES = 16
 
 
-def _bounded_cache(key: Callable[..., Hashable]):
-    """Memoize a family-building function in an LRU of ``_CACHE_ENTRIES``
-    entries, looked up by ``key(*args)``.  A call that raises caches
-    nothing.  The wrapper has ``cache_clear()`` and ``cache_len()``."""
-
-    def decorate(build):
-        entries: OrderedDict = OrderedDict()
-
-        @functools.wraps(build)
-        def cached(*args):
-            k = key(*args)
-            if k in entries:
-                entries.move_to_end(k)
-                return entries[k]
-            value = entries[k] = build(*args)
-            if len(entries) > _CACHE_ENTRIES:
-                entries.popitem(last=False)
-            return value
-
-        cached.cache_clear = entries.clear
-        cached.cache_len = entries.__len__
-        return cached
-
-    return decorate
-
-
-@_bounded_cache(lambda family, limits: (family, limits.max_family))
+@functools.lru_cache(maxsize=_CACHE_ENTRIES)
 def _relabel_closure(
     family: GraphFamily, limits: Limits
 ) -> tuple[WeightedCompleteGraph, ...]:
@@ -224,8 +200,8 @@ def _relabel_closure(
     & O'Brien, Handbook of Computational Group Theory, 2005, §4.1), 2 steps
     per closure member.  The closure size counts against ``max_family``.
 
-    Cached per (family, max_family) in a bounded LRU; the deadline is not
-    part of the key, so a hit does not poll it and callers must."""
+    Cached per (family, limits); a hit does not poll the deadline, so
+    callers must."""
     gens = [pair_map for _f, pair_map in generator_pair_maps(family.n)]
     closure = list(family._items)
     seen = set(closure)
@@ -342,11 +318,10 @@ def all_colorings_family(
     return _all_colorings(n, k, limits)
 
 
-@_bounded_cache(lambda n, k, limits: (n, k, limits.max_n, limits.max_family, limits.max_steps))
+@functools.lru_cache(maxsize=_CACHE_ENTRIES)
 def _all_colorings(n: int, k: int, limits: Limits) -> GraphFamily:
-    """The all-colorings family, cached per (n, k, max_n, max_family,
-    max_steps) in a bounded LRU.  The deadline is not part of the key; a
-    miss builds under the caller's own limits, so every loop polls it."""
+    """The all-colorings family, cached per (n, k, limits).  A miss builds
+    under the caller's own limits, so every loop polls the deadline."""
     full = indicator(complete_graph(n))
     acc = singleton(WeightedCompleteGraph.zero(n))
     if k > 1:
@@ -363,9 +338,9 @@ def integer_palette(k: int) -> tuple[RingElem, ...]:
     return tuple(ring.const(c) for c in range(1, k + 1))
 
 
-# Colors for the edge Roman encoding: 0 decodes to label 1, -1 to label 0,
-# y to label 2.
-ROMAN_PALETTE: tuple[RingElem, ...] = (ring.ZERO, ring.const(-1), ring.Y)
+# The edge Roman encoding: each color and the label {0, 1, 2} it decodes to.
+ROMAN_LABELS: dict[RingElem, int] = {ring.ZERO: 1, ring.const(-1): 0, ring.Y: 2}
+ROMAN_PALETTE: tuple[RingElem, ...] = tuple(ROMAN_LABELS)
 
 
 def in_palette_family(

@@ -340,6 +340,24 @@ def edge_indicator(a: int, b: int, n: int) -> WeightedCompleteGraph:
     return WeightedCompleteGraph(n, weights)
 
 
+def _pair_probe(a: int, b: int, n: int, signed: bool) -> WeightedCompleteGraph:
+    """Weight i on {a,b}, 1 on every pair sharing exactly one vertex with
+    {a,b} (-1 when ``signed`` and that vertex is b), 0 elsewhere."""
+    _check_vertex(a, n)
+    _check_vertex(b, n)
+    if not a < b:
+        raise ValueError(
+            "contrast_pair requires a < b (the sign convention)"
+            if signed else "cover_pair requires a < b"
+        )
+    # keyed by (pair meets a, pair meets b)
+    weight_of = {(True, True): ring.I, (True, False): ring.ONE,
+                 (False, True): -ring.ONE if signed else ring.ONE, (False, False): ring.ZERO}
+    return WeightedCompleteGraph(
+        n, [weight_of[a in (u, v), b in (u, v)] for u, v in pairs_in_rank_order(n)]
+    )
+
+
 def contrast_pair(a: int, b: int, n: int) -> WeightedCompleteGraph:
     """The endpoint-sum contrast probe for a < b: weight i on {a,b} itself,
     +1 on pairs meeting only a, -1 on pairs meeting only b, 0 elsewhere.
@@ -347,42 +365,13 @@ def contrast_pair(a: int, b: int, n: int) -> WeightedCompleteGraph:
     The total weight of a product with this probe is (sum at a) - (sum at b)
     + i * (weight of {a,b}); a nonzero purely imaginary total means the two
     endpoint sums tie across a present edge."""
-    _check_vertex(a, n)
-    _check_vertex(b, n)
-    if not a < b:
-        raise ValueError("contrast_pair requires a < b (the sign convention)")
-    weights = []
-    for u, v in pairs_in_rank_order(n):
-        hit_a = a in (u, v)
-        hit_b = b in (u, v)
-        if hit_a and hit_b:
-            weights.append(ring.I)
-        elif hit_a:
-            weights.append(ring.ONE)
-        elif hit_b:
-            weights.append(-ring.ONE)
-        else:
-            weights.append(ring.ZERO)
-    return WeightedCompleteGraph(n, weights)
+    return _pair_probe(a, b, n, signed=True)
 
 
 def cover_pair(a: int, b: int, n: int) -> WeightedCompleteGraph:
     """The adjacency-coverage probe: weight i on {a,b}, 1 on every pair sharing
     exactly one vertex with {a,b}, 0 elsewhere."""
-    _check_vertex(a, n)
-    _check_vertex(b, n)
-    if not a < b:
-        raise ValueError("cover_pair requires a < b")
-    weights = []
-    for u, v in pairs_in_rank_order(n):
-        meet = (a in (u, v)) + (b in (u, v))
-        if meet == 2:
-            weights.append(ring.I)
-        elif meet == 1:
-            weights.append(ring.ONE)
-        else:
-            weights.append(ring.ZERO)
-    return WeightedCompleteGraph(n, weights)
+    return _pair_probe(a, b, n, signed=False)
 
 
 @lru_cache(maxsize=None)

@@ -504,17 +504,10 @@ def _ring_axiom_rows(_ns: Sequence[int], trials: int, seed: int, limits: Limits)
     return [_check_row("ring-axioms", checks, failures, trials=trials, seed=seed)]
 
 
-def _at_one(w: ring.RingElem) -> ring.RingElem:
-    # w(1, 1): the Gaussian sum of the coefficients.
-    re = im = 0
-    for cre, cim in w._terms.values():
-        re += cre
-        im += cim
-    return ring.const(re, im)
-
-
 def _reader_at_one(reader: WeightedCompleteGraph) -> WeightedCompleteGraph:
-    return WeightedCompleteGraph(reader.n, tuple(map(_at_one, reader.weights)))
+    return WeightedCompleteGraph(
+        reader.n, tuple(ring.const(*w.eval(1, 1)) for w in reader.weights)
+    )
 
 
 def _domination_accept(n: int, k: int):

@@ -199,6 +199,19 @@ def test_irregular_weighted_examples():
     assert irregular_weighted(embed(C3, (1, 2, 3))).holds
 
 
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        (ring.Y, "weight y is not a constant"),
+        (const(-1), "weight -1 is not a nonnegative integer"),
+        (ring.I, "weight i is not a nonnegative integer"),
+    ],
+)
+def test_irregular_weighted_rejects_a_weight_off_the_naturals(weight, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        irregular_weighted(embed(P3, (1, weight)))
+
+
 def test_strength_examples():
     assert not strength_at_most(P3, 1).holds
     assert strength_at_most(P3, 2).holds
@@ -400,6 +413,12 @@ def test_edge_roman_worked_witness():
     quotient = p.eval(1, 1).exact_div(GaussInt(2, 1))
     assert P3.m + quotient.re == 2
     assert decode_edge_roman(h, P3) == {(1, 2): 2, (2, 3): 0}
+
+
+def test_decode_edge_roman_rejects_a_weight_outside_the_palette():
+    h = embed(P3, (const(2), const(-1)))
+    with pytest.raises(ValueError, match=r"^weight 2 on \(1, 2\) is not one of 0, -1, y$"):
+        decode_edge_roman(h, P3)
 
 
 def test_edge_roman_weight_identity_every_coloring():

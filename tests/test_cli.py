@@ -102,6 +102,57 @@ def test_order_above_62_exits_parse(capsys, tmp_path, command):
     assert "n > 62" in err
 
 
+_NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "antimagic", "BINARY"),
+        ("oracle", "edge-roman", "BINARY"),
+        ("check", "hamiltonian", "P3", "--by", "BINARY"),
+    ],
+)
+def test_graph_file_that_is_not_utf8_exits_parse(capsys, tmp_path, p3_file, argv):
+    binary = tmp_path / "binary"
+    binary.write_bytes(_NOT_UTF8)
+    files = {"BINARY": str(binary), "P3": p3_file}
+    code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"error (parse): cannot decode {binary}: ")
+
+
+def test_standard_input_that_is_not_utf8_exits_parse(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe\n"), encoding="utf-8"))
+    code, out, err = run(capsys, "check", "antimagic", "-")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error (parse): cannot decode standard input: ")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("check", "antimagic"), EXIT_PRECONDITION),
+        (("check", "irregular-strength", "--k", "2"), EXIT_PRECONDITION),
+        (("check", "one-two-three"), EXIT_PRECONDITION),
+        (("oracle", "antimagic"), EXIT_PRECONDITION),
+        (("check", "domination", "--k", "9"), EXIT_PRECONDITION),
+        (("check", "hamiltonian"), EXIT_SIZE_GUARD),
+    ],
+)
+def test_cheap_preconditions_come_before_the_order_guard(capsys, tmp_path, argv, expected):
+    # order 8 > the default max_n, with isolated vertices and one edge
+    eight = tmp_path / "eight.edges"
+    eight.write_text("8 1\n1 2\n")
+    code, out, _err = run(capsys, *argv, str(eight))
+    assert code == expected
+    assert out == ""
+
+
 def test_parse_error_json_payload(capsys, tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_text("nonsense\n")

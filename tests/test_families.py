@@ -346,7 +346,7 @@ def test_cached_families_equal_fresh_ones():
     cached = [all_colorings_family(n, k) for n in (2, 3, 4) for k in (1, 2, 3)]
     products = [family_product(left, p) for p in probes]
     _clear_family_caches()
-    assert _all_colorings.cache_len() == _relabel_closure.cache_len() == 0
+    assert _all_colorings.cache_info().currsize == _relabel_closure.cache_info().currsize == 0
     fresh = [all_colorings_family(n, k) for n in (2, 3, 4) for k in (1, 2, 3)]
     assert all(a == b and a is not b for a, b in zip(cached, fresh))
     assert [a.members for a in cached] == [b.members for b in fresh]
@@ -360,8 +360,25 @@ def test_family_caches_stay_bounded():
         all_colorings_family(2, 2, Limits(max_steps=1000 + steps))
     for c in range(keys):
         is_relabel_closed(singleton(WeightedCompleteGraph(3, [const(c), const(0), const(0)])))
-    assert _all_colorings.cache_len() == _CACHE_ENTRIES
-    assert _relabel_closure.cache_len() == _CACHE_ENTRIES
+    assert _all_colorings.cache_info().currsize == _CACHE_ENTRIES
+    assert _relabel_closure.cache_info().currsize == _CACHE_ENTRIES
+
+
+def test_equal_limits_built_apart_share_cache_entries():
+    # the key is the whole Limits: repeated commands in one process build
+    # equal ones and must hit
+    _clear_family_caches()
+    first, second = Limits(max_n=4), Limits(max_n=4)
+    assert first is not second
+    family = edge_deleted_family(4)
+    for cached, call in (
+        (_all_colorings, lambda limits: all_colorings_family(3, 2, limits)),
+        (_relabel_closure, lambda limits: is_relabel_closed(family, limits)),
+    ):
+        expected = call(first)
+        hits = cached.cache_info().hits
+        assert call(second) == expected
+        assert cached.cache_info().hits == hits + 1
 
 
 def test_member_order_does_not_depend_on_construction_order():
