@@ -308,7 +308,7 @@ def all_colorings_family(
     Built from the power fixpoint of the edge-deleted indicators: k-1 family
     sums of (fixpoint plus the complete indicator) and one final shift by the
     complete indicator.  Every call checks ``max_n`` and the family size and
-    polls the deadline; the family itself is built once per (n, k) and caps,
+    polls the deadline; the family itself is built once per (n, k, limits),
     see :func:`_all_colorings`."""
     if n < 2 or k < 1:
         raise PreconditionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")

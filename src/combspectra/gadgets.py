@@ -343,13 +343,6 @@ def edge_indicator(a: int, b: int, n: int) -> WeightedCompleteGraph:
 def _pair_probe(a: int, b: int, n: int, signed: bool) -> WeightedCompleteGraph:
     """Weight i on {a,b}, 1 on every pair sharing exactly one vertex with
     {a,b} (-1 when ``signed`` and that vertex is b), 0 elsewhere."""
-    _check_vertex(a, n)
-    _check_vertex(b, n)
-    if not a < b:
-        raise ValueError(
-            "contrast_pair requires a < b (the sign convention)"
-            if signed else "cover_pair requires a < b"
-        )
     # keyed by (pair meets a, pair meets b)
     weight_of = {(True, True): ring.I, (True, False): ring.ONE,
                  (False, True): -ring.ONE if signed else ring.ONE, (False, False): ring.ZERO}
@@ -365,12 +358,20 @@ def contrast_pair(a: int, b: int, n: int) -> WeightedCompleteGraph:
     The total weight of a product with this probe is (sum at a) - (sum at b)
     + i * (weight of {a,b}); a nonzero purely imaginary total means the two
     endpoint sums tie across a present edge."""
+    _check_vertex(a, n)
+    _check_vertex(b, n)
+    if not a < b:
+        raise ValueError("contrast_pair requires a < b (the sign convention)")
     return _pair_probe(a, b, n, signed=True)
 
 
 def cover_pair(a: int, b: int, n: int) -> WeightedCompleteGraph:
     """The adjacency-coverage probe: weight i on {a,b}, 1 on every pair sharing
     exactly one vertex with {a,b}, 0 elsewhere."""
+    _check_vertex(a, n)
+    _check_vertex(b, n)
+    if not a < b:
+        raise ValueError("cover_pair requires a < b")
     return _pair_probe(a, b, n, signed=False)
 
 

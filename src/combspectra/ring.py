@@ -251,6 +251,13 @@ class RingElem:
 
     def eval(self, x_value: GaussInt | int, y_value: GaussInt | int) -> GaussInt:
         """Substitute both indeterminates; a ring homomorphism into Z[i]."""
+        if x_value in _ONES and y_value in _ONES:
+            # Every power is 1: the Gaussian sum of the coefficients.
+            tot_re = tot_im = 0
+            for re, im in self._terms.values():
+                tot_re += re
+                tot_im += im
+            return GaussInt(tot_re, tot_im)
         xv = GaussInt.of(x_value)
         yv = GaussInt.of(y_value)
         x_pows: dict[int, tuple[int, int]] = {0: (1, 0)}
@@ -435,6 +442,7 @@ def _coerce(value) -> RingElem | None:
 
 # The canonical terms of 1; every element equal to 1 has exactly these.
 _UNIT_TERMS = {(0, 0): (1, 0)}
+_ONES = (1, GaussInt(1, 0))  # the values at which eval sums the coefficients
 
 ZERO = RingElem._raw({})
 ONE = RingElem._raw(_UNIT_TERMS)

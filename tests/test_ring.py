@@ -97,6 +97,19 @@ def test_eval_homomorphism_randomized():
         assert (a * b).eval(px, py) == a.eval(px, py) * b.eval(px, py)
 
 
+def test_eval_at_one_matches_the_power_path():
+    # eval(1, 1) sums the coefficients; each x-coefficient evaluated at
+    # (0, 1) goes through the power cache, so the two routes are independent.
+    rng = Random(9)
+    for _ in range(300):
+        a = random_element(rng)
+        via_powers = sum(
+            (c.eval(0, 1) for c in a.coeffs_x().values()), GaussInt(0, 0)
+        )
+        assert a.eval(1, 1) == via_powers
+        assert a.eval(GaussInt(1, 0), 1) == via_powers
+
+
 def test_coefficient_reconstruction():
     rng = Random(7)
     for _ in range(200):
