@@ -363,7 +363,7 @@ def one_two_three(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Verdict:
 def dominating_set_of(f: Sequence[int], n: int, k: int) -> frozenset:
     """The candidate dominating set selected by a bijection: the f-image of
     the k tail vertices."""
-    return frozenset(f[i - 1] for i in range(n - k + 1, n + 1))
+    return frozenset(f[n - k:])
 
 
 @lru_cache(maxsize=None)
@@ -417,9 +417,7 @@ def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Ver
     limits.check_steps(math.factorial(n), "domination search")
     table = _tail_masks(k, n)
     adj = g.masks
-    stats = SearchStats(members=1)
-    for f, heads, tail in limits.polled(table):
-        stats.bijections += 1
+    for scanned, (f, heads, tail) in enumerate(limits.polled(table), 1):
         for h in heads:
             if not adj[h] & tail:
                 break
@@ -430,9 +428,9 @@ def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Ver
                 witness_polynomial=RingElem._raw(counts),
                 witness_graph=domination_probe(k, n),
                 witness_bijection=f,
-                stats=stats,
+                stats=SearchStats(members=1, bijections=scanned),
             )
-    return Verdict(False, stats=stats)
+    return Verdict(False, stats=SearchStats(members=1, bijections=len(table)))
 
 
 # -- edge Roman domination -----------------------------------------------------------

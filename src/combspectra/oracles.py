@@ -5,8 +5,10 @@ subsets and orderings straight from the definitions, sharing nothing with the
 spectral machinery beyond the plain graph type.  They read a graph only
 through ``g.edges`` (and ``sorted_edges``) and the neighbour sets of
 ``g.adjacency``, never the bitmasks of ``g.masks`` that the spectral kernels
-read.  Enumeration orders are lexicographic (edges sorted, labels ascending,
-permutations in standard order), so any failure is reproducible.
+read.  The domination oracle keeps bitmasks of its own, the closed
+neighbourhoods of :func:`_closed_masks`, built from ``g.edges`` once per
+call.  Enumeration orders are lexicographic (edges sorted, labels
+ascending, permutations in standard order), so any failure is reproducible.
 
 Each definition's test is one private predicate, which ``verify`` also
 checks the spectral witnesses with.  A witness is returned as soon as it
@@ -23,7 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Collection, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
 from .graphs import SimpleGraph
@@ -66,11 +68,24 @@ def _locally_irregular(g: SimpleGraph, labels: Mapping[tuple[int, int], int]) ->
     return all(degrees[u - 1] != degrees[v - 1] for u, v in g.edges)
 
 
-def _dominates(g: SimpleGraph, chosen: Collection[int]) -> bool:
+def _closed_masks(g: SimpleGraph) -> tuple[int, ...]:
+    """Closed-neighbourhood bitmasks from ``g.edges``: entry v-1 has bit w-1
+    set when w is v or a neighbour of v."""
+    bits = [1 << v for v in range(g.n)]
+    for u, v in g.edges:
+        bits[u - 1] |= 1 << (v - 1)
+        bits[v - 1] |= 1 << (u - 1)
+    return tuple(bits)
+
+
+def _dominates(closed: Sequence[int], chosen: Iterable[int]) -> bool:
     """Is every vertex chosen or adjacent to a chosen one, that is, do the
-    closed neighbourhoods of the chosen vertices cover the graph?"""
-    adj = g.adjacency
-    return len(set(chosen).union(*[adj[v - 1] for v in chosen])) == g.n
+    closed neighbourhoods of the chosen vertices, entries of a
+    :func:`_closed_masks` table, cover the graph?"""
+    covered = 0
+    for v in chosen:
+        covered |= closed[v - 1]
+    return covered == (1 << len(closed)) - 1
 
 
 def _edge_roman_valid(g: SimpleGraph, fn: Mapping[tuple[int, int], int]) -> bool:
@@ -151,8 +166,9 @@ def domination_oracle(
         raise PreconditionError(f"k must be in 1..{g.n}, got {k}")
     limits.check_n(g.n)
     limits.check_steps(math.comb(g.n, k), "domination oracle")
+    closed = _closed_masks(g)
     for enumerated, subset in enumerate(limits.polled(combinations(range(1, g.n + 1), k)), 1):
-        if _dominates(g, subset):
+        if _dominates(closed, subset):
             return OracleResult(True, frozenset(subset), enumerated)
     return OracleResult(False, None, enumerated)
 

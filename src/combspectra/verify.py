@@ -12,8 +12,9 @@ order: a task carries the graph and its graph6 line, which for a corpus
 graph is the line the corpus kept, so no task encodes or decodes graph6;
 every worker count takes the batch queue of :func:`_pool_results`.  Per-k
 rows come from :func:`_bound_rows`, and each labeling and domination row
-checks the spectral witness by the oracle's own predicate.  Reports contain
-no timing and keep a canonical row order, so the emitted JSON is
+checks the spectral witness by the oracle's own predicate, for domination
+on the oracle's closed-neighbourhood table built once per graph.  Reports
+contain no timing and keep a canonical row order, so the emitted JSON is
 byte-identical across runs and worker counts.
 """
 
@@ -192,8 +193,8 @@ def _rows_one_two_three(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Lim
     return [_agreement_row(g6, g, verdict.holds, oracle, witness_ok=witness_ok)]
 
 
-def _dominating_witness(g: SimpleGraph, verdict: ch.Verdict, k: int) -> bool:
-    return orc._dominates(g, ch.dominating_set_of(verdict.witness_bijection, g.n, k))
+def _dominating_witness(g: SimpleGraph, verdict: ch.Verdict, k: int, closed: Sequence[int]) -> bool:
+    return orc._dominates(closed, ch.dominating_set_of(verdict.witness_bijection, g.n, k))
 
 
 def _rows_domination(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
@@ -204,7 +205,8 @@ def _rows_domination(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits
     gamma = next(
         (k for k in range(1, g.n) if orc.domination_oracle(g, k, limits).value), g.n
     )
-    return _bound_rows(g6, g, range(1, g.n), gamma, ch.dominating_k, limits, _dominating_witness)
+    witness = partial(_dominating_witness, closed=orc._closed_masks(g))
+    return _bound_rows(g6, g, range(1, g.n), gamma, ch.dominating_k, limits, witness)
 
 
 def _roman_witness(g: SimpleGraph, verdict: ch.Verdict, k: int) -> bool:
@@ -546,16 +548,18 @@ def _domination_orbit_failures(n: int, limits: Limits) -> tuple[int, int]:
     probe, on every (graph, k) of order n: the verdict, the first witness
     bijection and its polynomial.  The full scan's count of accepted f must
     also match the definition: (n-k)! * k! bijections per dominating
-    k-subset, the ways to place the heads and the tails."""
+    k-subset (counted by the oracle's predicate), the ways to place the
+    heads and the tails."""
     checks = failures = 0
     for g in connected_graphs(n, limits=limits):
+        closed = orc._closed_masks(g)
         for k in range(1, n):
             reduced = ch.dominating_k(g, k, limits)
             f, p, accepted = _full_scan(
                 domination_probe(k, n), indicator(g), _domination_accept(n, k), limits
             )
             dominating = sum(
-                orc._dominates(g, chosen) for chosen in combinations(range(1, n + 1), k)
+                orc._dominates(closed, chosen) for chosen in combinations(range(1, n + 1), k)
             )
             checks += 1
             failures += (

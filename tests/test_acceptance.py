@@ -7,6 +7,7 @@ reports across worker counts.  Sweeps are cached per (subject, workers) so
 the determinism criterion can reuse them.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -149,8 +150,12 @@ def test_criterion_07_one_two_three_equivalence():
 
 
 def test_criterion_08_domination_equivalence():
-    report, _blob, elapsed = sweep("domination")
+    report, blob, elapsed = sweep("domination")
     assert report["summary"]["disagreements"] == 0
+    # the sha256 of `verify --theorem domination --max-n 7 --json` stdout
+    assert hashlib.sha256((blob + "\n").encode()).hexdigest() == (
+        "d59987edaca473d42e7909bdab6e653f25b18b733d0dc0944128a9fbbd8be1c5"
+    )
     assert dominating_k(path_graph(3), 1).holds
     assert not dominating_k(cycle_graph(4), 1).holds
     assert dominating_k(cycle_graph(4), 2).holds

@@ -59,7 +59,7 @@ from combspectra.graphs import (
     star_graph,
 )
 from combspectra.limits import Limits
-from combspectra.oracles import _dominates
+from combspectra.oracles import _closed_masks, _dominates
 from combspectra.ring import GaussInt, const, x_pow
 from combspectra.verify import _full_scan
 
@@ -356,6 +356,7 @@ def test_dominating_k_matches_the_ring_scan_over_all_bijections(n):
     # the tail-mask kernel against s(probe *_f indicator) over all n!, with
     # every coefficient x^0..x^(n-k-1) required nonzero
     for g in connected_graphs(n):
+        closed = _closed_masks(g)
         for k in range(1, n):
             def accept(p, needed=n - k):
                 return all(not p.coeff_x(j).is_zero for j in range(needed))
@@ -366,7 +367,7 @@ def test_dominating_k_matches_the_ring_scan_over_all_bijections(n):
             assert kernel.witness_bijection == f
             assert kernel.witness_polynomial == p
             # each dominating k-subset is the tail image of (n-k)! * k! bijections
-            dominating = sum(_dominates(g, s) for s in combinations(range(1, n + 1), k))
+            dominating = sum(_dominates(closed, s) for s in combinations(range(1, n + 1), k))
             assert accepted == math.factorial(n - k) * math.factorial(k) * dominating
             if kernel.holds:
                 assert kernel.witness_graph == domination_probe(k, n)

@@ -1,6 +1,7 @@
 """Brute-force oracles: values, witness self-checks, relabeling invariance."""
 
 import ast
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -26,6 +27,7 @@ from combspectra.oracles import (
     hamiltonian_oracle,
     strength_oracle,
 )
+from combspectra.verify import run_theorem
 
 P3, P4 = path_graph(3), path_graph(4)
 C3, C4 = cycle_graph(3), cycle_graph(4)
@@ -101,6 +103,46 @@ def test_domination_oracle_holds_exactly_from_gamma_up():
         values = [domination_oracle(g, k).value for k in range(1, g.n + 1)]
         gamma = values.index(True) + 1
         assert values == [k >= gamma for k in range(1, g.n + 1)], g
+
+
+def _dominates_mismatches(graphs) -> list:
+    """(graph, subset) pairs, over every vertex subset, where ``_dominates``
+    on the graph's ``_closed_masks`` table differs from the definition: the
+    chosen vertices and their neighbours, read straight from ``g.edges``,
+    are all the vertices."""
+    mismatches = []
+    for g in graphs:
+        closed = oracles._closed_masks(g)
+        vertices = range(1, g.n + 1)
+        for size in range(g.n + 1):
+            for chosen in combinations(vertices, size):
+                covered = set(chosen).union(
+                    *[e for e in g.edges if not set(chosen).isdisjoint(e)]
+                )
+                if oracles._dominates(closed, chosen) != (covered == set(vertices)):
+                    mismatches.append((g, chosen))
+    return mismatches
+
+
+SMALL_GRAPHS = connected_graphs_up_to(5)  # K1 first
+
+
+def test_dominates_matches_the_closed_neighbourhood_union():
+    assert SMALL_GRAPHS[0] == SimpleGraph(1)
+    assert not _dominates_mismatches(SMALL_GRAPHS)
+
+
+def test_open_neighbourhood_table_fails_the_definition_and_the_sweep(monkeypatch):
+    # a table without each vertex's own bit (open neighbourhoods) must fail
+    # both the predicate test above and the domination sweep
+    closed_masks = oracles._closed_masks
+
+    def open_masks(g):
+        return tuple(mask & ~(1 << v) for v, mask in enumerate(closed_masks(g)))
+
+    monkeypatch.setattr(oracles, "_closed_masks", open_masks)
+    assert _dominates_mismatches(SMALL_GRAPHS)
+    assert run_theorem("domination", max_n=4)["summary"]["disagreements"] > 0
 
 
 def test_edge_roman_oracle_examples():
