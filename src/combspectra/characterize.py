@@ -5,16 +5,17 @@ products over colorings and bijections) for a polynomial whose coefficients
 certify the property, and returns a :class:`Verdict` carrying the witness.
 The labeling checks and edge Roman domination read a reader gadget along the
 identity alone, one :func:`_scan` step per member, decided by its polynomial
-alone.  The members are given weightings, one or a family
-(:func:`_weighting_scan`), or each coloring of a graph's edges
-(:func:`_coloring_scan`).  :func:`dominating_k` reads its spectrum without
-ring sums, by tail bitmasks, and :func:`hamiltonian_spectrum` reads every
-pattern's as a bitset of integer distance sums: the cycle's from a subset
-recursion, any other pattern's from the n! bijections.  ``verify --identity
-orbit`` checks each against the full n! scan.  Searches run in a fixed
-lexicographic order (colorings first, bijections second) and short-circuit
-on the first witness, which is also the first witness of the full n! scan,
-so results are fully deterministic.
+alone.  Each labeling is one record of :data:`_LABELINGS` (palette size,
+colour -> label map, gadget, accept), read by its given weightings
+(:func:`_weighting_scan`), its edge colorings (:func:`_coloring_scan`), its
+witness decoding (:func:`_witness_labels`) and verify.  :func:`dominating_k`
+reads its spectrum without ring sums, by tail bitmasks, and
+:func:`hamiltonian_spectrum` reads every pattern's as a bitset of integer
+distance sums: the cycle's from a subset recursion, any other pattern's from
+the n! bijections.  ``verify --identity orbit`` checks each against the full
+n! scan.  Searches run in a fixed lexicographic order (colorings first,
+bijections second) and short-circuit on the first witness, which is also the
+first witness of the full n! scan, so results are fully deterministic.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import ring
 from .errors import NotDivisibleError, PreconditionError
 from .families import (
     GraphFamily,
     ROMAN_LABELS,
-    ROMAN_PALETTE,
     Spectrum,
     integer_palette,
     iter_colorings,
@@ -167,14 +167,9 @@ def _scan(
 
 
 def _weighting_scan(
-    members: Sequence[WeightedCompleteGraph],
-    n: int,
-    gadget: Callable[[int], WeightedCompleteGraph],
-    accept: Callable[[RingElem], bool],
-    what: str,
-    limits: Limits,
+    name: str, members: Sequence[WeightedCompleteGraph], n: int, what: str, limits: Limits
 ) -> Verdict:
-    """Scan the given weightings of order n against ``gadget(n)`` along the
+    """Scan the given weightings of order n by the labeling ``name`` along the
     identity, after the guards in this order: the order n, each member's
     constant nonnegative weights, and the len(members) * n! bijections of the
     full scan.  A single weighting and a family take this one path."""
@@ -182,26 +177,37 @@ def _weighting_scan(
     for h in members:
         _require_constant_nonneg(h)
     limits.check_steps(len(members) * math.factorial(n), what)
-    return _scan(members, gadget(n), accept, limits)
+    labeling = _LABELINGS[name]
+    return _scan(members, labeling.gadget(n), labeling.accept(n, None, None), limits)
 
 
-def _coloring_scan(
-    g: SimpleGraph,
-    p: int,
-    palette: Callable[[int], Sequence[RingElem]],
-    gadget: Callable[[int], WeightedCompleteGraph],
-    accept: Callable[[RingElem], bool],
-    what: str,
-    limits: Limits,
-) -> Verdict:
-    """Scan every coloring of g's edges by the p colors of ``palette(p)``
-    against ``gadget(n)`` along the identity.  The guards come first (the
+def _coloring_scan(name: str, g: SimpleGraph, k: int | None, limits: Limits) -> Verdict:
+    """Scan every coloring of g's edges by the p colours of the labeling
+    ``name`` at bound k along the identity.  The guards come first (the
     order, the p^m colorings and their p^m * n! bijections), then the palette."""
+    labeling = _LABELINGS[name]
     n, m = g.n, g.m
+    p = labeling.size(m, k)
     limits.check_n(n)
     limits.check_family(p**m, f"{p}-colorings of {m} edges")
-    limits.check_steps(p**m * math.factorial(n), f"{what} search")
-    return _scan(iter_colorings(g, palette(p)), gadget(n), accept, limits)
+    limits.check_steps(p**m * math.factorial(n), f"{labeling.what} search")
+    palette = tuple(labeling.labels(p))
+    return _scan(iter_colorings(g, palette), labeling.gadget(n), labeling.accept(n, m, k), limits)
+
+
+def _witness_labels(name: str, g: SimpleGraph, k: int | None, h: WeightedCompleteGraph) -> dict:
+    """The edge labels on g of the witness h of the labeling ``name`` at
+    bound k, by the colour -> label map of its palette; a weight off the
+    palette raises ``ValueError``."""
+    labeling = _LABELINGS[name]
+    label_of = labeling.labels(labeling.size(g.m, k))
+    out = {}
+    for e in g.sorted_edges():
+        w = h.weight(*e)
+        if w not in label_of:
+            raise ValueError(f"weight {w} on {e} is not one of {', '.join(map(str, label_of))}")
+        out[e] = label_of[w]
+    return out
 
 
 # -- antimagic ----------------------------------------------------------------
@@ -257,9 +263,7 @@ def antimagic_family(fam: GraphFamily, limits: Limits = DEFAULT_LIMITS) -> Verdi
     n = fam.n
     if n < 2:
         raise PreconditionError("antimagic needs at least two vertices")
-    return _weighting_scan(
-        fam.members, n, _antimagic_gadget, _antimagic_accept(n), "antimagic family search", limits
-    )
+    return _weighting_scan("antimagic", fam.members, n, "antimagic family search", limits)
 
 
 def antimagic_unweighted(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -271,9 +275,7 @@ def antimagic_unweighted(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Ver
     """
     if any(g.degree(v) == 0 for v in range(1, g.n + 1)):
         raise PreconditionError("antimagic needs a graph without isolated vertices")
-    return _coloring_scan(
-        g, g.m, integer_palette, _antimagic_gadget, _antimagic_accept(g.n), "antimagic", limits
-    )
+    return _coloring_scan("antimagic", g, None, limits)
 
 
 # -- irregular labelings --------------------------------------------------------
@@ -293,9 +295,7 @@ def irregular_weighted(
     the degree reader, whose coefficients are the endpoint sums."""
     if g.n < 2:
         raise PreconditionError("irregularity needs at least two vertices")
-    return _weighting_scan(
-        (g,), g.n, degree_reader, _strength_accept(g.n), "irregularity check", limits
-    )
+    return _weighting_scan("strength", (g,), g.n, "irregularity check", limits)
 
 
 def strength_at_most(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -308,9 +308,7 @@ def strength_at_most(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) ->
         raise PreconditionError("the label bound k must be positive")
     if any(g.degree(v) == 0 for v in range(1, g.n + 1)):
         raise PreconditionError("irregularity strength needs no isolated vertices")
-    return _coloring_scan(
-        g, k, integer_palette, degree_reader, _strength_accept(g.n), "strength", limits
-    )
+    return _coloring_scan("strength", g, k, limits)
 
 
 # -- local irregularity / 1-2-3 ---------------------------------------------------
@@ -326,9 +324,7 @@ def local_irregular_weighted(
     an adjacent tie.  The identity bijection decides, as in
     :func:`one_two_three`.
     """
-    return _weighting_scan(
-        (g,), g.n, contrast_reader, _one_two_three_accept, "local irregularity search", limits
-    )
+    return _weighting_scan("one-two-three", (g,), g.n, "local irregularity search", limits)
 
 
 def _one_two_three_accept(p: RingElem) -> bool:
@@ -352,9 +348,7 @@ def one_two_three(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         raise PreconditionError(
             f"a component of order {orders[0]} < 3 is present"
         )
-    return _coloring_scan(
-        g, 3, integer_palette, contrast_reader, _one_two_three_accept, "1-2-3", limits
-    )
+    return _coloring_scan("one-two-three", g, None, limits)
 
 
 # -- domination -------------------------------------------------------------------
@@ -436,18 +430,10 @@ def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Ver
 # -- edge Roman domination -----------------------------------------------------------
 
 
-def decode_edge_roman(
-    h: WeightedCompleteGraph, g: SimpleGraph
-) -> dict[tuple[int, int], int]:
-    """Decode a {0,-1,y} coloring into an edge function E(G) -> {0,1,2}
-    by ``ROMAN_LABELS``: -1 maps to 0, 0 maps to 1, y maps to 2."""
-    out = {}
-    for e in g.sorted_edges():
-        w = h.weight(*e)
-        if w not in ROMAN_LABELS:
-            raise ValueError(f"weight {w} on {e} is not one of 0, -1, y")
-        out[e] = ROMAN_LABELS[w]
-    return out
+def decode_edge_roman(h: WeightedCompleteGraph, g: SimpleGraph) -> dict[tuple[int, int], int]:
+    """Decode a {0,-1,y} coloring into an edge function E(G) -> {0,1,2} by the
+    ``edge-roman`` labels, ``ROMAN_LABELS``: -1 maps to 0, 0 to 1, y to 2."""
+    return _witness_labels("edge-roman", g, None, h)
 
 
 def _edge_roman_accept(n: int, m: int, k: int):
@@ -496,15 +482,42 @@ def edge_roman_at_most(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) 
     enumeration decides the (then trivially true) bound, since labeling every
     edge 1 always has weight |E|.
     """
-    n, m = g.n, g.m
-    if m < 1:
+    if g.m < 1:
         raise PreconditionError("edge Roman domination needs at least one edge")
     if k < 0:
         raise PreconditionError("k must be nonnegative")
-    return _coloring_scan(
-        g, len(ROMAN_PALETTE), lambda _p: ROMAN_PALETTE, cover_reader,
-        _edge_roman_accept(n, m, k), "edge Roman", limits,
-    )
+    return _coloring_scan("edge-roman", g, k, limits)
+
+
+class _Labeling(NamedTuple):
+    """A labeling read off a reader gadget: its guards' name, the palette size
+    ``size(m, k)`` for |E| = m and bound k, the colour -> edge label map
+    ``labels(p)`` of p colours, the ``gadget(n)`` and the ``accept(n, m, k)``,
+    which looks its factory up when called."""
+
+    what: str
+    size: Callable[[int, int | None], int]
+    labels: Callable[[int], Mapping[RingElem, int]]
+    gadget: Callable[[int], WeightedCompleteGraph]
+    accept: Callable[[int, int | None, int | None], Callable[[RingElem], bool]]
+
+
+def _integer_labels(p: int) -> dict[RingElem, int]:
+    return dict(zip(integer_palette(p), range(1, p + 1)))
+
+
+# Every labeling search, keyed by its verify subject, in the order of the orbit rows.
+_LABELINGS = {
+    "strength": _Labeling("strength", lambda _m, k: k, _integer_labels, degree_reader,
+                          lambda n, _m, _k: _strength_accept(n)),
+    "one-two-three": _Labeling("1-2-3", lambda _m, _k: 3, _integer_labels, contrast_reader,
+                               lambda _n, _m, _k: _one_two_three_accept),
+    "antimagic": _Labeling("antimagic", lambda m, _k: m, _integer_labels, _antimagic_gadget,
+                           lambda n, _m, _k: _antimagic_accept(n)),
+    "edge-roman": _Labeling("edge Roman", lambda _m, _k: len(ROMAN_LABELS),
+                            lambda _p: ROMAN_LABELS, cover_reader,
+                            lambda n, m, k: _edge_roman_accept(n, m, k)),
+}
 
 
 # -- Hamiltonian spectra ---------------------------------------------------------------

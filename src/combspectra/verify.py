@@ -11,9 +11,9 @@ theorem sweep runs one task per graph, which for ``fixpoint`` is K_n for each
 order: a task carries the graph and its graph6 line, which for a corpus
 graph is the line the corpus kept, so no task encodes or decodes graph6;
 every worker count takes the batch queue of :func:`_pool_results`.  Per-k
-rows come from :func:`_bound_rows`, and each labeling and domination row
-checks the spectral witness by the oracle's own predicate, for domination
-on the oracle's closed-neighbourhood table built once per graph.  Reports
+rows come from :func:`_bound_rows`.  A labeling row decodes its witness by
+the ``characterize._LABELINGS`` record and checks it by ``_DEFINITIONS``, a
+domination row by the oracle's closed-neighbourhood table.  Reports
 contain no timing and keep a canonical row order, so the emitted JSON is
 byte-identical across runs and worker counts.
 """
@@ -52,7 +52,6 @@ from .families import (
 from .gadgets import (
     WeightedCompleteGraph,
     bijection_pair_maps,
-    contrast_reader,
     cover_reader,
     degree_reader,
     distance_weighting,
@@ -142,24 +141,31 @@ def _rows_fixpoint(_g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits)
     ]
 
 
-def _labels_ok(g: SimpleGraph, verdict: ch.Verdict, top: int, definition: Callable) -> bool:
-    """Whether the witness member of the holding verdict, read as labels on
-    g's edges, labels each edge by an integer in 1..top and meets the oracle's
-    ``definition(g, labels)``."""
-    label_of = {ring.const(c): c for c in range(1, top + 1)}
-    labels = {e: label_of.get(verdict.witness_graph.weight(*e)) for e in g.sorted_edges()}
-    return None not in labels.values() and definition(g, labels)
-
-
-def _antimagic(g: SimpleGraph, labels: dict[tuple[int, int], int]) -> bool:
+# The oracle's definition of each labeling of ``characterize._LABELINGS``, on
+# the edge labels f that a witness decodes to at bound k.
+_DEFINITIONS = {
+    "strength": lambda g, f, _k: orc._irregular(g, f),
+    "one-two-three": lambda g, f, _k: orc._locally_irregular(g, f),
     # the labels 1..m each once, and distinct weighted degrees
-    return len(set(labels.values())) == g.m and orc._irregular(g, labels)
+    "antimagic": lambda g, f, _k: len(set(f.values())) == g.m and orc._irregular(g, f),
+    "edge-roman": lambda g, f, k: orc._edge_roman_valid(g, f) and sum(f.values()) <= k,
+}
+
+
+def _witness_ok(name: str, g: SimpleGraph, verdict: ch.Verdict, k: int | None) -> bool:
+    """Whether the witness of the holding verdict of the labeling ``name`` at
+    bound k decodes to edge labels on g that meet its definition."""
+    try:
+        labels = ch._witness_labels(name, g, k, verdict.witness_graph)
+    except ValueError:
+        return False
+    return _DEFINITIONS[name](g, labels, k)
 
 
 def _rows_antimagic(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     verdict = ch.antimagic_unweighted(g, limits)
     oracle = orc.antimagic_oracle(g, limits).value
-    witness_ok = not verdict.holds or _labels_ok(g, verdict, g.m, _antimagic)
+    witness_ok = not verdict.holds or _witness_ok("antimagic", g, verdict, None)
     return [_agreement_row(g6, g, verdict.holds, oracle, witness_ok=witness_ok)]
 
 
@@ -182,14 +188,14 @@ def _bound_rows(
 
 def _rows_strength(g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
     least = orc.strength_oracle(g, max(ks), limits).value
-    witness = partial(_labels_ok, definition=orc._irregular)
+    witness = partial(_witness_ok, "strength")
     return _bound_rows(g6, g, ks, least, ch.strength_at_most, limits, witness)
 
 
 def _rows_one_two_three(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     verdict = ch.one_two_three(g, limits)
     oracle = orc.chi_sigma_oracle(g, 3, limits).value
-    witness_ok = not verdict.holds or _labels_ok(g, verdict, 3, orc._locally_irregular)
+    witness_ok = not verdict.holds or _witness_ok("one-two-three", g, verdict, None)
     return [_agreement_row(g6, g, verdict.holds, oracle, witness_ok=witness_ok)]
 
 
@@ -207,11 +213,6 @@ def _rows_domination(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits
     )
     witness = partial(_dominating_witness, closed=orc._closed_masks(g))
     return _bound_rows(g6, g, range(1, g.n), gamma, ch.dominating_k, limits, witness)
-
-
-def _roman_witness(g: SimpleGraph, verdict: ch.Verdict, k: int) -> bool:
-    fn = ch.decode_edge_roman(verdict.witness_graph, g)
-    return orc._edge_roman_valid(g, fn) and sum(fn.values()) <= k
 
 
 def _rows_edge_roman(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
@@ -237,9 +238,8 @@ def _rows_edge_roman(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits
             "agree": identity_failures == 0,
         }
     ]
-    return rows + _bound_rows(
-        g6, g, range(1, g.m), gamma, ch.edge_roman_at_most, limits, _roman_witness
-    )
+    witness = partial(_witness_ok, "edge-roman")
+    return rows + _bound_rows(g6, g, range(1, g.m), gamma, ch.edge_roman_at_most, limits, witness)
 
 
 def _rows_hamiltonian(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
@@ -571,22 +571,6 @@ def _domination_orbit_failures(n: int, limits: Limits) -> tuple[int, int]:
     return checks, failures
 
 
-def _reader_searches(g: SimpleGraph, rng: Random) -> list[tuple]:
-    """(name, palette, gadget, accept) of each reader-gadget search on g,
-    with a random bound where the search takes one."""
-    n, m = g.n, g.m
-    return [
-        ("strength", integer_palette(rng.randint(1, 3)), degree_reader(n),
-         ch._strength_accept(n)),
-        ("one-two-three", integer_palette(3), contrast_reader(n),
-         ch._one_two_three_accept),
-        ("antimagic", integer_palette(m), ch._antimagic_gadget(n),
-         ch._antimagic_accept(n)),
-        ("edge-roman", ROMAN_PALETTE, cover_reader(n),
-         ch._edge_roman_accept(n, m, rng.randint(0, 2 * m))),
-    ]
-
-
 def _full_product(left: GraphFamily, right: GraphFamily, limits: Limits) -> GraphFamily:
     """The family product by its definition, over all n! bijections."""
     maps = bijection_pair_maps(left.n)
@@ -677,12 +661,15 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
         for _ in range(trials):
             g = rng.choice(graphs)
             members = {}
-            for name, palette, gadget, accept in _reader_searches(g, rng):
-                member = members[name] = WeightedCompleteGraph(
-                    n,
-                    [rng.choice(palette) if pair in g.edges else ring.ZERO
-                     for pair in pairs_in_rank_order(n)],
-                )
+            # every random bound is drawn before any member
+            ks = {"strength": rng.randint(1, 3), "edge-roman": rng.randint(0, 2 * g.m)}
+            for name, labeling in ch._LABELINGS.items():
+                k = ks.get(name)
+                palette = tuple(labeling.labels(labeling.size(g.m, k)))
+                gadget, accept = labeling.gadget(n), labeling.accept(n, g.m, k)
+                weights = [rng.choice(palette) if pair in g.edges else ring.ZERO
+                           for pair in pairs_in_rank_order(n)]
+                member = members[name] = WeightedCompleteGraph(n, weights)
                 # the identity decides the member for all n! bijections
                 read = ch._scan((member,), gadget, accept, limits).holds
                 reader_failures[name] += (

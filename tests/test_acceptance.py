@@ -105,8 +105,12 @@ def test_criterion_04_power_fixpoints():
 
 
 def test_criterion_05_antimagic_equivalence():
-    report, _blob, elapsed = sweep("antimagic")
+    report, blob, elapsed = sweep("antimagic")
     assert report["summary"]["disagreements"] == 0
+    # the sha256 of `verify --theorem antimagic --max-n 4 --json` stdout
+    assert hashlib.sha256((blob + "\n").encode()).hexdigest() == (
+        "bbd4176800a6f37e6f66f511feb105e9cab77fe460abe655f87ec111d7d6aed0"
+    )
     from combspectra.characterize import antimagic_unweighted
 
     for g in (path_graph(3), path_graph(4), cycle_graph(3), cycle_graph(4),
@@ -122,8 +126,12 @@ def test_criterion_05_antimagic_equivalence():
 
 
 def test_criterion_06_strength_equivalence():
-    report, _blob, elapsed = sweep("irregular-strength")
+    report, blob, elapsed = sweep("irregular-strength")
     assert report["summary"]["disagreements"] == 0
+    # the sha256 of `verify --theorem irregular-strength --max-n 5 --json` stdout
+    assert hashlib.sha256((blob + "\n").encode()).hexdigest() == (
+        "8f40672e77c0150c44701df6da361d7184f0aad32eb52d080e4aff07d3549f12"
+    )
     for g, expected in ((path_graph(3), 2), (path_graph(4), 2), (cycle_graph(3), 3)):
         assert strength_oracle(g, 3).value == expected
         assert strength_at_most(g, expected).holds
@@ -137,8 +145,12 @@ def test_criterion_06_strength_equivalence():
 
 
 def test_criterion_07_one_two_three_equivalence():
-    report, _blob, elapsed = sweep("one-two-three")
+    report, blob, elapsed = sweep("one-two-three")
     assert report["summary"]["disagreements"] == 0
+    # the sha256 of `verify --theorem one-two-three --max-n 5 --json` stdout
+    assert hashlib.sha256((blob + "\n").encode()).hexdigest() == (
+        "65bf07460fc326a67e033adf5785fbc502d2d0f46ed2f33c20c980527bcea82a"
+    )
     assert all(row["spectral"] is True for row in report["rows"])
     assert all(row["oracle"] is True for row in report["rows"])
     assert elapsed < 1800.0
@@ -169,8 +181,12 @@ def test_criterion_08_domination_equivalence():
 
 
 def test_criterion_09_edge_roman_equivalence():
-    report, _blob, elapsed = sweep("edge-roman")
+    report, blob, elapsed = sweep("edge-roman")
     assert report["summary"]["disagreements"] == 0
+    # the sha256 of `verify --theorem edge-roman --max-n 5 --json` stdout
+    assert hashlib.sha256((blob + "\n").encode()).hexdigest() == (
+        "21ad0cd061335ab98ba5950a64179da22c5b6600f4eeafc2044dcbdb34d0c6ab"
+    )
     gammas = {row["graph"]: row["gamma"] for row in report["rows"] if row["k"] is None}
     assert len(gammas) == report["summary"]["tasks"]
     assert edge_roman_oracle(path_graph(3)).value == 2
