@@ -406,6 +406,10 @@ def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Ver
     """
     n = g.n
     if not 1 <= k <= n - 1:
+        if n < 2:
+            raise PreconditionError(
+                f"the domination search needs at least 2 vertices, got n={n}"
+            )
         raise PreconditionError(f"k must be in 1..{n - 1}, got {k}")
     limits.check_n(n)
     limits.check_steps(math.factorial(n), "domination search")

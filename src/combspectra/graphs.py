@@ -88,6 +88,15 @@ class SimpleGraph:
             self._masks = masks
         return masks
 
+    def _bare_copy(self) -> "SimpleGraph":
+        """An equal graph sharing ``n`` and the already validated ``edges``,
+        with no lazy table built: the tables it builds die with it."""
+        copy = object.__new__(SimpleGraph)
+        copy.n = self.n
+        copy.edges = self.edges
+        copy._adj = copy._masks = copy._hash = None
+        return copy
+
     def neighbors(self, v: int) -> frozenset:
         return self.adjacency[v - 1]
 

@@ -5,10 +5,12 @@ subsets and orderings straight from the definitions, sharing nothing with the
 spectral machinery beyond the plain graph type.  They read a graph only
 through ``g.edges`` (and ``sorted_edges``) and the neighbour sets of
 ``g.adjacency``, never the bitmasks of ``g.masks`` that the spectral kernels
-read.  The domination oracle keeps bitmasks of its own, the closed
+read.  The domination oracles keep bitmasks of their own, the closed
 neighbourhoods of :func:`_closed_masks`, built from ``g.edges`` once per
-call.  Enumeration orders are lexicographic (edges sorted, labels
-ascending, permutations in standard order), so any failure is reproducible.
+call: ``domination_oracle`` tries one subset size on the table,
+``domination_number`` every size from 1 up to the domination number.
+Enumeration orders are lexicographic (edges sorted, labels ascending,
+permutations in standard order), so any failure is reproducible.
 
 Each definition's test is one private predicate, which ``verify`` also
 checks the spectral witnesses with.  A witness is returned as soon as it
@@ -16,7 +18,8 @@ passes its predicate, and is not re-derived afterwards.  Two oracles assert
 more about it: ``antimagic_oracle`` that its labels are distinct, and
 ``strength_oracle`` that none exceeds k.  ``edge_roman_oracle`` and
 ``hamiltonian_oracle`` assert only that a best candidate was found;
-``chi_sigma_oracle`` and ``domination_oracle`` assert nothing.
+``chi_sigma_oracle``, ``domination_oracle`` and ``domination_number`` assert
+nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "strength_oracle",
     "chi_sigma_oracle",
     "domination_oracle",
+    "domination_number",
     "edge_roman_oracle",
     "hamiltonian_oracle",
 ]
@@ -158,6 +162,20 @@ def chi_sigma_oracle(
     return OracleResult(False, None, enumerated)
 
 
+def _dominating_subset(
+    closed: Sequence[int], k: int, limits: Limits
+) -> tuple[frozenset | None, int]:
+    """The first k-subset of vertices in lex order that dominates the graph of
+    the :func:`_closed_masks` table ``closed`` (None when none does), and the
+    number of subsets enumerated."""
+    n = len(closed)
+    limits.check_steps(math.comb(n, k), "domination oracle")
+    for enumerated, subset in enumerate(limits.polled(combinations(range(1, n + 1), k)), 1):
+        if _dominates(closed, subset):
+            return frozenset(subset), enumerated
+    return None, enumerated
+
+
 def domination_oracle(
     g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS
 ) -> OracleResult:
@@ -165,12 +183,24 @@ def domination_oracle(
     if not 1 <= k <= g.n:
         raise PreconditionError(f"k must be in 1..{g.n}, got {k}")
     limits.check_n(g.n)
-    limits.check_steps(math.comb(g.n, k), "domination oracle")
+    witness, enumerated = _dominating_subset(_closed_masks(g), k, limits)
+    return OracleResult(witness is not None, witness, enumerated)
+
+
+def domination_number(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> OracleResult:
+    """The domination number: the least k for which some k-subset dominates,
+    searched k = 1, 2, ... upward on one closed-neighbourhood table.  The
+    witness is the first dominating subset of that size in lex order, and
+    ``enumerated`` counts the subsets of every size tried.  The whole vertex
+    set dominates, so the search ends by k = n."""
+    limits.check_n(g.n)
     closed = _closed_masks(g)
-    for enumerated, subset in enumerate(limits.polled(combinations(range(1, g.n + 1), k)), 1):
-        if _dominates(closed, subset):
-            return OracleResult(True, frozenset(subset), enumerated)
-    return OracleResult(False, None, enumerated)
+    k, witness, enumerated = 0, None, 0
+    while witness is None:
+        k += 1
+        witness, count = _dominating_subset(closed, k, limits)
+        enumerated += count
+    return OracleResult(k, witness, enumerated)
 
 
 def edge_roman_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> OracleResult:

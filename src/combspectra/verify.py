@@ -9,10 +9,13 @@ label bounds (None when it takes none) and the graphs it sweeps,
 ``_IDENTITIES`` an identity subject's suite and the options it reads.  A
 theorem sweep runs one task per graph, which for ``fixpoint`` is K_n for each
 order: a task carries the graph and its graph6 line, which for a corpus
-graph is the line the corpus kept, so no task encodes or decodes graph6;
-every worker count takes the batch queue of :func:`_pool_results`.  Per-k
-rows come from :func:`_bound_rows`.  A labeling row decodes its witness by
-the ``characterize._LABELINGS`` record and checks it by ``_DEFINITIONS``, a
+graph is the line the corpus kept, so no task encodes or decodes graph6, and
+runs on a copy of the graph that shares its validated edges and none of its
+lazy tables; every worker count takes the batch queue of
+:func:`_pool_results`.  Per-k rows come from :func:`_bound_rows`, against
+the least bound of one oracle search (``domination_number`` for
+domination).  A labeling row decodes its witness by the
+``characterize._LABELINGS`` record and checks it by ``_DEFINITIONS``, a
 domination row by the oracle's closed-neighbourhood table.  Reports
 contain no timing and keep a canonical row order, so the emitted JSON is
 byte-identical across runs and worker counts.
@@ -176,13 +179,27 @@ def _bound_rows(
     """One row per bound k: ``search(g, k, limits)`` against the oracle,
     which holds at k exactly when its least bound ``least`` (None when no
     bound in range holds) is at most k.  ``witness_ok`` is true where the
-    search fails, else ``witness(g, verdict, k)``."""
+    search fails, else ``witness(g, verdict, k)``.  Each row is written out
+    whole, with the keys and the ``agree`` rule of :func:`_agreement_row`."""
+    n, m = g.n, g.m
     rows = []
     for k in ks:
         verdict = search(g, k, limits)
-        witness_ok = not verdict.holds or witness(g, verdict, k)
+        spectral = verdict.holds
+        witness_ok = not spectral or witness(g, verdict, k)
         oracle = least is not None and least <= k
-        rows.append(_agreement_row(g6, g, verdict.holds, oracle, k=k, witness_ok=witness_ok))
+        rows.append(
+            {
+                "graph": g6,
+                "n": n,
+                "m": m,
+                "k": k,
+                "witness_ok": witness_ok,
+                "spectral": spectral,
+                "oracle": oracle,
+                "agree": spectral == oracle and witness_ok,
+            }
+        )
     return rows
 
 
@@ -206,11 +223,8 @@ def _dominating_witness(g: SimpleGraph, verdict: ch.Verdict, k: int, closed: Seq
 def _rows_domination(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     # A superset of a dominating set dominates, so the oracle holds at k
     # exactly when k >= gamma(G): one upward oracle search for gamma answers
-    # every k.  The whole vertex set dominates, so gamma is n when no smaller
-    # k does.
-    gamma = next(
-        (k for k in range(1, g.n) if orc.domination_oracle(g, k, limits).value), g.n
-    )
+    # every k.
+    gamma = orc.domination_number(g, limits).value
     witness = partial(_dominating_witness, closed=orc._closed_masks(g))
     return _bound_rows(g6, g, range(1, g.n), gamma, ch.dominating_k, limits, witness)
 
@@ -284,8 +298,9 @@ THEOREM_SUBJECTS = tuple(_THEOREMS)
 
 def _theorem_task(args: tuple) -> list[dict]:
     subject, g6, g, ks, limits = args
-    # a copy, so the lazy adjacency and bitmask tables die with the task, not on the corpus
-    return _THEOREMS[subject].rows(g6, SimpleGraph(g.n, g.edges), ks, limits)
+    # a copy that shares the corpus graph's validated edges and none of its
+    # lazy tables, so the adjacency and bitmask tables die with the task
+    return _THEOREMS[subject].rows(g6, g._bare_copy(), ks, limits)
 
 
 # Batches per worker: enough that the small tail of a largest-first order

@@ -193,6 +193,19 @@ def test_stdin_graph6(capsys, monkeypatch):
     assert "holds" in out
 
 
+def test_check_domination_names_a_one_vertex_graph(capsys, monkeypatch):
+    # no k fits one vertex; the message names that, not the empty range 1..0
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("@\n"))
+    code, out, err = run(capsys, "check", "domination", "--k", "1", "-")
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert err == (
+        "error (precondition): the domination search needs at least 2 vertices, got n=1\n"
+    )
+
+
 def test_oracle_commands(capsys, p3_file):
     code, out, _ = run(capsys, "oracle", "strength", p3_file, "--json")
     assert code == EXIT_OK

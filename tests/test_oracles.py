@@ -22,6 +22,7 @@ from combspectra.limits import Limits
 from combspectra.oracles import (
     antimagic_oracle,
     chi_sigma_oracle,
+    domination_number,
     domination_oracle,
     edge_roman_oracle,
     hamiltonian_oracle,
@@ -103,6 +104,40 @@ def test_domination_oracle_holds_exactly_from_gamma_up():
         values = [domination_oracle(g, k).value for k in range(1, g.n + 1)]
         gamma = values.index(True) + 1
         assert values == [k >= gamma for k in range(1, g.n + 1)], g
+
+
+def test_domination_number_is_the_least_k_of_the_per_k_oracle():
+    # one upward search on one table: gamma is the least k at which the
+    # per-k oracle holds, with that call's witness, and the subsets it
+    # enumerates are those of the per-k calls for k = 1..gamma
+    for g in connected_graphs_up_to(6):
+        result = domination_number(g)
+        calls = [domination_oracle(g, k) for k in range(1, result.value + 1)]
+        assert [call.value for call in calls] == [False] * (result.value - 1) + [True], g
+        assert result.witness == calls[-1].witness, g
+        assert result.enumerated == sum(call.enumerated for call in calls), g
+
+
+def test_domination_number_keeps_the_per_k_guards():
+    # C4 needs k = 2, whose C(4, 2) = 6 subsets the step guard checks alone
+    assert domination_number(C4, Limits(max_steps=6)).value == 2
+    with pytest.raises(
+        SizeGuardError, match="step guard exceeded: domination oracle needs 6 steps > max_steps=5"
+    ):
+        domination_number(C4, Limits(max_steps=5))
+
+
+def test_a_gamma_search_from_k2_fails_the_domination_sweep(monkeypatch):
+    # the sweep reads every per-k oracle answer off domination_number, so a
+    # search that skips k = 1 must show as disagreements, not pass unseen
+    per_k = oracles._dominating_subset
+
+    def from_two(closed, k, limits):
+        return (None, 0) if k == 1 else per_k(closed, k, limits)
+
+    monkeypatch.setattr(oracles, "_dominating_subset", from_two)
+    assert domination_number(P3).value == 2
+    assert run_theorem("domination", max_n=4)["summary"]["disagreements"] > 0
 
 
 def _dominates_mismatches(graphs) -> list:
@@ -196,6 +231,7 @@ def test_oracle_size_guard():
         lambda limits: strength_oracle(P3, 2, limits),
         lambda limits: chi_sigma_oracle(P3, 2, limits),
         lambda limits: domination_oracle(P3, 1, limits),
+        lambda limits: domination_number(P3, limits),
         lambda limits: edge_roman_oracle(P3, limits),
         lambda limits: hamiltonian_oracle(C4, limits),
     ],
@@ -215,6 +251,7 @@ P8 = path_graph(8)
         lambda: strength_oracle(P8, 2),
         lambda: chi_sigma_oracle(P8, 2),
         lambda: domination_oracle(P8, 1),
+        lambda: domination_number(P8),
         lambda: edge_roman_oracle(P8),
         lambda: hamiltonian_oracle(P8),
     ],

@@ -267,23 +267,51 @@ def test_domination_rows_match_a_fresh_oracle_search_per_k():
 
 
 def test_domination_sweep_searches_the_oracle_only_up_to_gamma(monkeypatch):
-    search = oracles.domination_oracle
-    calls = []
-
-    def counting(g, k, limits=DEFAULT_LIMITS):
-        calls.append((g, k))
-        return search(g, k, limits)
-
-    monkeypatch.setattr(oracles, "domination_oracle", counting)
-    verify.run_theorem("domination", max_n=5)
+    number, subset, search = (
+        oracles.domination_number, oracles._dominating_subset, oracles.domination_oracle
+    )
     graphs = connected_graphs_up_to(5, 2)
     gammas = [next(k for k in range(1, g.n + 1) if search(g, k).value) for g in graphs]
-    # the tasks run largest first, so the calls are compared per graph
-    per_graph: dict = {}
-    for g, k in calls:
-        per_graph.setdefault(g, []).append(k)
+    numbers, per_graph, searched = [], {}, []
+
+    def counting_number(g, limits=DEFAULT_LIMITS):
+        numbers.append(g)
+        start = len(searched)
+        result = number(g, limits)
+        per_graph.setdefault(g, []).extend(searched[start:])
+        return result
+
+    def counting_subset(closed, k, limits):
+        searched.append(k)
+        return subset(closed, k, limits)
+
+    def per_k_oracle(g, k, limits=DEFAULT_LIMITS):
+        raise AssertionError("the sweep finds gamma without domination_oracle")
+
+    monkeypatch.setattr(oracles, "domination_number", counting_number)
+    monkeypatch.setattr(oracles, "_dominating_subset", counting_subset)
+    monkeypatch.setattr(oracles, "domination_oracle", per_k_oracle)
+    verify.run_theorem("domination", max_n=5)
+    # one gamma search per graph, in which the per-k searches run k = 1..gamma;
+    # the tasks run largest first, so the searches are compared per graph
+    assert len(numbers) == len(graphs) and set(numbers) == set(graphs)
     assert per_graph == {g: list(range(1, gamma + 1)) for g, gamma in zip(graphs, gammas)}
-    assert len(calls) == sum(gammas) == 42 < sum(g.n - 1 for g in graphs) == 107
+    assert len(searched) == sum(gammas) == 42 < sum(g.n - 1 for g in graphs) == 107
+
+
+def test_domination_tasks_leave_the_corpus_graphs_without_tables():
+    # A task runs on a bare copy of its corpus graph, so the adjacency and
+    # bitmask tables the sweep builds die with the task.  The corpus keeps
+    # its graphs per process, so tables another caller built are dropped first.
+    graphs = connected_graphs_up_to(5)
+    for g in graphs:
+        g._adj = g._masks = None
+    verify.run_theorem("domination", max_n=5)
+    assert [g for g in graphs if g._adj is not None or g._masks is not None] == []
+    for g in graphs:
+        copy = g._bare_copy()
+        assert (copy._adj, copy._masks, copy._hash) == (None, None, None)
+        assert copy == g and hash(copy) == hash(g) and copy.edges is g.edges
 
 
 def test_sweeps_stop_at_the_graph6_order_cap():
