@@ -2,8 +2,8 @@
 
 Three command groups:
 
-* ``check``  - run a spectrum characterization on one graph (or graph6 lines
-  from stdin) and print the verdict with its witness;
+* ``check``  - run a spectrum characterization on each graph of a file or
+  of stdin and print the verdict with its witness;
 * ``oracle`` - run the matching brute-force computation;
 * ``verify`` - sweep a theorem subject over the connected-graph corpus or run
   an identity suite, and exit nonzero on any disagreement.
@@ -47,7 +47,7 @@ from .errors import (
     TimeLimitError,
     UsageError,
 )
-from .graphs import SimpleGraph, parse_graph6, parse_graphs, to_graph6
+from .graphs import SimpleGraph, parse_graphs, to_graph6
 from .limits import DEFAULT_LIMITS, Limits
 
 EXIT_OK = 0
@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("subject", choices=tuple(_CHECKS))
     p_check.add_argument(
-        "graph", help="edge-list or graph6 file, or '-' for graph6 lines on stdin"
+        "graph", help="edge-list or graph6 file, or '-' to read either from stdin"
     )
     takes_k = [subject for subject, check in _CHECKS.items() if check.takes_k]
     p_check.add_argument("--k", type=int, default=None, help="bound for " + " / ".join(takes_k))
@@ -226,8 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graphs(path: str) -> list[tuple[str, SimpleGraph]]:
-    """Load (graph6-id, graph) pairs: one per graph6 line of stdin or of a
-    graph6 file, or the one graph of an edge-list file."""
+    """Load (graph6-id, graph) pairs from stdin or a file: one per graph6
+    line, or the one graph of an edge list (:func:`parse_graphs`).  A parse
+    error names its source."""
     source = "standard input" if path == "-" else path
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
@@ -235,17 +236,11 @@ def _load_graphs(path: str) -> list[tuple[str, SimpleGraph]]:
         raise ParseError(f"cannot decode {source}: {exc}") from None
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from None
-    if path == "-":
-        out = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                g = parse_graph6(line)
-                out.append((to_graph6(g), g))
-        if not out:
-            raise ParseError("no graph6 lines on standard input")
-        return out
-    return [(to_graph6(g), g) for g in parse_graphs(text)]
+    try:
+        graphs = parse_graphs(text)
+    except ParseError as exc:
+        raise ParseError(f"{source}: {exc}") from None
+    return [(to_graph6(g), g) for g in graphs]
 
 
 def _emit(payload: dict, cfg: RunConfig, text_lines: Iterable[str]) -> None:

@@ -40,7 +40,7 @@ from operator import or_
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import SimpleGraph, parse_graph6, to_graph6
+from .graphs import SimpleGraph, _members, parse_graph6, to_graph6
 from .limits import DEFAULT_LIMITS, Limits
 
 __all__ = ["connected_graphs", "connected_graphs_up_to", "connected_graph6_up_to"]
@@ -75,12 +75,6 @@ class _Form(NamedTuple):
     colours: tuple[int, ...]  # colours[v]: the label-free signature of v
     cells: dict[int, list[int]]  # colour -> its vertices, in sorted colour order
     key: tuple[int, ...]  # the bucket: the sorted colours
-
-
-@cache
-def _members(mask: int) -> tuple[int, ...]:
-    """The set bits of mask, lowest first."""
-    return tuple(w for w in range(mask.bit_length()) if mask >> w & 1)
 
 
 def _form(adj: Sequence[int]) -> _Form:

@@ -1,9 +1,10 @@
 """Simple unweighted graphs on vertices {1..n}: parsing, distances, components.
 
 Vertices are 1-based everywhere in this package; what is indexed by vertex
-(:attr:`SimpleGraph.adjacency`, its bitmasks and the distance matrix of
-:func:`all_pairs_distances`) holds vertex v at index v-1.  Two input formats
-are accepted behind one parse entry point:
+(the neighbour bitmasks :attr:`SimpleGraph.masks`, the graph's one cached
+neighbour table, and the distance matrix of :func:`all_pairs_distances`)
+holds vertex v at index v-1, and bit w-1 of a bitmask stands for vertex w.
+Two input formats are accepted behind one parse entry point:
 
 * edge-list text: first line ``n m``, then ``m`` lines ``u v``; blank lines
   and ``#`` comments are ignored;
@@ -12,7 +13,6 @@ are accepted behind one parse entry point:
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -40,7 +40,7 @@ __all__ = [
 class SimpleGraph:
     """An immutable simple graph: no loops, no multi-edges, n >= 1."""
 
-    __slots__ = ("n", "edges", "_adj", "_masks", "_hash")
+    __slots__ = ("n", "edges", "_masks", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -54,7 +54,6 @@ class SimpleGraph:
             norm.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(norm)
-        self._adj: tuple[frozenset, ...] | None = None
         self._masks: tuple[int, ...] | None = None
         self._hash: int | None = None
 
@@ -63,21 +62,9 @@ class SimpleGraph:
         return len(self.edges)
 
     @property
-    def adjacency(self) -> tuple[frozenset, ...]:
-        adj = self._adj
-        if adj is None:
-            sets: list[set[int]] = [set() for _ in range(self.n)]
-            for u, v in self.edges:
-                sets[u - 1].add(v)
-                sets[v - 1].add(u)
-            adj = tuple(frozenset(s) for s in sets)
-            self._adj = adj
-        return adj
-
-    @property
     def masks(self) -> tuple[int, ...]:
-        """Neighbour bitmasks, indexed like :attr:`adjacency`: ``masks[v-1]``
-        has bit ``w-1`` set for each neighbour w of v."""
+        """Neighbour bitmasks: ``masks[v-1]`` has bit ``w-1`` set for each
+        neighbour w of v.  Built on first use, then cached."""
         masks = self._masks
         if masks is None:
             bits = [0] * self.n
@@ -94,14 +81,14 @@ class SimpleGraph:
         copy = object.__new__(SimpleGraph)
         copy.n = self.n
         copy.edges = self.edges
-        copy._adj = copy._masks = copy._hash = None
+        copy._masks = copy._hash = None
         return copy
 
     def neighbors(self, v: int) -> frozenset:
-        return self.adjacency[v - 1]
+        return frozenset(w + 1 for w in _members(self.masks[v - 1]))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v - 1])
+        return self.masks[v - 1].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
@@ -131,47 +118,56 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={sorted(self.edges)})"
 
 
-def all_pairs_distances(g: SimpleGraph) -> list[list[int | None]]:
-    """The distance matrix, by breadth-first search from every vertex.
+@lru_cache(maxsize=None)
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, lowest first."""
+    return tuple(w for w in range(mask.bit_length()) if mask >> w & 1)
 
-    Rows and columns are indexed like :attr:`SimpleGraph.adjacency`:
+
+def _next_layer(masks: tuple[int, ...], frontier: int, seen: int) -> int:
+    """The bitmask of the unseen neighbours of the frontier's vertices."""
+    reach = 0
+    for u in _members(frontier):
+        reach |= masks[u]
+    return reach & ~seen
+
+
+def all_pairs_distances(g: SimpleGraph) -> list[list[int | None]]:
+    """The distance matrix, by breadth-first search from every vertex, one
+    frontier bitmask per distance.
+
+    Rows and columns are indexed like :attr:`SimpleGraph.masks`:
     ``dist[u-1][v-1]`` is the distance of u and v, 0 on the diagonal and
     None when no path joins them."""
-    adj = g.adjacency
+    masks = g.masks
     dist = []
-    for src in range(1, g.n + 1):
+    for src in range(g.n):
         row: list[int | None] = [None] * g.n
-        row[src - 1] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = row[u - 1] + 1
-            for w in adj[u - 1]:
-                if row[w - 1] is None:
-                    row[w - 1] = du
-                    queue.append(w)
+        row[src] = 0
+        seen = frontier = 1 << src
+        d = 0
+        while frontier:
+            d += 1
+            frontier = _next_layer(masks, frontier, seen)
+            seen |= frontier
+            for w in _members(frontier):
+                row[w] = d
         dist.append(row)
     return dist
 
 
 def component_orders(g: SimpleGraph) -> tuple[int, ...]:
     """Orders of the connected components, sorted ascending."""
-    adj = g.adjacency
-    unvisited = set(range(1, g.n + 1))
+    masks = g.masks
+    unseen = (1 << g.n) - 1
     orders = []
-    while unvisited:
-        start = min(unvisited)
-        stack = [start]
-        unvisited.discard(start)
-        size = 0
-        while stack:
-            u = stack.pop()
-            size += 1
-            for w in adj[u - 1]:
-                if w in unvisited:
-                    unvisited.discard(w)
-                    stack.append(w)
-        orders.append(size)
+    while unseen:
+        seen = frontier = unseen & -unseen
+        while frontier:
+            frontier = _next_layer(masks, frontier, seen)
+            seen |= frontier
+        orders.append(seen.bit_count())
+        unseen &= ~seen
     return tuple(sorted(orders))
 
 

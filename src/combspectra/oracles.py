@@ -3,12 +3,14 @@
 These implementations are deliberately naive: direct enumeration of labelings,
 subsets and orderings straight from the definitions, sharing nothing with the
 spectral machinery beyond the plain graph type.  They read a graph only
-through ``g.edges`` (and ``sorted_edges``) and the neighbour sets of
-``g.adjacency``, never the bitmasks of ``g.masks`` that the spectral kernels
-read.  The domination oracles keep bitmasks of their own, the closed
-neighbourhoods of :func:`_closed_masks`, built from ``g.edges`` once per
-call: ``domination_oracle`` tries one subset size on the table,
-``domination_number`` every size from 1 up to the domination number.
+through ``g.n``, ``g.edges`` and ``g.sorted_edges()``, never a neighbour
+table cached on the graph (``g.masks``, which the spectral kernels read, or
+``neighbors`` and ``degree``, which read it).  The tables they need they
+build from ``g.edges`` once per call: the neighbour lists of
+:func:`_neighbour_lists` for distances and components, and the closed
+neighbourhood bitmasks of :func:`_closed_masks` for domination, on which
+``domination_oracle`` tries one subset size and ``domination_number`` every
+size from 1 up to the domination number.
 Enumeration orders are lexicographic (edges sorted, labels ascending,
 permutations in standard order), so any failure is reproducible.
 
@@ -259,8 +261,18 @@ def hamiltonian_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Oracl
 # -- local graph helpers (kept independent of the spectral modules) -------------
 
 
+def _neighbour_lists(g: SimpleGraph) -> list[list[int]]:
+    """Neighbour lists from ``g.edges``: entry v lists the neighbours of v
+    (entry 0 is unused)."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
 def _bfs_all_pairs(g: SimpleGraph) -> list[list[int | None]]:
-    adj = g.adjacency
+    nbrs = _neighbour_lists(g)
     dist: list[list[int | None]] = [
         [None] * (g.n + 1) for _ in range(g.n + 1)
     ]
@@ -269,7 +281,7 @@ def _bfs_all_pairs(g: SimpleGraph) -> list[list[int | None]]:
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for w in adj[u - 1]:
+            for w in nbrs[u]:
                 if dist[src][w] is None:
                     dist[src][w] = dist[src][u] + 1
                     queue.append(w)
@@ -277,7 +289,7 @@ def _bfs_all_pairs(g: SimpleGraph) -> list[list[int | None]]:
 
 
 def _component_orders(g: SimpleGraph) -> list[int]:
-    adj = g.adjacency
+    nbrs = _neighbour_lists(g)
     unseen = set(range(1, g.n + 1))
     orders = []
     while unseen:
@@ -286,7 +298,7 @@ def _component_orders(g: SimpleGraph) -> list[int]:
         while stack:
             u = stack.pop()
             size += 1
-            for w in adj[u - 1]:
+            for w in nbrs[u]:
                 if w in unseen:
                     unseen.discard(w)
                     stack.append(w)

@@ -299,7 +299,7 @@ THEOREM_SUBJECTS = tuple(_THEOREMS)
 def _theorem_task(args: tuple) -> list[dict]:
     subject, g6, g, ks, limits = args
     # a copy that shares the corpus graph's validated edges and none of its
-    # lazy tables, so the adjacency and bitmask tables die with the task
+    # lazy tables, so the neighbour bitmasks the rows build die with the task
     return _THEOREMS[subject].rows(g6, g._bare_copy(), ks, limits)
 
 

@@ -193,6 +193,29 @@ def test_stdin_graph6(capsys, monkeypatch):
     assert "holds" in out
 
 
+@pytest.mark.parametrize("text", ["# c\nBw\n", "3 3\n1 2\n1 3\n2 3\n"])
+def test_stdin_reads_what_a_file_reads(capsys, monkeypatch, tmp_path, text):
+    # a comment line and an edge list on stdin, as in a file
+    import io
+
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    code, from_file, _ = run(capsys, "check", "domination", "--k", "1", str(path))
+    assert code == EXIT_OK and from_file.startswith("graph Bw: n=3 m=3\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "check", "domination", "--k", "1", "-") == (EXIT_OK, from_file, "")
+
+
+@pytest.mark.parametrize("text", ["", "\n# only a comment\n"])
+def test_empty_stdin_is_a_parse_error_naming_it(capsys, monkeypatch, text):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "check", "domination", "--k", "1", "-")
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error (parse): standard input: empty input")
+
+
 def test_check_domination_names_a_one_vertex_graph(capsys, monkeypatch):
     # no k fits one vertex; the message names that, not the empty range 1..0
     import io

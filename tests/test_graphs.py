@@ -229,23 +229,42 @@ def _rebuilt_masks(g: SimpleGraph) -> list[int]:
     return masks
 
 
-def _assert_masks_are_the_adjacency(g: SimpleGraph) -> None:
+def _assert_tables_match_the_edges(g: SimpleGraph) -> None:
     assert type(g.masks) is tuple
     assert list(g.masks) == _rebuilt_masks(g)
     for v in range(1, g.n + 1):
-        assert g.adjacency[v - 1] == {w for w in range(1, g.n + 1) if g.masks[v - 1] >> (w - 1) & 1}
+        expected = {w for e in g.edges if v in e for w in e if w != v}
+        assert type(g.neighbors(v)) is frozenset and g.neighbors(v) == expected
+        assert g.degree(v) == len(expected)
 
 
 def test_masks_of_every_corpus_graph_up_to_order_six():
     for g in connected_graphs_up_to(6):
-        _assert_masks_are_the_adjacency(g)
+        _assert_tables_match_the_edges(g)
 
 
 @given(graphs_up_to_62())
 @settings(max_examples=150, deadline=None)
 def test_masks_agree_with_edges_and_adjacency_up_to_62(g):
-    _assert_masks_are_the_adjacency(g)
+    _assert_tables_match_the_edges(g)
     assert g.masks is g.masks  # built once, then cached
+
+
+@given(graphs_up_to_62())
+@settings(max_examples=100, deadline=None)
+def test_neighbors_and_degree_against_networkx(g):
+    gx = _networkx(g)
+    for v in range(1, g.n + 1):
+        assert g.neighbors(v) == {w + 1 for w in gx.neighbors(v - 1)}
+        assert g.degree(v) == gx.degree(v - 1)
+
+
+@given(graphs_up_to_62())
+@settings(max_examples=100, deadline=None)
+def test_component_orders_against_networkx(g):
+    expected = tuple(sorted(map(len, nx.connected_components(_networkx(g)))))
+    assert component_orders(g) == expected
+    assert is_connected(g) == (len(expected) == 1)
 
 
 def test_relabel_builds_its_own_masks():
@@ -254,7 +273,7 @@ def test_relabel_builds_its_own_masks():
     perm = (3, 1, 4, 2)
     h = g.relabel(perm)
     assert h.edges == {(1, 3), (1, 4), (2, 4)}
-    _assert_masks_are_the_adjacency(h)
+    _assert_tables_match_the_edges(h)
     for v in range(1, 5):
         image = {perm[w - 1] for w in g.neighbors(v)}
         assert h.masks[perm[v - 1] - 1] == sum(1 << (w - 1) for w in image)

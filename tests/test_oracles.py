@@ -262,12 +262,16 @@ def test_oracles_honour_the_order_guard(call):
         call()
 
 
+# The neighbour tables a graph caches for the spectral code, and what reads them.
+_CACHED_TABLES = {"masks", "adjacency", "neighbors", "degree"}
+
+
 def test_oracles_stay_independent_of_the_spectral_code():
     """The oracles import only the plain graph type, the errors and the
-    limits from the package, and never read the bitmasks the spectral
-    kernels read."""
+    limits from the package, and never read a neighbour table cached on
+    the graph."""
     tree = ast.parse(Path(oracles.__file__).read_text())
-    imported = set()
+    imported, from_graphs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             imported.update([node.module] if node.module else [a.name for a in node.names])
@@ -275,10 +279,50 @@ def test_oracles_stay_independent_of_the_spectral_code():
             imported.add(node.module)
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.startswith("combspectra"))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("graphs"):
+            from_graphs.update(a.name for a in node.names)
     assert imported == {"errors", "graphs", "limits"}
+    assert from_graphs == {"SimpleGraph"}
     assert not [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "masks"
-        or isinstance(node, ast.Constant) and node.value == "masks"
+        if isinstance(node, ast.Attribute) and node.attr in _CACHED_TABLES
+        or isinstance(node, ast.Constant) and node.value in _CACHED_TABLES
     ]
+
+
+def _oracle_outcomes(graphs) -> list:
+    """Every oracle's result, or its precondition message, on each graph."""
+    outcomes = []
+    for g in graphs:
+        calls = [
+            lambda: antimagic_oracle(g),
+            lambda: strength_oracle(g, 3),
+            lambda: chi_sigma_oracle(g, 2),
+            lambda: domination_number(g),
+            lambda: edge_roman_oracle(g),
+            lambda: hamiltonian_oracle(g),
+            *(lambda k=k: domination_oracle(g, k) for k in range(1, g.n + 1)),
+        ]
+        for call in calls:
+            try:
+                outcomes.append(call())
+            except PreconditionError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+def test_oracles_answer_the_same_without_the_graphs_bitmasks(monkeypatch):
+    # the behavioural twin of the test above: with SimpleGraph.masks (and so
+    # neighbors and degree) refusing every read, no oracle result changes
+    graphs = connected_graphs_up_to(5)
+    expected = _oracle_outcomes(graphs)
+    assert any(isinstance(outcome, oracles.OracleResult) for outcome in expected)
+
+    def refused(_g):
+        raise AssertionError("an oracle read SimpleGraph.masks")
+
+    monkeypatch.setattr(SimpleGraph, "masks", property(refused))
+    with pytest.raises(AssertionError, match="read SimpleGraph.masks"):
+        graphs[-1].neighbors(1)
+    assert _oracle_outcomes(graphs) == expected

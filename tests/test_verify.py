@@ -20,7 +20,7 @@ from combspectra import cli, corpus, oracles, verify
 from combspectra.corpus import connected_graphs_up_to
 from combspectra.errors import SizeGuardError, TimeLimitError, UsageError
 from combspectra.gadgets import WeightedCompleteGraph, indicator
-from combspectra.graphs import parse_graph6, to_graph6
+from combspectra.graphs import SimpleGraph, parse_graph6, to_graph6
 from combspectra.limits import DEFAULT_LIMITS
 from combspectra.ring import const
 
@@ -247,14 +247,23 @@ def test_a_corpus_sweep_runs_without_graph6_code(monkeypatch, workers):
     assert verify.run_theorem("domination", max_n=5, workers=workers) == expected
 
 
+# Every slot of a graph but its order and edge set is a table built on first use.
+_LAZY_SLOTS = tuple(slot for slot in SimpleGraph.__slots__ if slot not in ("n", "edges"))
+_NO_TABLES = (None,) * len(_LAZY_SLOTS)
+
+
+def _tables(g: SimpleGraph) -> tuple:
+    return tuple(getattr(g, slot) for slot in _LAZY_SLOTS)
+
+
 def test_a_sweep_builds_no_table_on_the_corpus_graphs(monkeypatch):
-    # each task's rows read a copy of its graph, so the lazy adjacency and
-    # bitmask tables are freed with the task, not kept for the process
+    # each task's rows read a copy of its graph, so the lazy tables are
+    # freed with the task, not kept for the process
     monkeypatch.setattr(corpus, "_ORDERS", {})
     verify.run_theorem("domination", max_n=5)
     graphs = connected_graphs_up_to(5, 2)
-    assert len(graphs) == 30
-    assert all(g._adj is None and g._masks is None for g in graphs)
+    assert len(graphs) == 30 and _LAZY_SLOTS
+    assert all(_tables(g) == _NO_TABLES for g in graphs)
 
 
 def test_domination_rows_match_a_fresh_oracle_search_per_k():
@@ -300,17 +309,18 @@ def test_domination_sweep_searches_the_oracle_only_up_to_gamma(monkeypatch):
 
 
 def test_domination_tasks_leave_the_corpus_graphs_without_tables():
-    # A task runs on a bare copy of its corpus graph, so the adjacency and
-    # bitmask tables the sweep builds die with the task.  The corpus keeps
-    # its graphs per process, so tables another caller built are dropped first.
+    # A task runs on a bare copy of its corpus graph, so the lazy tables the
+    # sweep builds die with the task.  The corpus keeps its graphs per
+    # process, so tables another caller built are dropped first.
     graphs = connected_graphs_up_to(5)
     for g in graphs:
-        g._adj = g._masks = None
+        for slot in _LAZY_SLOTS:
+            setattr(g, slot, None)
     verify.run_theorem("domination", max_n=5)
-    assert [g for g in graphs if g._adj is not None or g._masks is not None] == []
+    assert [g for g in graphs if _tables(g) != _NO_TABLES] == []
     for g in graphs:
         copy = g._bare_copy()
-        assert (copy._adj, copy._masks, copy._hash) == (None, None, None)
+        assert _tables(copy) == _NO_TABLES
         assert copy == g and hash(copy) == hash(g) and copy.edges is g.edges
 
 
@@ -408,7 +418,7 @@ def test_bound_rows_catch_a_wrong_witness(monkeypatch):
     rows = verify.run_theorem("domination", max_n=4)["rows"]
     for row in rows:
         g, tail = parse_graph6(row["graph"]), set(range(row["n"] - row["k"] + 1, row["n"] + 1))
-        dominated = all(v in tail or g.adjacency[v - 1] & tail for v in range(1, g.n + 1))
+        dominated = all(v in tail or g.neighbors(v) & tail for v in range(1, g.n + 1))
         assert row["witness_ok"] == dominated and row["agree"] == (dominated and row["oracle"])
     assert not all(row["agree"] for row in rows)
     monkeypatch.setattr(ch, "edge_roman_at_most", all_ones)
