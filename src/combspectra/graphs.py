@@ -118,7 +118,13 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={sorted(self.edges)})"
 
 
-@lru_cache(maxsize=None)
+# Masks the ``_members`` cache keeps.  A constant, not an option: it holds
+# every mask of order at most 8 (256) with room to spare, while the masks of
+# larger graphs, too many to keep, come and go.
+_MEMBERS_CACHED = 1024
+
+
+@lru_cache(maxsize=_MEMBERS_CACHED)
 def _members(mask: int) -> tuple[int, ...]:
     """The set bits of mask, lowest first."""
     return tuple(w for w in range(mask.bit_length()) if mask >> w & 1)

@@ -11,7 +11,7 @@ theorem sweep runs one task per graph, which for ``fixpoint`` is K_n for each
 order: a task carries the graph and its graph6 line, which for a corpus
 graph is the line the corpus kept, so no task encodes or decodes graph6, and
 runs on a copy of the graph that shares its validated edges and none of its
-lazy tables; every worker count takes the batch queue of
+lazy tables; every worker count deals the tasks in the fixed stripes of
 :func:`_pool_results`.  Per-k rows come from :func:`_bound_rows`, against
 the least bound of one oracle search (``domination_number`` for
 domination).  A labeling row decodes its witness by the
@@ -303,37 +303,23 @@ def _theorem_task(args: tuple) -> list[dict]:
     return _THEOREMS[subject].rows(g6, g._bare_copy(), ks, limits)
 
 
-# Batches per worker: enough that the small tail of a largest-first order
-# still balances the workers, few enough that reading a batch number and
-# sending its rows back stays below the work of sub-millisecond tasks.
-_BATCHES_PER_WORKER = 8
-
-
-def _batches(sizes: list[tuple[int, int]], workers: int) -> list[list[int]]:
-    """Task indices cut into batches, largest (n, m) first (Graham's
-    largest-first list schedule), about ``_BATCHES_PER_WORKER`` per worker.
-
-    The batch queue holds each batch number as 4 bytes, all written at once,
-    so there are at most ``PIPE_BUF // 4`` batches: a pipe write of at most
-    ``PIPE_BUF`` bytes is atomic and fits in any pipe, so it never blocks."""
-    from select import PIPE_BUF
-
+def _stripes(sizes: list[tuple[int, int]], workers: int) -> list[list[int]]:
+    """Task indices dealt into W = ``min(workers, tasks)`` stripes, at least
+    one: in largest (n, m) first order (Graham's largest-first list
+    schedule), stripe w takes positions w, w + W, w + 2W, ... of that order.
+    The longest tasks start at once, and stripe lengths differ by at most one."""
     order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
-    size = max(
-        1, len(order) // (_BATCHES_PER_WORKER * workers), -(-len(order) // (PIPE_BUF // 4))
-    )
-    return [order[i : i + size] for i in range(0, len(order), size)]
+    count = max(1, min(workers, len(order)))
+    return [order[w::count] for w in range(count)]
 
 
-def _run_batches(queue: int, batches: list[list[int]], tasks: list[tuple]) -> dict[int, list[dict]]:
-    """The rows of each task in the batches this process takes from the
-    queue, by task index, until the queue is empty.  After each task the
-    deadline of the ``Limits`` it carries is polled."""
+def _run_stripe(stripe: list[int], tasks: list[tuple]) -> dict[int, list[dict]]:
+    """The rows of each task of the stripe, by task index.  After each task
+    the deadline of the ``Limits`` it carries is polled."""
     rows_at = {}
-    while record := os.read(queue, 4):
-        for i in batches[int.from_bytes(record, "little")]:
-            rows_at[i] = _theorem_task(tasks[i])
-            tasks[i][-1].check_time()
+    for i in stripe:
+        rows_at[i] = _theorem_task(tasks[i])
+        tasks[i][-1].check_time()
     return rows_at
 
 
@@ -343,35 +329,34 @@ def _pool_results(
     """Each task's rows, computed by this process and up to ``workers - 1``
     forked children, listed in task order.
 
-    Every batch number goes into one pipe before the first fork.  This
-    process and each child then take batch numbers from it and run their
-    batches until it is empty, so no process idles while work is left.  A
-    child sends back its rows, or the exception that stopped it, pickled
-    through a pipe of its own, and leaves by ``os._exit``.  A child's
-    exception is raised here unchanged; a child that exits nonzero, dies by
-    a signal or sends nothing raises :class:`CombSpectraError`.  No child
-    outlives the call.  At one worker no child is forked and this process
-    takes every batch.  ``pickle`` and ``signal`` are imported here, so that
-    importing the package does not load them."""
+    The tasks are dealt into stripes by :func:`_stripes`; this process runs
+    stripe 0 and forks one child for each other stripe first.  A child sends
+    back its rows, or the exception that stopped it, pickled through a pipe
+    of its own, and leaves by ``os._exit``.  A child's exception is raised
+    here unchanged; a fork that fails, or a child that exits nonzero, dies
+    by a signal or sends nothing, raises :class:`CombSpectraError`.  No
+    child outlives the call.  At one worker no child is forked.  ``pickle``
+    and ``signal`` are imported here, so that importing the package does not
+    load them."""
     import pickle
     import signal
 
-    batches = _batches(sizes, workers)
-    queue, fill = os.pipe()
-    try:
-        os.write(fill, b"".join(b.to_bytes(4, "little") for b in range(len(batches))))
-    finally:
-        os.close(fill)
+    mine, *others = _stripes(sizes, workers)
     children: dict[int, int] = {}  # pid -> read end of its reply pipe, until reaped
     try:
-        for _ in range(min(workers, len(batches)) - 1):
+        for worker, stripe in enumerate(others, start=1):
             reply, send = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(reply)
+                os.close(send)
+                raise CombSpectraError(f"cannot fork sweep worker {worker}: {exc}") from exc
             if pid == 0:
                 status = 1
                 try:
                     try:
-                        payload = _run_batches(queue, batches, tasks)
+                        payload = _run_stripe(stripe, tasks)
                     except BaseException as exc:
                         payload = exc
                     with open(send, "wb") as out:
@@ -382,7 +367,7 @@ def _pool_results(
                     os._exit(status)
             os.close(send)
             children[pid] = reply
-        rows_at = _run_batches(queue, batches, tasks)
+        rows_at = _run_stripe(mine, tasks)
         for worker, (pid, reply) in enumerate(list(children.items()), start=1):
             with open(reply, "rb", closefd=False) as inp:
                 data = inp.read()
@@ -398,7 +383,6 @@ def _pool_results(
                 raise payload
             rows_at.update(payload)
     finally:
-        os.close(queue)
         for pid, reply in children.items():
             os.close(reply)
             os.kill(pid, signal.SIGKILL)
@@ -416,11 +400,11 @@ def run_theorem(
     """Sweep a theorem subject over the connected-graph corpus.
 
     The per-graph tasks run in this process and up to ``workers - 1``
-    forked children, which take batches of tasks, largest (n, m) first, from
-    one queue (:func:`_pool_results`); each task's rows are put back at its
-    corpus index, so the report is the same at every worker count.  At one
-    worker, or where the platform has no ``os.fork``, this process takes
-    every batch.  Every process polls the deadline after each task.
+    forked children, dealt to them in fixed stripes of a largest (n, m)
+    first order (:func:`_pool_results`); each task's rows are put back at
+    its corpus index, so the report is the same at every worker count.  At
+    one worker, or where the platform has no ``os.fork``, this process runs
+    every task.  Every process polls the deadline after each task.
 
     Returns a deterministic report dict; ``summary.disagreements`` counts rows
     where the two routes differ or a witness failed its own definition.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combspectra import graphs
 from combspectra.corpus import connected_graphs_up_to
 from combspectra.errors import ParseError, PreconditionError
 from combspectra.graphs import (
@@ -278,3 +279,19 @@ def test_relabel_builds_its_own_masks():
         image = {perm[w - 1] for w in g.neighbors(v)}
         assert h.masks[perm[v - 1] - 1] == sum(1 << (w - 1) for w in image)
     assert g.masks == (0b10, 0b101, 0b1010, 0b100)
+
+
+def test_the_members_cache_stays_bounded_on_large_graphs():
+    # every frontier and neighbour set of 150 random order-62 graphs passes
+    # through the cache, tens of thousands of distinct masks
+    rnd = Random(5)
+    pairs = list(itertools.combinations(range(1, 63), 2))
+    for _ in range(150):
+        g = SimpleGraph(62, (pair for pair in pairs if rnd.random() < 0.1))
+        all_pairs_distances(g)
+        component_orders(g)
+        for v in range(1, 63):
+            g.neighbors(v)
+    info = graphs._members.cache_info()
+    assert info.maxsize == graphs._MEMBERS_CACHED >= 256
+    assert info.currsize <= info.maxsize

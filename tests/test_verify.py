@@ -1,12 +1,12 @@
-"""Corpus sweeps: batch order and count, forked children, errors raised or
-deaths in a child, the deadline poll after each task, and the per-k rows and
-witness checks of the theorem subjects."""
+"""Corpus sweeps: the stripes the tasks are dealt in, forked children, errors
+raised or deaths in a child, failed forks, the deadline poll after each task,
+and the per-k rows and witness checks of the theorem subjects."""
 
 import dataclasses
+import errno
 import inspect
 import json
 import os
-import select
 import signal
 import subprocess
 import sys
@@ -30,27 +30,24 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_batches_go_largest_first_in_sizes_set_per_worker():
-    sizes = [(g.n, g.m) for g in connected_graphs_up_to(6, 2)]
-    batches = verify._batches(sizes, 2)
-    order = [i for batch in batches for i in batch]
-    assert sorted(order) == list(range(len(sizes))) == list(range(142))
-    assert [sizes[i] for i in order] == sorted(sizes, reverse=True)
-    assert sizes[order[0]] == (6, 15)
-    size = 142 // (verify._BATCHES_PER_WORKER * 2)
-    assert [len(b) for b in batches] == [size] * 17 + [142 - 17 * size]
-
-
-def test_batch_count_fits_one_atomic_queue_write():
+def test_stripes_deal_largest_first_in_turn():
     # planning only: nothing is forked
-    cap = select.PIPE_BUF // 4
-    batches = verify._batches([(7, i % 21) for i in range(5000)], workers=10_000)
-    assert len(batches) <= cap
-    assert sorted(i for batch in batches for i in batch) == list(range(5000))
-    assert verify._batches([(2, 1)] * 3, workers=10_000) == [[0], [1], [2]]
+    sizes = [(g.n, g.m) for g in connected_graphs_up_to(6, 2)]
+    assert len(sizes) == 142
+    for workers in (2, 3, 10_000):
+        stripes = verify._stripes(sizes, workers)
+        assert len(stripes) == min(workers, len(sizes))
+        assert sorted(i for stripe in stripes for i in stripe) == list(range(142))
+        for stripe in stripes:
+            assert [sizes[i] for i in stripe] == sorted((sizes[i] for i in stripe), reverse=True)
+        assert max(map(len, stripes)) - min(map(len, stripes)) <= 1
+        assert sizes[stripes[0][0]] == (6, 15)
+    # fixpoint --max-n 4: K2, K3, K4
+    assert verify._stripes([(2, 1), (3, 3), (4, 6)], 2) == [[2, 0], [1]]
+    assert verify._stripes([(2, 1), (3, 3), (4, 6)], 10_000) == [[2], [1], [0]]
 
 
-def test_sweep_forks_one_child_less_than_its_batches(monkeypatch):
+def test_sweep_forks_one_child_less_than_its_stripes(monkeypatch):
     fork = os.fork
     forks = []
 
@@ -59,7 +56,7 @@ def test_sweep_forks_one_child_less_than_its_batches(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting)
-    # two tasks, K3 and K2, make two batches: the caller takes one, a child the other
+    # two tasks, K3 and K2, make two stripes: the caller takes one, a child the other
     report = verify.run_theorem("fixpoint", max_n=3, workers=64)
     assert len(forks) == 1
     _no_child_left()
@@ -71,6 +68,14 @@ def test_sweep_on_two_workers_keeps_corpus_order():
     _no_child_left()
     assert report["summary"]["tasks"] == 142
     assert report == verify.run_theorem("domination", max_n=6, workers=1)
+
+
+def test_sweep_on_three_workers_keeps_corpus_order():
+    # three stripes of uneven length, more workers than a two-core machine has
+    report = verify.run_theorem("domination", max_n=5, workers=3)
+    _no_child_left()
+    assert report["summary"]["tasks"] == 30
+    assert report == verify.run_theorem("domination", max_n=5, workers=1)
 
 
 def test_sweep_without_fork_runs_in_the_caller(monkeypatch):
@@ -109,35 +114,23 @@ def test_sweep_polls_the_deadline_after_each_task(monkeypatch, capsys, workers):
     assert cli.main(argv) == cli.EXIT_TIMEOUT
     _no_child_left()
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "timeout"
-    # the caller ran its first task and started no second; at one worker that
-    # task is K4, the largest, but at two a child may take K4's batch first
-    if workers == 1:
-        assert started == [4]
-    else:
-        assert len(started) == 1
+    # the caller ran its first task, K4, the largest, and started no second
+    assert started == [4]
 
 
 def _fail_in_a_child(monkeypatch, fail):
-    """Make the fixpoint row builder call ``fail()`` in a forked child.
-
-    The caller's first task waits until every child has exited, so a child
-    takes at least one of the three batches of ``fixpoint --max-n 4``."""
+    """Make the fixpoint row builder call ``fail()`` in a forked child: at
+    two workers, ``fixpoint --max-n 4`` deals K4 and K2 to the caller and K3
+    to the child."""
     caller = os.getpid()
     theorem = verify._THEOREMS["fixpoint"]
-    gate, held = os.pipe()  # read end, write end; each child inherits both
-    open_ends = [gate, held]
 
     def rows(g6, g, ks, limits):
         if os.getpid() != caller:
             fail()
-        if held in open_ends:
-            os.close(held)
-            open_ends.remove(held)
-            assert os.read(gate, 1) == b""  # every write end is closed
         return theorem.rows(g6, g, ks, limits)
 
     monkeypatch.setitem(verify._THEOREMS, "fixpoint", dataclasses.replace(theorem, rows=rows))
-    return open_ends
 
 
 def _killed():
@@ -167,13 +160,9 @@ def _too_large():
     ids=["killed", "exits-3", "time-limit", "size-guard"],
 )
 def test_a_failing_child_maps_to_its_exit_code(monkeypatch, capsys, fail, code, kind, message):
-    open_ends = _fail_in_a_child(monkeypatch, fail)
-    try:
-        argv = ["verify", "--theorem", "fixpoint", "--max-n", "4", "--workers", "2", "--json"]
-        assert cli.main(argv) == code
-    finally:
-        for fd in open_ends:
-            os.close(fd)
+    _fail_in_a_child(monkeypatch, fail)
+    argv = ["verify", "--theorem", "fixpoint", "--max-n", "4", "--workers", "2", "--json"]
+    assert cli.main(argv) == code
     _no_child_left()
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["code"] == kind
@@ -196,6 +185,38 @@ def test_an_error_in_the_caller_leaves_no_child(monkeypatch, capsys):
     assert cli.main(argv) == cli.EXIT_TIMEOUT
     _no_child_left()
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "timeout"
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(monkeypatch, capsys, failing):
+    fork, pipe = os.fork, os.pipe
+    forks, pipes = [], []
+
+    def forking():
+        forks.append(1)
+        if len(forks) == failing:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    def piping():
+        ends = pipe()
+        pipes.extend(ends)
+        return ends
+
+    monkeypatch.setattr(os, "fork", forking)
+    monkeypatch.setattr(os, "pipe", piping)
+    argv = ["verify", "--theorem", "fixpoint", "--max-n", "4", "--workers", "3", "--json"]
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+    monkeypatch.undo()
+    _no_child_left()
+    assert len(pipes) == 2 * failing
+    for fd in pipes:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "internal"
+    assert error["message"].startswith(f"cannot fork sweep worker {failing}: ")
 
 
 def test_theorem_task_takes_one_task_tuple():
