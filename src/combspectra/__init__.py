@@ -15,6 +15,7 @@ from .characterize import (
     decode_edge_roman,
     dominating_k,
     dominating_set_of,
+    dominating_witnesses,
     edge_roman_at_most,
     hamiltonian_cycle_spectrum,
     hamiltonian_number,

@@ -66,6 +66,7 @@ __all__ = [
     "local_irregular_weighted",
     "one_two_three",
     "dominating_k",
+    "dominating_witnesses",
     "edge_roman_at_most",
     "hamiltonian_spectrum",
     "hamiltonian_cycle_spectrum",
@@ -384,6 +385,29 @@ def _tail_masks(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...],
     )
 
 
+def _domination_guards(n: int, k: int, limits: Limits) -> None:
+    if not 1 <= k <= n - 1:
+        if n < 2:
+            raise PreconditionError(f"the domination search needs at least 2 vertices, got n={n}")
+        raise PreconditionError(f"k must be in 1..{n - 1}, got {k}")
+    limits.check_n(n)
+    limits.check_steps(math.factorial(n), "domination search")
+
+
+def _tail_scan(adj: Sequence[int], table: Sequence[tuple], limits: Limits) -> tuple:
+    """The first entry ``(f, heads, tail)`` of a :func:`_tail_masks` table
+    whose every head's bitmask in ``adj`` meets its tail's bitmask (None if
+    none does), and the number of entries scanned."""
+    for scanned, entry in enumerate(limits.polled(table), 1):
+        _f, heads, tail = entry
+        for h in heads:
+            if not adj[h] & tail:
+                break
+        else:
+            return entry, scanned
+    return None, len(table)
+
+
 def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Does the graph have a dominating set of size k?
 
@@ -395,7 +419,8 @@ def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Ver
 
     No ring sum is formed per bijection: the coefficient of x^(j-1) counts
     the neighbours of the head f(j) among the tail vertices, so f is
-    accepted when every head's adjacency bitmask meets the tail's bitmask.
+    accepted when every head's adjacency bitmask meets the tail's bitmask,
+    by the kernel :func:`_tail_scan` that :func:`dominating_witnesses` shares.
     The adjacency bitmasks are the graph's own :attr:`SimpleGraph.masks`,
     built once per graph and shared by every k; the tails come from a table
     cached per (k, n).  Only the witness polynomial is built, from those
@@ -405,30 +430,31 @@ def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Ver
     its polynomial against the ring scan over all n! bijections.
     """
     n = g.n
-    if not 1 <= k <= n - 1:
-        if n < 2:
-            raise PreconditionError(
-                f"the domination search needs at least 2 vertices, got n={n}"
-            )
-        raise PreconditionError(f"k must be in 1..{n - 1}, got {k}")
-    limits.check_n(n)
-    limits.check_steps(math.factorial(n), "domination search")
-    table = _tail_masks(k, n)
+    _domination_guards(n, k, limits)
     adj = g.masks
-    for scanned, (f, heads, tail) in enumerate(limits.polled(table), 1):
-        for h in heads:
-            if not adj[h] & tail:
-                break
-        else:
-            counts = {(j, 0): ((adj[h] & tail).bit_count(), 0) for j, h in enumerate(heads)}
-            return Verdict(
-                True,
-                witness_polynomial=RingElem._raw(counts),
-                witness_graph=domination_probe(k, n),
-                witness_bijection=f,
-                stats=SearchStats(members=1, bijections=scanned),
-            )
-    return Verdict(False, stats=SearchStats(members=1, bijections=len(table)))
+    hit, scanned = _tail_scan(adj, _tail_masks(k, n), limits)
+    if hit is None:
+        return Verdict(False, stats=SearchStats(members=1, bijections=scanned))
+    f, heads, tail = hit
+    counts = {(j, 0): ((adj[h] & tail).bit_count(), 0) for j, h in enumerate(heads)}
+    return Verdict(
+        True,
+        witness_polynomial=RingElem._raw(counts),
+        witness_graph=domination_probe(k, n),
+        witness_bijection=f,
+        stats=SearchStats(members=1, bijections=scanned),
+    )
+
+
+def dominating_witnesses(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> list:
+    """The witness bijections of :func:`dominating_k` at k = 1..n-1, None
+    where no k-subset dominates: one tail scan per k, under the guards of
+    :func:`dominating_k` checked once, and with no verdict built."""
+    n = g.n
+    _domination_guards(n, 1, limits)
+    adj = g.masks
+    hits = [_tail_scan(adj, _tail_masks(k, n), limits)[0] for k in range(1, n)]
+    return [None if hit is None else hit[0] for hit in hits]
 
 
 # -- edge Roman domination -----------------------------------------------------------

@@ -12,13 +12,14 @@ order: a task carries the graph and its graph6 line, which for a corpus
 graph is the line the corpus kept, so no task encodes or decodes graph6, and
 runs on a copy of the graph that shares its validated edges and none of its
 lazy tables; every worker count deals the tasks in the fixed stripes of
-:func:`_pool_results`.  Per-k rows come from :func:`_bound_rows`, against
-the least bound of one oracle search (``domination_number`` for
-domination).  A labeling row decodes its witness by the
-``characterize._LABELINGS`` record and checks it by ``_DEFINITIONS``, a
-domination row by the oracle's closed-neighbourhood table.  Reports
-contain no timing and keep a canonical row order, so the emitted JSON is
-byte-identical across runs and worker counts.
+:func:`_pool_results`.  Per-k rows come from :func:`_bound_rows`: one
+search per k, or one ``dominating_witnesses`` call per graph, against the
+least bound of one oracle search (``domination_number`` for domination).
+A labeling row decodes its witness by the ``characterize._LABELINGS``
+record and checks it by ``_DEFINITIONS``, a domination row by the oracle's
+closed-neighbourhood table.  Reports contain no timing and keep a canonical
+row order, so the emitted JSON is byte-identical across runs and worker
+counts.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import characterize as ch
 from . import oracles as orc
@@ -173,20 +174,15 @@ def _rows_antimagic(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits)
 
 
 def _bound_rows(
-    g6: str, g: SimpleGraph, ks: Sequence[int], least: int | None, search: Callable,
-    limits: Limits, witness: Callable,
+    g6: str, g: SimpleGraph, outcomes: Iterable[tuple[int, bool, bool]], least: int | None
 ) -> list[dict]:
-    """One row per bound k: ``search(g, k, limits)`` against the oracle,
-    which holds at k exactly when its least bound ``least`` (None when no
-    bound in range holds) is at most k.  ``witness_ok`` is true where the
-    search fails, else ``witness(g, verdict, k)``.  Each row is written out
+    """One row per ``(k, spectral, witness_ok)`` of ``outcomes`` against the
+    oracle, which holds at k exactly when its least bound ``least`` (None
+    when no bound in range holds) is at most k.  Each row is written out
     whole, with the keys and the ``agree`` rule of :func:`_agreement_row`."""
     n, m = g.n, g.m
     rows = []
-    for k in ks:
-        verdict = search(g, k, limits)
-        spectral = verdict.holds
-        witness_ok = not spectral or witness(g, verdict, k)
+    for k, spectral, witness_ok in outcomes:
         oracle = least is not None and least <= k
         rows.append(
             {
@@ -203,10 +199,17 @@ def _bound_rows(
     return rows
 
 
+def _searched(name: str, g: SimpleGraph, ks: Sequence[int], search: Callable, limits: Limits):
+    """``(k, spectral, witness_ok)`` per bound k of the labeling ``name`` by
+    ``search(g, k, limits)``, its witness checked by :func:`_witness_ok`."""
+    for k in ks:
+        verdict = search(g, k, limits)
+        yield k, verdict.holds, not verdict.holds or _witness_ok(name, g, verdict, k)
+
+
 def _rows_strength(g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
     least = orc.strength_oracle(g, max(ks), limits).value
-    witness = partial(_witness_ok, "strength")
-    return _bound_rows(g6, g, ks, least, ch.strength_at_most, limits, witness)
+    return _bound_rows(g6, g, _searched("strength", g, ks, ch.strength_at_most, limits), least)
 
 
 def _rows_one_two_three(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
@@ -216,17 +219,17 @@ def _rows_one_two_three(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Lim
     return [_agreement_row(g6, g, verdict.holds, oracle, witness_ok=witness_ok)]
 
 
-def _dominating_witness(g: SimpleGraph, verdict: ch.Verdict, k: int, closed: Sequence[int]) -> bool:
-    return orc._dominates(closed, ch.dominating_set_of(verdict.witness_bijection, g.n, k))
-
-
 def _rows_domination(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     # A superset of a dominating set dominates, so the oracle holds at k
     # exactly when k >= gamma(G): one upward oracle search for gamma answers
-    # every k.
+    # every k.  Each witness is checked on the oracle's own table.
     gamma = orc.domination_number(g, limits).value
-    witness = partial(_dominating_witness, closed=orc._closed_masks(g))
-    return _bound_rows(g6, g, range(1, g.n), gamma, ch.dominating_k, limits, witness)
+    closed, n = orc._closed_masks(g), g.n
+    outcomes = (
+        (k, f is not None, f is None or orc._dominates(closed, ch.dominating_set_of(f, n, k)))
+        for k, f in enumerate(ch.dominating_witnesses(g, limits), 1)
+    )
+    return _bound_rows(g6, g, outcomes, gamma)
 
 
 def _rows_edge_roman(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
@@ -252,8 +255,8 @@ def _rows_edge_roman(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits
             "agree": identity_failures == 0,
         }
     ]
-    witness = partial(_witness_ok, "edge-roman")
-    return rows + _bound_rows(g6, g, range(1, g.m), gamma, ch.edge_roman_at_most, limits, witness)
+    searched = _searched("edge-roman", g, range(1, g.m), ch.edge_roman_at_most, limits)
+    return rows + _bound_rows(g6, g, searched, gamma)
 
 
 def _rows_hamiltonian(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:

@@ -18,6 +18,7 @@ from combspectra.characterize import (
     decode_edge_roman,
     dominating_k,
     dominating_set_of,
+    dominating_witnesses,
     edge_roman_at_most,
     hamiltonian_cycle_spectrum,
     hamiltonian_number,
@@ -385,6 +386,33 @@ def test_dominating_k_honours_limits():
     )
     with pytest.raises(SizeGuardError):
         dominating_k(P4, 1, Limits(max_n=3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_dominating_witnesses_are_the_witnesses_of_dominating_k(n):
+    for g in connected_graphs(n):
+        expected = [dominating_k(g, k).witness_bijection for k in range(1, n)]
+        assert dominating_witnesses(g) == expected
+
+
+def test_dominating_witnesses_honour_limits():
+    with pytest.raises(TimeLimitError):
+        dominating_witnesses(P4, Limits(deadline=0.0))
+    # the step guard counts all n! bijections, once per graph
+    assert dominating_witnesses(P4, Limits(max_steps=24)) == [None, (1, 3, 2, 4), (1, 2, 3, 4)]
+    with pytest.raises(SizeGuardError) as err:
+        dominating_witnesses(P4, Limits(max_steps=23))
+    assert str(err.value) == (
+        "step guard exceeded: domination search needs 24 steps > max_steps=23"
+    )
+    with pytest.raises(SizeGuardError):
+        dominating_witnesses(P4, Limits(max_n=3))
+
+
+def test_dominating_witnesses_need_two_vertices():
+    with pytest.raises(PreconditionError) as err:
+        dominating_witnesses(SimpleGraph(1))
+    assert str(err.value) == "the domination search needs at least 2 vertices, got n=1"
 
 
 # -- edge Roman domination -------------------------------------------------------------

@@ -329,7 +329,7 @@ def test_verify_reader_rows_catch_a_miscounting_scan(monkeypatch):
     "module, name, old, new, failures",
     [
         # a kernel that never tests its last head accepts too early
-        ("characterize", "dominating_k", "for h in heads:", "for h in heads[:-1]:", [1, 4, 11]),
+        ("characterize", "_tail_scan", "for h in heads:", "for h in heads[:-1]:", [1, 4, 11]),
         # a reference accept that drops the last head's coefficient
         ("verify", "_domination_accept", "needed = n - k\n", "needed = n - k - 1\n",
          [1, 7, 40]),
@@ -344,7 +344,7 @@ def test_verify_domination_row_catches_a_broken_route(monkeypatch, module, name,
     import importlib
     import inspect
 
-    from combspectra.verify import run_identity
+    from combspectra.verify import run_identity, run_theorem
 
     mod = importlib.import_module(f"combspectra.{module}")
     source = inspect.getsource(getattr(mod, name))
@@ -355,6 +355,9 @@ def test_verify_domination_row_catches_a_broken_route(monkeypatch, module, name,
     rows = run_identity("orbit", ns=(3, 4, 5), trials=1)["rows"]
     domination = [(row["checks"], row["failures"]) for row in rows if row["search"] == "domination"]
     assert domination == list(zip([4, 18, 84], failures))
+    if module == "characterize":
+        # the sweep runs the same kernel, so its rows disagree too
+        assert run_theorem("domination", max_n=4)["summary"]["disagreements"] > 0
 
 
 def test_verify_hamiltonian_row_catches_a_recursion_without_its_closing_edge(monkeypatch):

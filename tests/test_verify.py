@@ -370,23 +370,25 @@ def test_importing_the_cli_loads_no_pool():
     "subject, search",
     [
         ("irregular-strength", "strength_at_most"),
-        ("domination", "dominating_k"),
+        ("domination", "dominating_witnesses"),
         ("edge-roman", "edge_roman_at_most"),
     ],
 )
 def test_bound_rows_look_their_search_up_when_the_sweep_runs(monkeypatch, subject, search):
     # the benchmark's trace replaces these module attributes, so a table
-    # filled at import would keep the unwrapped function
+    # filled at import would keep the unwrapped function; the domination
+    # search answers every k of a graph in one call
     original = getattr(ch, search)
     calls = []
 
-    def counting(g, k, limits):
-        calls.append((g, k))
-        return original(g, k, limits)
+    def counting(g, *args):
+        calls.append(g)
+        return original(g, *args)
 
     monkeypatch.setattr(ch, search, counting)
-    rows = verify.run_theorem(subject, max_n=4)["rows"]
-    assert len(calls) == sum(1 for row in rows if row["k"] is not None) > 0
+    rows = [row for row in verify.run_theorem(subject, max_n=4)["rows"] if row["k"] is not None]
+    searched = {row["graph"] for row in rows} if subject == "domination" else rows
+    assert len(calls) == len(searched) > 0
 
 
 def test_every_labeling_has_an_orbit_row_and_a_definition():
@@ -429,13 +431,13 @@ def test_bound_rows_catch_a_wrong_witness(monkeypatch):
     # domination: the identity bijection offers the last k vertices as the
     # dominating set; edge Roman: the zero coloring decodes to all ones,
     # of weight m > k
-    def last_k(g, k, _limits):
-        return ch.Verdict(True, witness_bijection=tuple(range(1, g.n + 1)))
+    def last_k(g, _limits):
+        return [tuple(range(1, g.n + 1))] * (g.n - 1)
 
     def all_ones(g, k, _limits):
         return ch.Verdict(True, witness_graph=WeightedCompleteGraph.zero(g.n))
 
-    monkeypatch.setattr(ch, "dominating_k", last_k)
+    monkeypatch.setattr(ch, "dominating_witnesses", last_k)
     rows = verify.run_theorem("domination", max_n=4)["rows"]
     for row in rows:
         g, tail = parse_graph6(row["graph"]), set(range(row["n"] - row["k"] + 1, row["n"] + 1))
