@@ -8,12 +8,13 @@ identity alone, one :func:`_scan` step per member, decided by its polynomial
 alone.  Each labeling is one record of :data:`_LABELINGS` (palette size,
 colour -> label map, gadget, accept), read by its given weightings
 (:func:`_weighting_scan`), its edge colorings (:func:`_coloring_scan`), its
-witness decoding (:func:`_witness_labels`) and verify.  :func:`dominating_k`
-reads its spectrum without ring sums, by tail bitmasks, and
-:func:`hamiltonian_spectrum` reads every pattern's as a bitset of integer
-distance sums: the cycle's from a subset recursion, any other pattern's from
-the n! bijections.  ``verify --identity orbit`` checks each against the full
-n! scan.  Searches run in a fixed lexicographic order (colorings first,
+witness decoding (:func:`_witness_labels`) and the orbit rows; a problem
+record of ``verify._PROBLEMS`` names it by key.  :func:`dominating_k` reads
+its spectrum without ring sums, by tail bitmasks, and
+:func:`hamiltonian_spectrum` every pattern's as a bitset of integer distance
+sums: the cycle's from a subset recursion, any other pattern's from the n!
+bijections.  ``verify --identity orbit`` checks each against the full n!
+scan.  Searches run in a fixed lexicographic order (colorings first,
 bijections second) and short-circuit on the first witness, which is also the
 first witness of the full n! scan, so results are fully deterministic.
 """
@@ -536,7 +537,7 @@ def _integer_labels(p: int) -> dict[RingElem, int]:
     return dict(zip(integer_palette(p), range(1, p + 1)))
 
 
-# Every labeling search, keyed by its verify subject, in the order of the orbit rows.
+# Every labeling search, in the order of the orbit rows; a problem record names it by key.
 _LABELINGS = {
     "strength": _Labeling("strength", lambda _m, k: k, _integer_labels, degree_reader,
                           lambda n, _m, _k: _strength_accept(n)),

@@ -8,9 +8,9 @@ Three command groups:
 * ``verify`` - sweep a theorem subject over the connected-graph corpus or run
   an identity suite, and exit nonzero on any disagreement.
 
-Each command reads its subjects from one table: ``_CHECKS`` and ``_ORACLES``
-below, the theorem and identity tables in :mod:`combspectra.verify`.  A flag
-that the subject does not read is a usage error: ``--k``, ``--by``,
+Each problem is one record of the registry in :mod:`combspectra.verify`: its
+subject name in each command, the flags each reads, and what each calls.  A
+flag that the subject does not read is a usage error: ``--k``, ``--by``,
 ``--k-max``, ``--n``, ``--trials`` and ``--seed`` outside the subjects that
 read them.
 
@@ -188,11 +188,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check", help="run a spectrum characterization on a graph"
     )
-    p_check.add_argument("subject", choices=tuple(_CHECKS))
+    p_check.add_argument("subject", choices=[p.check for p in ver._PROBLEMS if p.check])
     p_check.add_argument(
         "graph", help="edge-list or graph6 file, or '-' to read either from stdin"
     )
-    takes_k = [subject for subject, check in _CHECKS.items() if check.takes_k]
+    takes_k = [p.check for p in ver._PROBLEMS if "k" in p.reads_in("check")]
     p_check.add_argument("--k", type=int, default=None, help="bound for " + " / ".join(takes_k))
     p_check.add_argument("--by", default=None,
                          help="pattern graph file for the hamiltonian spectrum, in place "
@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_check)
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force oracle")
-    p_oracle.add_argument("subject", choices=tuple(_ORACLES))
+    p_oracle.add_argument("subject", choices=[p.oracle for p in ver._PROBLEMS if p.oracle])
     p_oracle.add_argument("graph")
     p_oracle.add_argument("--k", type=int, default=None)
     p_oracle.add_argument("--k-max", type=_positive_int, default=None,
@@ -214,8 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--theorem", choices=ver.THEOREM_SUBJECTS)
     group.add_argument("--identity", choices=ver.IDENTITY_SUBJECTS)
+    sweeps_k = [p.theorem for p in ver._PROBLEMS if p.ks is not None]
     p_verify.add_argument("--k", type=_positive_int, action="append", default=None,
-                          help="label bound(s), at least 1, for colorings / irregular-strength")
+                          help="label bound(s), at least 1, for " + " / ".join(sweeps_k))
     p_verify.add_argument("--n", type=_orders, default=None,
                           help="orders (at least 2) for the identity suites that read "
                                "them, e.g. 3..6 or 3,5")
@@ -253,63 +254,6 @@ def _emit(payload: dict, cfg: RunConfig, text_lines: Iterable[str]) -> None:
             print(line)
 
 
-def _edge_map(key: str, label: str, values: dict) -> tuple[str, dict, str]:
-    """A witness that maps each edge to a value: JSON key, JSON object, text line."""
-    items = sorted(values.items())
-    text = " ".join(f"{{{u},{v}}}->{val}" for (u, v), val in items)
-    return key, {f"{u}-{v}": val for (u, v), val in items}, f"  {label}: {text}"
-
-
-def _labeling(g: SimpleGraph, _k: int | None, verdict: ch.Verdict) -> tuple[str, dict, str]:
-    wcg = verdict.witness_graph
-    return _edge_map("labeling", "labeling", {e: str(wcg.weight(*e)) for e in g.sorted_edges()})
-
-
-def _edge_function(g: SimpleGraph, _k: int, verdict: ch.Verdict) -> tuple[str, dict, str]:
-    fn = ch.decode_edge_roman(verdict.witness_graph, g)
-    return _edge_map("edge_function", "edge function", fn)
-
-
-def _dominating_set(g: SimpleGraph, k: int, verdict: ch.Verdict) -> tuple[str, list, str]:
-    chosen = sorted(ch.dominating_set_of(verdict.witness_bijection, g.n, k))
-    return "dominating_set", chosen, f"  dominating set: {set(chosen)}"
-
-
-def _no_bound(func: Callable) -> Callable:
-    """``func(graph, limits)`` as a ``(graph, bound, limits)`` callable."""
-    return lambda g, _bound, limits: func(g, limits)
-
-
-def _hamiltonian_spectrum(g: SimpleGraph, pattern: SimpleGraph | None, limits: Limits):
-    if pattern is None:
-        return ch.hamiltonian_cycle_spectrum(g, limits)
-    return ch.hamiltonian_spectrum(pattern, g, limits)
-
-
-@dataclass(frozen=True)
-class _Check:
-    """A ``check`` subject: ``characterize(graph, k, limits)`` returns a verdict
-    (every one that holds carries all three witnesses), and ``witness(graph,
-    k, verdict)`` renders it as (JSON key, JSON value, text line).  A subject
-    without a renderer reports a spectrum and its least value; its
-    ``characterize`` takes the ``--by`` pattern graph, or None for the cycle,
-    in place of k."""
-
-    characterize: Callable
-    takes_k: bool
-    witness: Callable | None
-
-
-_CHECKS = {
-    "antimagic": _Check(_no_bound(ch.antimagic_unweighted), False, _labeling),
-    "irregular-strength": _Check(ch.strength_at_most, True, _labeling),
-    "one-two-three": _Check(_no_bound(ch.one_two_three), False, _labeling),
-    "domination": _Check(ch.dominating_k, True, _dominating_set),
-    "edge-roman": _Check(ch.edge_roman_at_most, True, _edge_function),
-    "hamiltonian": _Check(_hamiltonian_spectrum, False, None),
-}
-
-
 def _check_flags(
     command: str, args: argparse.Namespace, flags: Sequence[str], reads: Sequence[str]
 ) -> None:
@@ -345,8 +289,8 @@ def _verdict_report(
 def _run_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     limits = cfg.limits()
     subject = args.subject
-    check = _CHECKS[subject]
-    reads = [flag for flag, read in (("k", check.takes_k), ("by", check.witness is None)) if read]
+    problem = ver._problem("check", subject)
+    reads = problem.reads_in("check")
     _check_flags(f"check {subject}", args, ("k", "by", "seed"), reads)
     if args.by == "-" and args.graph == "-":
         raise UsageError("the graph and --by cannot both be read from standard input")
@@ -356,14 +300,17 @@ def _run_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         if len(patterns) > 1:
             raise UsageError(f"--by takes one pattern graph, {args.by} holds {len(patterns)}")
         pattern = patterns[0][1]
+    search = getattr(ch, problem.search)
     for gid, g in _load_graphs(args.graph):
-        if check.witness is None:
-            values = check.characterize(g, pattern, limits).as_integers()
+        if problem.witness is None:
+            spectrum = (search(g, limits) if pattern is None
+                        else ch.hamiltonian_spectrum(pattern, g, limits))
+            values = spectrum.as_integers()
             fields = {"spectrum": list(values), "number": min(values)}
             lines = [f"{subject} spectrum: {list(values)}", f"{subject} number: {min(values)}"]
         else:
-            verdict = check.characterize(g, args.k, limits)
-            fields, lines = _verdict_report(subject, g, args.k, verdict, check.witness)
+            verdict = search(g, args.k, limits) if "k" in reads else search(g, limits)
+            fields, lines = _verdict_report(subject, g, args.k, verdict, problem.witness)
         payload = {"schema": ver.REPORT_SCHEMA, "command": "check", "subject": subject,
                    "graph": gid, **fields}
         _emit(payload, cfg, [f"graph {gid}: n={g.n} m={g.m}", *lines])
@@ -397,35 +344,15 @@ def _oracle_payload(subject: str, gid: str, result: orc.OracleResult) -> tuple[d
     return payload, lines
 
 
-@dataclass(frozen=True)
-class _Oracle:
-    """An ``oracle`` subject: ``run(graph, limits=...)``, called with one more
-    keyword, named by ``bound``, when the subject reads that flag: ``k`` for
-    ``--k`` (required) or ``k_max`` for ``--k-max`` (the oracle's own default
-    when absent)."""
-
-    run: Callable
-    bound: str | None
-
-
-_ORACLES = {
-    "antimagic": _Oracle(orc.antimagic_oracle, None),
-    "strength": _Oracle(orc.strength_oracle, "k_max"),
-    "chi-sigma": _Oracle(orc.chi_sigma_oracle, "k"),
-    "domination": _Oracle(orc.domination_oracle, "k"),
-    "edge-roman": _Oracle(orc.edge_roman_oracle, None),
-    "hamiltonian": _Oracle(orc.hamiltonian_oracle, None),
-}
-
-
 def _run_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     limits = cfg.limits()
-    oracle = _ORACLES[args.subject]
-    reads = [oracle.bound] if oracle.bound else []
+    problem = ver._problem("oracle", args.subject)
+    reads = problem.reads_in("oracle")
     _check_flags(f"oracle {args.subject}", args, ("k", "k_max", "seed"), reads)
     bound = {name: getattr(args, name) for name in reads if getattr(args, name) is not None}
+    run = getattr(orc, problem.brute)
     for gid, g in _load_graphs(args.graph):
-        payload, lines = _oracle_payload(args.subject, gid, oracle.run(g, limits=limits, **bound))
+        payload, lines = _oracle_payload(args.subject, gid, run(g, limits=limits, **bound))
         _emit(payload, cfg, lines)
     return EXIT_OK
 

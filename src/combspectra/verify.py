@@ -3,20 +3,19 @@
 Each theorem subject sweeps every connected graph up to a size cap, runs the
 spectrum characterization and the matching oracle, and reports per-graph
 agreement rows; identity subjects check the algebraic identities the
-constructions rely on.  Each kind reads its subjects from one table:
-``_THEOREMS`` gives a theorem subject's row builder, least order, default
-label bounds (None when it takes none) and the graphs it sweeps,
-``_IDENTITIES`` an identity subject's suite and the options it reads.  A
-theorem sweep runs one task per graph, which for ``fixpoint`` is K_n for each
-order: a task carries the graph and its graph6 line, which for a corpus
-graph is the line the corpus kept, so no task encodes or decodes graph6, and
-runs on a copy of the graph that shares its validated edges and none of its
-lazy tables; every worker count deals the tasks in the fixed stripes of
-:func:`_pool_results`.  Per-k rows come from :func:`_bound_rows`: one
-search per k, or one ``dominating_witnesses`` call per graph, against the
-least bound of one oracle search (``domination_number`` for domination).
-A labeling row decodes its witness by the ``characterize._LABELINGS``
-record and checks it by ``_DEFINITIONS``, a domination row by the oracle's
+constructions rely on.  Each problem is one :class:`_Problem` record of
+``_PROBLEMS``, which ``check``, ``oracle`` and ``verify --theorem`` all
+read, and each identity subject one record of ``_IDENTITIES``.  A theorem
+sweep runs one task per graph, which for ``fixpoint`` is K_n for each order:
+a task carries the graph and its graph6 line, which for a corpus graph is
+the line the corpus kept, so no task encodes or decodes graph6, and runs on
+a copy of the graph that shares its validated edges and none of its lazy
+tables; every worker count deals the tasks in the fixed stripes of
+:func:`_pool_results`.  Per-k rows come from :func:`_bound_rows`: one search
+per k, or one ``dominating_witnesses`` call per graph, against the least
+bound of one oracle search (``domination_number`` for domination).  A
+labeling row decodes its witness by its ``characterize._LABELINGS`` record
+and checks it by its record's definition, a domination row by the oracle's
 closed-neighbourhood table.  Reports contain no timing and keep a canonical
 row order, so the emitted JSON is byte-identical across runs and worker
 counts.
@@ -81,10 +80,36 @@ __all__ = [
 
 REPORT_SCHEMA = "1"
 
+# -- witness renderers of ``check`` ------------------------------------------------
+
+
+def _edge_map(key: str, label: str, values: dict) -> tuple[str, dict, str]:
+    """A witness that maps each edge to a value: JSON key, JSON object, text line."""
+    items = sorted(values.items())
+    text = " ".join(f"{{{u},{v}}}->{val}" for (u, v), val in items)
+    return key, {f"{u}-{v}": val for (u, v), val in items}, f"  {label}: {text}"
+
+
+def _labeling(g: SimpleGraph, _k: int | None, verdict: ch.Verdict) -> tuple[str, dict, str]:
+    wcg = verdict.witness_graph
+    return _edge_map("labeling", "labeling", {e: str(wcg.weight(*e)) for e in g.sorted_edges()})
+
+
+def _edge_function(g: SimpleGraph, _k: int, verdict: ch.Verdict) -> tuple[str, dict, str]:
+    fn = ch.decode_edge_roman(verdict.witness_graph, g)
+    return _edge_map("edge_function", "edge function", fn)
+
+
+def _dominating_set(g: SimpleGraph, k: int, verdict: ch.Verdict) -> tuple[str, list, str]:
+    chosen = sorted(ch.dominating_set_of(verdict.witness_bijection, g.n, k))
+    return "dominating_set", chosen, f"  dominating set: {set(chosen)}"
+
+
 # -- per-graph row builders ------------------------------------------------------
 #
-# Each takes (g6, graph, ks, limits): the graph, its graph6 line for the rows'
-# ``graph`` field, the label bounds and the caller's limits.
+# Each takes (problem, g6, graph, ks, limits): the problem's record (``_``
+# where unread), the graph, its graph6 line for the rows' ``graph`` field,
+# the label bounds and the caller's limits.
 
 
 def _agreement_row(
@@ -104,7 +129,7 @@ def _agreement_row(
     }
 
 
-def _rows_colorings(g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
+def _rows_colorings(_, g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
     rows = []
     for k in ks:
         built = family_product(
@@ -126,7 +151,7 @@ def _rows_colorings(g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits) 
     return rows
 
 
-def _rows_fixpoint(_g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
+def _rows_fixpoint(_, _g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     # g is the complete graph K_n; its rows name only the order.
     n = g.n
     result = power_fixpoint(edge_deleted_family(n), limits)
@@ -145,31 +170,31 @@ def _rows_fixpoint(_g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits)
     ]
 
 
-# The oracle's definition of each labeling of ``characterize._LABELINGS``, on
-# the edge labels f that a witness decodes to at bound k.
-_DEFINITIONS = {
-    "strength": lambda g, f, _k: orc._irregular(g, f),
-    "one-two-three": lambda g, f, _k: orc._locally_irregular(g, f),
-    # the labels 1..m each once, and distinct weighted degrees
-    "antimagic": lambda g, f, _k: len(set(f.values())) == g.m and orc._irregular(g, f),
-    "edge-roman": lambda g, f, k: orc._edge_roman_valid(g, f) and sum(f.values()) <= k,
-}
-
-
-def _witness_ok(name: str, g: SimpleGraph, verdict: ch.Verdict, k: int | None) -> bool:
-    """Whether the witness of the holding verdict of the labeling ``name`` at
+def _witness_ok(problem: _Problem, g: SimpleGraph, verdict: ch.Verdict, k: int | None) -> bool:
+    """Whether the witness of the holding verdict of the labeling problem at
     bound k decodes to edge labels on g that meet its definition."""
     try:
-        labels = ch._witness_labels(name, g, k, verdict.witness_graph)
+        labels = ch._witness_labels(problem.labeling, g, k, verdict.witness_graph)
     except ValueError:
         return False
-    return _DEFINITIONS[name](g, labels, k)
+    return problem.definition(g, labels, k)
 
 
-def _rows_antimagic(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    verdict = ch.antimagic_unweighted(g, limits)
-    oracle = orc.antimagic_oracle(g, limits).value
-    witness_ok = not verdict.holds or _witness_ok("antimagic", g, verdict, None)
+def _oracle_value(problem: _Problem, g: SimpleGraph, ks: Sequence[int], limits: Limits):
+    """The oracle on g over the labels the search colours with: each flag that
+    ``oracle`` reads is the palette size at max(ks) (1-2-3: k = 3; strength: k_max)."""
+    size = ch._LABELINGS[problem.labeling].size(g.m, max(ks, default=None))
+    bound = {flag: size for flag in problem.reads_in("oracle")}
+    return getattr(orc, problem.brute)(g, limits=limits, **bound).value
+
+
+def _verdict_rows(
+    problem: _Problem, g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits
+) -> list[dict]:
+    """One row: the problem's search on g against its oracle."""
+    verdict = getattr(ch, problem.search)(g, limits)
+    oracle = _oracle_value(problem, g, ks, limits)
+    witness_ok = not verdict.holds or _witness_ok(problem, g, verdict, None)
     return [_agreement_row(g6, g, verdict.holds, oracle, witness_ok=witness_ok)]
 
 
@@ -199,27 +224,24 @@ def _bound_rows(
     return rows
 
 
-def _searched(name: str, g: SimpleGraph, ks: Sequence[int], search: Callable, limits: Limits):
-    """``(k, spectral, witness_ok)`` per bound k of the labeling ``name`` by
-    ``search(g, k, limits)``, its witness checked by :func:`_witness_ok`."""
+def _searched(problem: _Problem, g: SimpleGraph, ks: Sequence[int], limits: Limits):
+    """``(k, spectral, witness_ok)`` per bound k of the labeling problem by
+    its search, its witness checked by :func:`_witness_ok`."""
+    search = getattr(ch, problem.search)
     for k in ks:
         verdict = search(g, k, limits)
-        yield k, verdict.holds, not verdict.holds or _witness_ok(name, g, verdict, k)
+        yield k, verdict.holds, not verdict.holds or _witness_ok(problem, g, verdict, k)
 
 
-def _rows_strength(g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits) -> list[dict]:
-    least = orc.strength_oracle(g, max(ks), limits).value
-    return _bound_rows(g6, g, _searched("strength", g, ks, ch.strength_at_most, limits), least)
+def _per_k_rows(
+    problem: _Problem, g6: str, g: SimpleGraph, ks: Sequence[int], limits: Limits
+) -> list[dict]:
+    """One row per k of ks: the search at k against the oracle's least bound."""
+    least = _oracle_value(problem, g, ks, limits)
+    return _bound_rows(g6, g, _searched(problem, g, ks, limits), least)
 
 
-def _rows_one_two_three(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    verdict = ch.one_two_three(g, limits)
-    oracle = orc.chi_sigma_oracle(g, 3, limits).value
-    witness_ok = not verdict.holds or _witness_ok("one-two-three", g, verdict, None)
-    return [_agreement_row(g6, g, verdict.holds, oracle, witness_ok=witness_ok)]
-
-
-def _rows_domination(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
+def _rows_domination(_, g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
     # A superset of a dominating set dominates, so the oracle holds at k
     # exactly when k >= gamma(G): one upward oracle search for gamma answers
     # every k.  Each witness is checked on the oracle's own table.
@@ -232,8 +254,10 @@ def _rows_domination(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits
     return _bound_rows(g6, g, outcomes, gamma)
 
 
-def _rows_edge_roman(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
-    gamma = orc.edge_roman_oracle(g, limits).value
+def _rows_edge_roman(
+    problem: _Problem, g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits
+) -> list[dict]:
+    gamma = _oracle_value(problem, g, (), limits)
     # Weight identity: the decoded weight of every coloring must equal
     # |E| plus its total weight at y=1.
     identity_failures = 0
@@ -255,11 +279,12 @@ def _rows_edge_roman(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits
             "agree": identity_failures == 0,
         }
     ]
-    searched = _searched("edge-roman", g, range(1, g.m), ch.edge_roman_at_most, limits)
-    return rows + _bound_rows(g6, g, searched, gamma)
+    return rows + _bound_rows(g6, g, _searched(problem, g, range(1, g.m), limits), gamma)
 
 
-def _rows_hamiltonian(g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits) -> list[dict]:
+def _rows_hamiltonian(
+    _, g6: str, g: SimpleGraph, _ks: Sequence[int], limits: Limits
+) -> list[dict]:
     spectral = ch.hamiltonian_number(g, limits)
     oracle = orc.hamiltonian_oracle(g, limits).value
     return [_agreement_row(g6, g, spectral, oracle)]
@@ -269,41 +294,85 @@ def _complete_graphs(max_n: int, min_n: int, limits: Limits) -> list[tuple[str, 
     return [(to_graph6(g), g) for g in map(complete_graph, range(min_n, max_n + 1))]
 
 
-@dataclass(frozen=True)
-class _Theorem:
-    """A theorem sweep: its row builder, its least order, its default label
-    bounds (None for a sweep that takes none), and the graphs it sweeps,
-    ``graphs(max_n, min_n, limits)`` as (graph6 line, graph) pairs: the
-    connected-graph corpus unless given."""
+# -- the problem registry ------------------------------------------------------------
 
-    rows: Callable[[str, SimpleGraph, Sequence[int], Limits], list[dict]]
-    min_n: int
+
+@dataclass(frozen=True, kw_only=True)
+class _Problem:
+    """One problem: its subject names under ``check``, ``oracle`` and ``verify
+    --theorem`` (None: no such subject), the (command, flag) pairs read, and
+    the ``characterize`` and ``oracles`` functions called, by name at each
+    call.  ``check`` runs ``search(graph, [k,] limits)`` and renders a verdict
+    by ``witness(graph, k, verdict)`` (none: a spectrum); ``oracle`` runs
+    ``brute(graph, limits=..., **flags)``; a sweep runs ``rows(problem, g6,
+    graph, ks, limits)`` on ``graphs(max_n, min_n, limits)``, at ``ks`` by
+    default (None: it takes no bounds).  A labeling gives its ``_LABELINGS``
+    key and the oracle's ``definition(graph, labels, k)`` of its witness."""
+
+    check: str | None = None
+    oracle: str | None = None
+    theorem: str | None = None
+    reads: tuple[tuple[str, str], ...] = ()
+    search: str | None = None
+    witness: Callable | None = None
+    brute: str | None = None
+    rows: Callable[..., list[dict]] | None = None
+    min_n: int = 2
     ks: tuple[int, ...] | None = None
     graphs: Callable[[int, int, Limits], list[tuple[str, SimpleGraph]]] = connected_graph6_up_to
+    labeling: str | None = None
+    definition: Callable[[SimpleGraph, dict, int | None], bool] | None = None
+
+    def reads_in(self, command: str) -> tuple[str, ...]:
+        return tuple(flag for cmd, flag in self.reads if cmd == command)
 
 
-_THEOREMS = {
-    "colorings": _Theorem(_rows_colorings, 2, (2, 3)),
-    "fixpoint": _Theorem(_rows_fixpoint, 2, graphs=_complete_graphs),
-    "antimagic": _Theorem(_rows_antimagic, 2),
-    "irregular-strength": _Theorem(_rows_strength, 2, (1, 2, 3)),
-    "one-two-three": _Theorem(_rows_one_two_three, 3),
-    "domination": _Theorem(_rows_domination, 2),
-    "edge-roman": _Theorem(_rows_edge_roman, 2),
-    "hamiltonian": _Theorem(_rows_hamiltonian, 3),
-}
+# Each command lists its subjects in this order.
+_PROBLEMS = (
+    _Problem(theorem="colorings", rows=_rows_colorings, ks=(2, 3)),
+    _Problem(theorem="fixpoint", rows=_rows_fixpoint, graphs=_complete_graphs),
+    _Problem(check="antimagic", oracle="antimagic", theorem="antimagic",
+             labeling="antimagic", rows=_verdict_rows,
+             search="antimagic_unweighted", witness=_labeling, brute="antimagic_oracle",
+             # the labels 1..m each once, and distinct weighted degrees
+             definition=lambda g, f, _k: len(set(f.values())) == g.m and orc._irregular(g, f)),
+    _Problem(check="irregular-strength", oracle="strength", theorem="irregular-strength",
+             reads=(("check", "k"), ("oracle", "k_max")), ks=(1, 2, 3), labeling="strength",
+             rows=_per_k_rows, search="strength_at_most", witness=_labeling,
+             brute="strength_oracle", definition=lambda g, f, _k: orc._irregular(g, f)),
+    _Problem(check="one-two-three", oracle="chi-sigma", theorem="one-two-three",
+             reads=(("oracle", "k"),), min_n=3, labeling="one-two-three", rows=_verdict_rows,
+             search="one_two_three", witness=_labeling, brute="chi_sigma_oracle",
+             definition=lambda g, f, _k: orc._locally_irregular(g, f)),
+    _Problem(check="domination", oracle="domination", theorem="domination",
+             reads=(("check", "k"), ("oracle", "k")), rows=_rows_domination,
+             search="dominating_k", witness=_dominating_set, brute="domination_oracle"),
+    _Problem(check="edge-roman", oracle="edge-roman", theorem="edge-roman",
+             reads=(("check", "k"),), labeling="edge-roman", rows=_rows_edge_roman,
+             search="edge_roman_at_most", witness=_edge_function, brute="edge_roman_oracle",
+             definition=lambda g, f, k: orc._edge_roman_valid(g, f) and sum(f.values()) <= k),
+    _Problem(check="hamiltonian", oracle="hamiltonian", theorem="hamiltonian",
+             reads=(("check", "by"),), min_n=3, rows=_rows_hamiltonian,
+             search="hamiltonian_cycle_spectrum", brute="hamiltonian_oracle"),
+)
 
-THEOREM_SUBJECTS = tuple(_THEOREMS)
+
+def _problem(command: str, subject: str) -> _Problem | None:
+    """The record named ``subject`` under ``command``, None if there is none."""
+    return next((p for p in _PROBLEMS if getattr(p, command) == subject), None)
+
+
+THEOREM_SUBJECTS = tuple(p.theorem for p in _PROBLEMS if p.theorem)
 
 
 # -- worker plumbing ---------------------------------------------------------------
 
 
 def _theorem_task(args: tuple) -> list[dict]:
-    subject, g6, g, ks, limits = args
+    problem, g6, g, ks, limits = args
     # a copy that shares the corpus graph's validated edges and none of its
     # lazy tables, so the neighbour bitmasks the rows build die with the task
-    return _THEOREMS[subject].rows(g6, g._bare_copy(), ks, limits)
+    return problem.rows(problem, g6, g._bare_copy(), ks, limits)
 
 
 def _stripes(sizes: list[tuple[int, int]], workers: int) -> list[list[int]]:
@@ -416,7 +485,7 @@ def run_theorem(
     62, label bounds for a subject that takes none, or no label bound for one
     that takes them, or one below 1.
     """
-    theorem = _THEOREMS.get(subject)
+    theorem = _problem("theorem", subject)
     if theorem is None:
         raise UsageError(f"unknown theorem subject {subject!r}")
     if max_n < theorem.min_n:
@@ -435,7 +504,7 @@ def run_theorem(
     elif ks and min(ks) < 1:
         raise UsageError(f"label bounds must be at least 1, got {list(ks)}")
     graphs = theorem.graphs(max_n, theorem.min_n, limits=limits)
-    tasks = [(subject, g6, g, tuple(ks), limits) for g6, g in graphs]
+    tasks = [(theorem, g6, g, tuple(ks), limits) for g6, g in graphs]
     limits.check_time()
     workers = workers if hasattr(os, "fork") else 1
     results = _pool_results(tasks, [(g.n, g.m) for _g6, g in graphs], workers)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from combspectra import cli
 from combspectra.cli import (
     EXIT_DISAGREE,
     EXIT_OK,
@@ -465,6 +466,80 @@ def test_flag_the_subject_does_not_take_exits_usage(capsys, p3_file, argv):
     assert err == f"error (usage): {argv[0]} {argv[1]} takes no {argv[-2]}\n"
 
 
+# Each command's subjects, in the order its parser offers them.
+SUBJECTS = {
+    ("check",): ["antimagic", "irregular-strength", "one-two-three", "domination",
+                 "edge-roman", "hamiltonian"],
+    ("oracle",): ["antimagic", "strength", "chi-sigma", "domination", "edge-roman",
+                  "hamiltonian"],
+    ("verify", "--theorem"): ["colorings", "fixpoint", "antimagic", "irregular-strength",
+                              "one-two-three", "domination", "edge-roman", "hamiltonian"],
+}
+
+
+@pytest.mark.parametrize("command", list(SUBJECTS), ids=" ".join)
+def test_each_command_offers_its_subjects_in_a_fixed_order(capsys, command):
+    # the parser names them in this order in its "invalid choice" message, so
+    # reordering them changes the bytes written to stderr
+    import argparse
+
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dest = command[1].removeprefix("--") if len(command) > 1 else "subject"
+    action = next(a for a in commands.choices[command[0]]._actions if a.dest == dest)
+    assert list(action.choices) == SUBJECTS[command]
+    with pytest.raises(SystemExit):
+        main([*command, "no-such-subject"])
+    err = capsys.readouterr().err
+    positions = [err.find(subject, err.index("choose from")) for subject in SUBJECTS[command]]
+    assert -1 not in positions and positions == sorted(positions)
+
+
+# Every check and oracle subject: its arguments on P3, and the characterize or
+# oracles function that answers it.
+CALLS = [
+    (("check", "antimagic"), "characterize", "antimagic_unweighted"),
+    (("check", "irregular-strength", "--k", "2"), "characterize", "strength_at_most"),
+    (("check", "one-two-three"), "characterize", "one_two_three"),
+    (("check", "domination", "--k", "1"), "characterize", "dominating_k"),
+    (("check", "edge-roman", "--k", "1"), "characterize", "edge_roman_at_most"),
+    (("check", "hamiltonian"), "characterize", "hamiltonian_cycle_spectrum"),
+    (("oracle", "antimagic"), "oracles", "antimagic_oracle"),
+    (("oracle", "strength"), "oracles", "strength_oracle"),
+    (("oracle", "chi-sigma", "--k", "2"), "oracles", "chi_sigma_oracle"),
+    (("oracle", "domination", "--k", "1"), "oracles", "domination_oracle"),
+    (("oracle", "edge-roman"), "oracles", "edge_roman_oracle"),
+    (("oracle", "hamiltonian"), "oracles", "hamiltonian_oracle"),
+]
+
+
+def test_every_check_and_oracle_subject_has_a_late_binding_case():
+    expected = [(command, subject) for command in ("check", "oracle")
+                for subject in SUBJECTS[(command,)]]
+    assert [argv[:2] for argv, _module, _name in CALLS] == expected
+
+
+@pytest.mark.parametrize("argv, module, name", CALLS, ids=[" ".join(c[0][:2]) for c in CALLS])
+def test_check_and_oracle_look_their_function_up_when_called(
+    monkeypatch, capsys, p3_file, argv, module, name
+):
+    # the benchmark's trace replaces module attributes after the CLI is
+    # imported, so a subject must not keep the function it found at import
+    import importlib
+
+    owner = importlib.import_module(f"combspectra.{module}")
+    original, calls = getattr(owner, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    code, _out, _err = run(capsys, argv[0], argv[1], p3_file, *argv[2:], "--json")
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("k_max", ["0", "-2"])
 def test_oracle_nonpositive_k_max_exits_usage(capsys, p3_file, k_max):
     with pytest.raises(SystemExit) as exc:
@@ -660,19 +735,28 @@ def _names(cell: str) -> list[str]:
     return [span.split()[0] for span in re.findall(r"`([^`]+)`", cell)]
 
 
-def test_readme_subject_tables_match_the_code():
-    from combspectra.cli import _CHECKS, _ORACLES
-    from combspectra.verify import IDENTITY_READS, IDENTITY_SUBJECTS, THEOREM_SUBJECTS, _THEOREMS
+def _flags(cell: str) -> list[str]:
+    """The ``--flag`` words of a table cell's backquoted spans, by attribute name."""
+    spans = re.findall(r"`([^`]+)`", cell)
+    words = [word for span in spans for word in span.split() if word.startswith("--")]
+    return sorted(word[2:].replace("-", "_") for word in words)
 
+
+def test_readme_subject_tables_match_the_code():
+    from combspectra.verify import IDENTITY_READS, IDENTITY_SUBJECTS, _PROBLEMS
+
+    # one row per problem record: its name in each command, the flags that
+    # check and oracle read, its least order and its default label bounds
+    records = {(p.check, p.oracle, p.theorem): p for p in _PROBLEMS}
     rows = _readme_table("problem")
-    for column, subjects in ((1, _CHECKS), (2, _ORACLES), (3, THEOREM_SUBJECTS)):
-        listed = [name for row in rows for name in _names(row[column])[:1]]
-        assert sorted(listed) == sorted(subjects), column
-    for row in rows:
-        if row[3]:
-            theorem = _THEOREMS[_names(row[3])[0]]
-            assert int(row[4]) == theorem.min_n
-            assert row[5] == ("none" if theorem.ks is None else ", ".join(map(str, theorem.ks)))
+    listed = [tuple((_names(cell) or [None])[0] for cell in row[1:4]) for row in rows]
+    assert sorted(listed, key=str) == sorted(records, key=str)
+    for names, row in zip(listed, rows):
+        problem = records[names]
+        for command, cell in (("check", row[1]), ("oracle", row[2])):
+            assert _flags(cell) == sorted(problem.reads_in(command)), (names, command)
+        assert int(row[4]) == problem.min_n
+        assert row[5] == ("none" if problem.ks is None else ", ".join(map(str, problem.ks)))
     identities = []
     for row in _readme_table("`verify --identity`"):
         reads = tuple(flag.removeprefix("--") for flag in _names(row[2]))
@@ -684,10 +768,10 @@ def test_readme_subject_tables_match_the_code():
 
 def test_readme_predicates_and_oracles_exist():
     import combspectra
-    from combspectra import oracles
+    from combspectra import oracles, verify
 
     rows = _readme_table("problem", "What it computes")
-    assert len(rows) == 6
+    assert len(rows) == sum(p.check is not None for p in verify._PROBLEMS)
     for row in rows:
         for name in _names(row[1]):
             assert hasattr(combspectra, name), name

@@ -125,9 +125,9 @@ def test_edge_roman_weight_identity_pass_polls_the_deadline(monkeypatch):
         characterize, "decode_edge_roman", lambda h, g: decoded.append(None) or decode(h, g)
     )
     _fake_clock(monkeypatch, lambda _reads: 2.0 if decoded else 0.0)
-    rows = verify._THEOREMS["edge-roman"].rows
+    edge_roman = verify._problem("theorem", "edge-roman")
     with pytest.raises(TimeLimitError):
-        rows(to_graph6(K5_LESS_TWO), K5_LESS_TWO, (), Limits(deadline=1.0))
+        edge_roman.rows(edge_roman, to_graph6(K5_LESS_TWO), K5_LESS_TWO, (), Limits(deadline=1.0))
     assert len(decoded) == 4095
 
 

@@ -100,15 +100,14 @@ def test_one_worker_sweep_forks_nothing(monkeypatch):
 def test_sweep_polls_the_deadline_after_each_task(monkeypatch, capsys, workers):
     started = []
 
-    def overrunning(g6, g, ks, limits):
+    def overrunning(problem, g6, g, ks, limits):
         # outlasts the deadline without polling it itself
         started.append(g.n)
         while time.time() <= limits.deadline:
             time.sleep(0.01)
         return []
 
-    theorem = dataclasses.replace(verify._THEOREMS["fixpoint"], rows=overrunning)
-    monkeypatch.setitem(verify._THEOREMS, "fixpoint", theorem)
+    _sweep_rows(monkeypatch, "fixpoint", overrunning)
     argv = ["verify", "--theorem", "fixpoint", "--max-n", "4", "--workers", str(workers),
             "--timeout-seconds", "0.5", "--json"]
     assert cli.main(argv) == cli.EXIT_TIMEOUT
@@ -118,19 +117,27 @@ def test_sweep_polls_the_deadline_after_each_task(monkeypatch, capsys, workers):
     assert started == [4]
 
 
+def _sweep_rows(monkeypatch, subject, rows):
+    """Make the sweep of ``subject`` build its rows by ``rows``."""
+    monkeypatch.setattr(verify, "_PROBLEMS", tuple(
+        dataclasses.replace(p, rows=rows) if p.theorem == subject else p
+        for p in verify._PROBLEMS
+    ))
+
+
 def _fail_in_a_child(monkeypatch, fail):
     """Make the fixpoint row builder call ``fail()`` in a forked child: at
     two workers, ``fixpoint --max-n 4`` deals K4 and K2 to the caller and K3
     to the child."""
     caller = os.getpid()
-    theorem = verify._THEOREMS["fixpoint"]
+    fixpoint = verify._problem("theorem", "fixpoint").rows
 
-    def rows(g6, g, ks, limits):
+    def rows(problem, g6, g, ks, limits):
         if os.getpid() != caller:
             fail()
-        return theorem.rows(g6, g, ks, limits)
+        return fixpoint(problem, g6, g, ks, limits)
 
-    monkeypatch.setitem(verify._THEOREMS, "fixpoint", dataclasses.replace(theorem, rows=rows))
+    _sweep_rows(monkeypatch, "fixpoint", rows)
 
 
 def _killed():
@@ -173,14 +180,14 @@ def test_a_failing_child_maps_to_its_exit_code(monkeypatch, capsys, fail, code, 
 
 def test_an_error_in_the_caller_leaves_no_child(monkeypatch, capsys):
     caller = os.getpid()
-    theorem = verify._THEOREMS["fixpoint"]
+    fixpoint = verify._problem("theorem", "fixpoint").rows
 
-    def rows(g6, g, ks, limits):
+    def rows(problem, g6, g, ks, limits):
         if os.getpid() == caller:
             raise TimeLimitError("deadline passed in the caller")
-        return theorem.rows(g6, g, ks, limits)
+        return fixpoint(problem, g6, g, ks, limits)
 
-    monkeypatch.setitem(verify._THEOREMS, "fixpoint", dataclasses.replace(theorem, rows=rows))
+    _sweep_rows(monkeypatch, "fixpoint", rows)
     argv = ["verify", "--theorem", "fixpoint", "--max-n", "4", "--workers", "2", "--json"]
     assert cli.main(argv) == cli.EXIT_TIMEOUT
     _no_child_left()
@@ -220,9 +227,11 @@ def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(monkeypatch, capsys, 
 
 
 def test_theorem_task_takes_one_task_tuple():
-    # The benchmark's trace wraps this function by name, one span per task.
+    # The benchmark's trace wraps this function by name, one span per task;
+    # a task carries its problem's record, so no task looks its subject up.
     assert list(inspect.signature(verify._theorem_task).parameters) == ["args"]
-    rows = verify._theorem_task(("domination", "Bw", parse_graph6("Bw"), (), DEFAULT_LIMITS))
+    domination = verify._problem("theorem", "domination")
+    rows = verify._theorem_task((domination, "Bw", parse_graph6("Bw"), (), DEFAULT_LIMITS))
     assert [(row["graph"], row["k"], row["agree"]) for row in rows] == [
         ("Bw", 1, True),
         ("Bw", 2, True),
@@ -392,10 +401,51 @@ def test_bound_rows_look_their_search_up_when_the_sweep_runs(monkeypatch, subjec
 
 
 def test_every_labeling_has_an_orbit_row_and_a_definition():
+    # each labeling is named by exactly one problem record, which gives the
+    # definition its witnesses are checked by, and no record names another
     rows = verify.run_identity("orbit", ns=(3,), trials=5)["rows"]
     searches = {row["search"] for row in rows}
-    assert set(ch._LABELINGS) <= searches
-    assert list(verify._DEFINITIONS) == list(ch._LABELINGS)
+    for name in ch._LABELINGS:
+        named = [p for p in verify._PROBLEMS if p.labeling == name]
+        assert len(named) == 1 and named[0].definition is not None, name
+        assert name in searches, name
+    assert {p.labeling for p in verify._PROBLEMS} - {None} == set(ch._LABELINGS)
+
+
+@pytest.mark.parametrize(
+    "subject, search, oracle",
+    [
+        ("antimagic", "antimagic_unweighted", "antimagic_oracle"),
+        ("irregular-strength", "strength_at_most", "strength_oracle"),
+        ("one-two-three", "one_two_three", "chi_sigma_oracle"),
+        ("domination", "dominating_witnesses", "domination_number"),
+        ("edge-roman", "edge_roman_at_most", "edge_roman_oracle"),
+        ("hamiltonian", "hamiltonian_number", "hamiltonian_oracle"),
+    ],
+)
+def test_every_sweep_looks_its_search_and_oracle_up_when_it_runs(
+    monkeypatch, subject, search, oracle
+):
+    # the benchmark's trace replaces module attributes after import, so no
+    # record may keep the function it found when the registry was filled
+    calls = []
+    for module, name in ((ch, search), (oracles, oracle)):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    verify.run_theorem(subject, max_n=4)
+    assert search in calls and oracle in calls
+
+
+def test_the_late_binding_sweeps_are_every_sweep_with_a_search_and_an_oracle():
+    listed = {"antimagic", "irregular-strength", "one-two-three", "domination", "edge-roman",
+              "hamiltonian"}
+    assert {p.theorem for p in verify._PROBLEMS if p.search and p.brute} == listed
+    assert {p.theorem for p in verify._PROBLEMS} - listed == {"colorings", "fixpoint"}
 
 
 def _all_ones(g, *_args):
