@@ -5,7 +5,7 @@ products over colorings and bijections) for a polynomial whose coefficients
 certify the property, and returns a :class:`Verdict` carrying the witness.
 The labeling checks and edge Roman domination read a reader gadget along the
 identity alone, one :func:`_scan` step per member, decided by its polynomial
-alone.  Each labeling is one record of :data:`_LABELINGS` (palette size,
+alone.  Each labeling is one record of :data:`_LABELINGS` (palette as a
 colour -> label map, gadget, accept), read by its given weightings
 (:func:`_weighting_scan`), its edge colorings (:func:`_coloring_scan`), its
 witness decoding (:func:`_witness_labels`) and the orbit rows; a problem
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import ring
@@ -189,20 +189,20 @@ def _coloring_scan(name: str, g: SimpleGraph, k: int | None, limits: Limits) -> 
     order, the p^m colorings and their p^m * n! bijections), then the palette."""
     labeling = _LABELINGS[name]
     n, m = g.n, g.m
-    p = labeling.size(m, k)
+    palette = labeling.palette(m, k)
+    p = len(palette)
     limits.check_n(n)
     limits.check_family(p**m, f"{p}-colorings of {m} edges")
     limits.check_steps(p**m * math.factorial(n), f"{labeling.what} search")
-    palette = tuple(labeling.labels(p))
-    return _scan(iter_colorings(g, palette), labeling.gadget(n), labeling.accept(n, m, k), limits)
+    colours = tuple(palette)
+    return _scan(iter_colorings(g, colours), labeling.gadget(n), labeling.accept(n, m, k), limits)
 
 
 def _witness_labels(name: str, g: SimpleGraph, k: int | None, h: WeightedCompleteGraph) -> dict:
     """The edge labels on g of the witness h of the labeling ``name`` at
     bound k, by the colour -> label map of its palette; a weight off the
     palette raises ``ValueError``."""
-    labeling = _LABELINGS[name]
-    label_of = labeling.labels(labeling.size(g.m, k))
+    label_of = _LABELINGS[name].palette(g.m, k)
     out = {}
     for e in g.sorted_edges():
         w = h.weight(*e)
@@ -521,32 +521,48 @@ def edge_roman_at_most(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) 
 
 
 class _Labeling(NamedTuple):
-    """A labeling read off a reader gadget: its guards' name, the palette size
-    ``size(m, k)`` for |E| = m and bound k, the colour -> edge label map
-    ``labels(p)`` of p colours, the ``gadget(n)`` and the ``accept(n, m, k)``,
-    which looks its factory up when called."""
+    """A labeling read off a reader gadget: its guards' name, the
+    ``palette(m, k)`` for |E| = m and bound k as its colour -> edge label
+    map, whose length is the palette size, the ``gadget(n)`` and the
+    ``accept(n, m, k)``, which looks its factory up when called."""
 
     what: str
-    size: Callable[[int, int | None], int]
-    labels: Callable[[int], Mapping[RingElem, int]]
+    palette: Callable[[int, int | None], Mapping[RingElem, int]]
     gadget: Callable[[int], WeightedCompleteGraph]
     accept: Callable[[int, int | None, int | None], Callable[[RingElem], bool]]
 
 
-def _integer_labels(p: int) -> dict[RingElem, int]:
-    return dict(zip(integer_palette(p), range(1, p + 1)))
+class _IntegerLabels(Mapping):
+    """The colour -> label map of the palette {1..p}: ``const(i)`` is label i.
+    Its length is p before any colour exists, so the guards can size a
+    search without building its palette."""
+
+    def __init__(self, p: int):
+        self._p = p
+
+    def __len__(self) -> int:
+        return self._p
+
+    @cached_property
+    def _labels(self) -> dict[RingElem, int]:
+        return dict(zip(integer_palette(self._p), range(1, self._p + 1)))
+
+    def __iter__(self):
+        return iter(self._labels)
+
+    def __getitem__(self, colour: RingElem) -> int:
+        return self._labels[colour]
 
 
 # Every labeling search, in the order of the orbit rows; a problem record names it by key.
 _LABELINGS = {
-    "strength": _Labeling("strength", lambda _m, k: k, _integer_labels, degree_reader,
+    "strength": _Labeling("strength", lambda _m, k: _IntegerLabels(k), degree_reader,
                           lambda n, _m, _k: _strength_accept(n)),
-    "one-two-three": _Labeling("1-2-3", lambda _m, _k: 3, _integer_labels, contrast_reader,
+    "one-two-three": _Labeling("1-2-3", lambda _m, _k: _IntegerLabels(3), contrast_reader,
                                lambda _n, _m, _k: _one_two_three_accept),
-    "antimagic": _Labeling("antimagic", lambda m, _k: m, _integer_labels, _antimagic_gadget,
+    "antimagic": _Labeling("antimagic", lambda m, _k: _IntegerLabels(m), _antimagic_gadget,
                            lambda n, _m, _k: _antimagic_accept(n)),
-    "edge-roman": _Labeling("edge Roman", lambda _m, _k: len(ROMAN_LABELS),
-                            lambda _p: ROMAN_LABELS, cover_reader,
+    "edge-roman": _Labeling("edge Roman", lambda _m, _k: ROMAN_LABELS, cover_reader,
                             lambda n, m, k: _edge_roman_accept(n, m, k)),
 }
 

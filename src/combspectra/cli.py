@@ -16,17 +16,19 @@ read them.
 
 Exit codes: 0 ok, 1 internal error, 2 usage, 3 graph parse error,
 4 precondition violation, 5 size guard exceeded, 6 verification disagreement,
-7 time limit.  Flags override environment variables (COMBSPECTRA_MAX_N,
-COMBSPECTRA_MAX_FAMILY, COMBSPECTRA_MAX_STEPS, COMBSPECTRA_WORKERS,
-COMBSPECTRA_TIMEOUT_SECONDS, COMBSPECTRA_SEED, COMBSPECTRA_JSON), which
-override the defaults; ``verify --theorem`` sweeps n <= 4 unless ``--max-n``
-or COMBSPECTRA_MAX_N sets the order.  Output contains no timing, so identical
-inputs give byte-identical output at any worker count.
+7 time limit.  A failed write to standard output exits 1, with no message if
+the reader closed the pipe.  Flags override environment variables
+(COMBSPECTRA_MAX_N, COMBSPECTRA_MAX_FAMILY, COMBSPECTRA_MAX_STEPS,
+COMBSPECTRA_WORKERS, COMBSPECTRA_TIMEOUT_SECONDS, COMBSPECTRA_SEED,
+COMBSPECTRA_JSON), which override the defaults; ``verify --theorem`` sweeps
+n <= 4 unless ``--max-n`` or COMBSPECTRA_MAX_N sets the order.  Output contains
+no timing, so identical inputs give byte-identical output at any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -88,23 +90,19 @@ class RunConfig:
         return Limits(max_n, self.max_family, self.max_steps, deadline)
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(_ENV_PREFIX + name)
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Raises ValueError, naming the variable, on a malformed environment value."""
+    """Raises UsageError, naming the variable, on a malformed environment value."""
 
     def pick(flag_value, env_name, default, cast):
         if flag_value is not None:
             return flag_value
-        raw = _env(env_name)
+        raw = os.environ.get(_ENV_PREFIX + env_name)
         if raw is None:
             return default
         try:
             return cast(raw)
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"{_ENV_PREFIX}{env_name}: {exc}") from None
+            raise UsageError(f"{_ENV_PREFIX}{env_name}: {exc}") from None
 
     return RunConfig(
         max_n=pick(args.max_n, "MAX_N", None, _positive_int),
@@ -128,7 +126,9 @@ def _orders(spec: str) -> list[int]:
             ns = [int(part) for part in spec.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of orders: {spec!r}") from None
-    if not ns or min(ns) < 2:
+    if not ns:
+        raise argparse.ArgumentTypeError(f"{spec!r} names no order")
+    if min(ns) < 2:
         raise argparse.ArgumentTypeError(f"orders must be at least 2, got {spec!r}")
     return ns
 
@@ -244,14 +244,24 @@ def _load_graphs(path: str) -> list[tuple[str, SimpleGraph]]:
     return [(to_graph6(g), g) for g in graphs]
 
 
+class _OutputError(Exception):
+    """A write to standard output failed; the ``OSError``, if any, is its cause."""
+
+
 def _emit(payload: dict, cfg: RunConfig, text_lines: Iterable[str]) -> None:
-    """Print the payload as one JSON line, or else the text lines, which are
-    read only for text output."""
-    if cfg.json_output:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in text_lines:
-            print(line)
+    """Print and flush the payload as one JSON line, or else the text lines,
+    which are read only for text output.  Raises :class:`_OutputError`."""
+    if sys.stdout is None:
+        raise _OutputError("cannot write standard output: it is closed")
+    try:
+        if cfg.json_output:
+            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputError(f"cannot write standard output: {exc}") from exc
 
 
 def _check_flags(
@@ -405,54 +415,43 @@ def _run_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_DISAGREE if report["summary"]["disagreements"] else EXIT_OK
 
 
-def _error_payload(code: str, message: str) -> dict:
-    return {
-        "schema": ver.REPORT_SCHEMA,
-        "error": {"code": code, "message": message},
-    }
+# How a package error ends a command: (error type, kind, exit code).  The
+# first type that matches wins, so the base class comes last.
+_FAILURES = (
+    (ParseError, "parse", EXIT_PARSE),
+    (PreconditionError, "precondition", EXIT_PRECONDITION),
+    (SizeGuardError, "size-guard", EXIT_SIZE_GUARD),
+    (TimeLimitError, "timeout", EXIT_TIMEOUT),
+    (CombSpectraError, "internal", EXIT_INTERNAL),
+)
+
+_COMMANDS = {"check": _run_check, "oracle": _run_oracle, "verify": _run_verify}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-    except ValueError as exc:
-        print(f"error (usage): {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    handlers = {
-        "check": _run_check,
-        "oracle": _run_oracle,
-        "verify": _run_verify,
-    }
-    try:
-        return handlers[args.command](args, cfg)
+        try:
+            return _COMMANDS[args.command](args, cfg)
+        except CombSpectraError as exc:
+            kind, code = next((k, c) for error, k, c in _FAILURES if isinstance(exc, error))
+            if cfg.json_output:
+                error = {"code": kind, "message": str(exc)}
+                _emit({"schema": ver.REPORT_SCHEMA, "error": error}, cfg, ())
+            else:
+                print(f"error ({kind}): {exc}", file=sys.stderr)
+            return code
     except UsageError as exc:
         print(f"error (usage): {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as exc:
-        _report_error(cfg, "parse", exc)
-        return EXIT_PARSE
-    except PreconditionError as exc:
-        _report_error(cfg, "precondition", exc)
-        return EXIT_PRECONDITION
-    except SizeGuardError as exc:
-        _report_error(cfg, "size-guard", exc)
-        return EXIT_SIZE_GUARD
-    except TimeLimitError as exc:
-        _report_error(cfg, "timeout", exc)
-        return EXIT_TIMEOUT
-    except CombSpectraError as exc:
-        _report_error(cfg, "internal", exc)
+    except _OutputError as exc:
+        if not isinstance(exc.__cause__, BrokenPipeError):  # a reader that left wants no word
+            print(f"error (internal): {exc}", file=sys.stderr)
+        # what is still buffered goes nowhere, so the flush at exit cannot fail again
+        with contextlib.suppress(AttributeError, OSError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_INTERNAL
-
-
-def _report_error(cfg: RunConfig, code: str, exc: Exception) -> None:
-    if cfg.json_output:
-        print(json.dumps(_error_payload(code, str(exc)), sort_keys=True,
-                         separators=(",", ":")))
-    else:
-        print(f"error ({code}): {exc}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -183,7 +183,7 @@ def _witness_ok(problem: _Problem, g: SimpleGraph, verdict: ch.Verdict, k: int |
 def _oracle_value(problem: _Problem, g: SimpleGraph, ks: Sequence[int], limits: Limits):
     """The oracle on g over the labels the search colours with: each flag that
     ``oracle`` reads is the palette size at max(ks) (1-2-3: k = 3; strength: k_max)."""
-    size = ch._LABELINGS[problem.labeling].size(g.m, max(ks, default=None))
+    size = len(ch._LABELINGS[problem.labeling].palette(g.m, max(ks, default=None)))
     bound = {flag: size for flag in problem.reads_in("oracle")}
     return getattr(orc, problem.brute)(g, limits=limits, **bound).value
 
@@ -405,11 +405,11 @@ def _pool_results(
     stripe 0 and forks one child for each other stripe first.  A child sends
     back its rows, or the exception that stopped it, pickled through a pipe
     of its own, and leaves by ``os._exit``.  A child's exception is raised
-    here unchanged; a fork that fails, or a child that exits nonzero, dies
-    by a signal or sends nothing, raises :class:`CombSpectraError`.  No
-    child outlives the call.  At one worker no child is forked.  ``pickle``
-    and ``signal`` are imported here, so that importing the package does not
-    load them."""
+    here unchanged; a pipe or fork that fails, or a child that exits
+    nonzero, dies by a signal or sends nothing, raises
+    :class:`CombSpectraError`.  No child outlives the call.  At one worker
+    no child is forked.  ``pickle`` and ``signal`` are imported here, so
+    that importing the package does not load them."""
     import pickle
     import signal
 
@@ -417,7 +417,11 @@ def _pool_results(
     children: dict[int, int] = {}  # pid -> read end of its reply pipe, until reaped
     try:
         for worker, stripe in enumerate(others, start=1):
-            reply, send = os.pipe()
+            try:
+                reply, send = os.pipe()
+            except OSError as exc:
+                message = f"cannot open a pipe for sweep worker {worker}: {exc}"
+                raise CombSpectraError(message) from exc
             try:
                 pid = os.fork()
             except OSError as exc:
@@ -736,7 +740,7 @@ def _orbit_rows(ns: Sequence[int], trials: int, seed: int, limits: Limits) -> li
             ks = {"strength": rng.randint(1, 3), "edge-roman": rng.randint(0, 2 * g.m)}
             for name, labeling in ch._LABELINGS.items():
                 k = ks.get(name)
-                palette = tuple(labeling.labels(labeling.size(g.m, k)))
+                palette = tuple(labeling.palette(g.m, k))
                 gadget, accept = labeling.gadget(n), labeling.accept(n, g.m, k)
                 weights = [rng.choice(palette) if pair in g.edges else ring.ZERO
                            for pair in pairs_in_rank_order(n)]

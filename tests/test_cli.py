@@ -1,8 +1,13 @@
 """Command-line interface: subcommands, exit codes, JSON shape, determinism."""
 
+import errno
+import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -161,6 +166,79 @@ def test_parse_error_json_payload(capsys, tmp_path):
     assert code == EXIT_PARSE
     data = json.loads(out)
     assert data["error"]["code"] == "parse"
+
+
+def _cli(argv, buffering="buffered", prefix=(), **popen):
+    """Start ``python -m combspectra.cli argv`` with stderr piped, its stdio
+    buffered (Python's default) or unbuffered (``-u``)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    python = [sys.executable, *(["-u"] if buffering == "unbuffered" else [])]
+    return subprocess.Popen([*prefix, *python, "-m", "combspectra.cli", *argv],
+                            stderr=subprocess.PIPE, env=env, **popen)
+
+
+def _ended(proc) -> tuple[int, bytes]:
+    """The exit code and stderr of proc, killed if it runs for a minute."""
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()  # nothing once it has exited
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_a_reader_that_leaves_ends_the_command_quietly(buffering):
+    # the report (~0.5 MB) outgrows the pipe, so the writer meets the closed end
+    argv = ["verify", "--theorem", "domination", "--max-n", "7", "--workers", "1"]
+    with _cli(argv, buffering, stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"verify domination (theorem)\n"
+        proc.stdout.close()
+        assert _ended(proc) == (cli.EXIT_INTERNAL, b"")
+
+
+NO_SPACE = "error (internal): cannot write standard output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_a_full_device_ends_the_command_with_one_line(p3_file, buffering):
+    # buffered, the bytes a failed write leaves behind would fail the flush at exit too
+    argv = ["check", "domination", p3_file, "--k", "1", "--json"]
+    with open("/dev/full", "wb") as full, _cli(argv, buffering, stdout=full) as proc:
+        assert _ended(proc) == (cli.EXIT_INTERNAL, NO_SPACE.encode())
+
+
+def test_a_closed_standard_output_ends_the_command_with_one_line(p3_file):
+    # the shell closes descriptor 1 before Python starts, so sys.stdout is None
+    argv = ["check", "domination", p3_file, "--k", "1"]
+    with _cli(argv, prefix=["sh", "-c", 'exec "$@" >&-', "sh"]) as proc:
+        assert _ended(proc) == (
+            cli.EXIT_INTERNAL, b"error (internal): cannot write standard output: it is closed\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "failure, said",
+    [(BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+     (OSError(errno.ENOSPC, "No space left on device"), NO_SPACE)],
+)
+def test_a_failed_write_to_an_in_memory_output_ends_the_command(
+    monkeypatch, capsys, p3_file, failure, said
+):
+    # an output with no descriptor, as in the benchmark's in-process runs
+    class Failing(io.StringIO):
+        def write(self, _text):
+            raise failure
+
+    monkeypatch.setattr(sys, "stdout", Failing())
+    for json_flag in ((), ("--json",)):
+        assert main(["check", "domination", p3_file, "--k", "1", *json_flag]) == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err == said
+    # an error payload that cannot be written ends the same way
+    assert main(["check", "domination", p3_file, "--json"]) == EXIT_USAGE
+    assert main(["check", "antimagic", p3_file, "--json", "--max-n", "2"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == "error (usage): check domination requires --k\n" + said
 
 
 def test_size_guard_exit(capsys, tmp_path):
@@ -423,12 +501,14 @@ def test_verify_hamiltonian_pattern_row_catches_a_scan_that_drops_an_edge(monkey
      ("--identity", "R1", "--seed", "3"),
      ("--identity", "S1", "--trials", "5"),
      ("--identity", "E1", "--seed", "3"),
-     ("--identity", "ring-axioms", "--n", "9..12")],
+     ("--identity", "ring-axioms", "--n", "9..12"),
+     # a list of orders that names none
+     ("--n", ",")],
 )
 def test_verify_bad_flags_exit_usage(capsys, flags):
     # The parser rejects malformed values, the command well-formed ones that
     # the subject cannot take.
-    by_parser = bool({"-5", "0", "x", "abc", "1..3", "5..3"} & set(flags))
+    by_parser = bool({"-5", "0", "x", "abc", "1..3", "5..3", ","} & set(flags))
     if "--theorem" not in flags and "--identity" not in flags:
         flags = ("--identity", "ring-axioms", *flags)
     try:
@@ -440,6 +520,8 @@ def test_verify_bad_flags_exit_usage(capsys, flags):
     assert out.out == ""
     if by_parser:
         assert "error: argument" in out.err
+        if flags[-1] in ("5..3", ","):  # a well-formed spec that names no order
+            assert out.err.endswith(f"error: argument --n: {flags[-1]!r} names no order\n")
     else:  # rejected by the command before any work, in one line
         assert out.err.startswith("error (usage): ") and out.err.count("\n") == 1
 
@@ -764,6 +846,15 @@ def test_readme_subject_tables_match_the_code():
             identities.append(subject)
             assert reads == IDENTITY_READS[subject], subject
     assert identities == list(IDENTITY_SUBJECTS)
+
+
+def test_readme_exit_code_table_matches_the_code():
+    # every exit code once, in order, each with the kind its errors report
+    codes = sorted(getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_"))
+    kinds = {code: kind for _error, kind, code in cli._FAILURES} | {EXIT_USAGE: "usage"}
+    rows = _readme_table("exit")
+    assert [int(row[0]) for row in rows] == codes
+    assert {int(row[0]): _names(row[1])[0] for row in rows if row[1]} == kinds
 
 
 def test_readme_predicates_and_oracles_exist():

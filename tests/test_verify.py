@@ -226,6 +226,37 @@ def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(monkeypatch, capsys, 
     assert error["message"].startswith(f"cannot fork sweep worker {failing}: ")
 
 
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failed_pipe_ends_the_sweep_and_leaves_no_child(monkeypatch, capsys, failing):
+    pipe = os.pipe
+    forks, pipes = [], []
+
+    def piping():
+        if len(pipes) == 2 * (failing - 1):
+            raise OSError(errno.EMFILE, "Too many open files")
+        ends = pipe()
+        pipes.extend(ends)
+        return ends
+
+    monkeypatch.setattr(os, "pipe", piping)
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    argv = ["verify", "--theorem", "fixpoint", "--max-n", "4", "--workers", "3", "--json"]
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+    monkeypatch.undo()
+    _no_child_left()
+    assert len(forks) == failing - 1
+    for fd in pipes:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "internal"
+    assert error["message"] == (
+        f"cannot open a pipe for sweep worker {failing}: [Errno 24] Too many open files"
+    )
+
+
 def test_theorem_task_takes_one_task_tuple():
     # The benchmark's trace wraps this function by name, one span per task;
     # a task carries its problem's record, so no task looks its subject up.
