@@ -629,10 +629,15 @@ def _distance_matrix(g: SimpleGraph, limits: Limits) -> list[list[int]]:
     return dist
 
 
-def _length_spectrum(lengths: int, limits: Limits) -> Spectrum:
-    """The tail both Hamiltonian routes share: the family guard on the
-    distinct totals, then the spectrum of the set bits of ``lengths``."""
+def _checked_lengths(lengths: int, limits: Limits) -> int:
+    """The family guard on the distinct totals of the bitset ``lengths``,
+    which is returned unchanged."""
     limits.check_family(lengths.bit_count(), "Hamiltonian spectrum")
+    return lengths
+
+
+def _length_spectrum(lengths: int) -> Spectrum:
+    """The spectrum of the set bits of ``lengths``."""
     return Spectrum(ring.const(t) for t in range(lengths.bit_length()) if lengths >> t & 1)
 
 
@@ -667,26 +672,33 @@ def hamiltonian_spectrum(
     lengths = 0
     for f in limits.polled(itertools.permutations(range(n))):
         lengths |= 1 << sum([dist[f[u]][f[v]] for u, v in edges])
-    return _length_spectrum(lengths, limits)
+    return _length_spectrum(_checked_lengths(lengths, limits))
 
 
-def hamiltonian_cycle_spectrum(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Spectrum:
-    """The Hamiltonian spectrum of the n-cycle in g; its minimum is the
-    Hamiltonian number.
-
-    The totals are the lengths of g's Hamiltonian cycles under its distance
-    weighting, read from one bitset (:func:`_cycle_lengths`); the step guard
-    counts the recursion's 2^(n-1)*n^2 steps and the family guard the
-    distinct lengths."""
+def _hamiltonian_cycle_lengths(g: SimpleGraph, limits: Limits) -> int:
+    """The head of :func:`hamiltonian_cycle_spectrum` and
+    :func:`hamiltonian_number`: the guards, then the bitset of g's
+    Hamiltonian cycle lengths under its distance weighting
+    (:func:`_cycle_lengths`).  The step guard counts the recursion's
+    2^(n-1)*n^2 steps and the family guard the distinct lengths."""
     n = g.n
     if n < 3:
         raise PreconditionError("the Hamiltonian number needs at least 3 vertices")
     dist = _distance_matrix(g, limits)
     limits.check_steps(2 ** (n - 1) * n * n, "Hamiltonian spectrum")
-    return _length_spectrum(_cycle_lengths(dist, limits), limits)
+    return _checked_lengths(_cycle_lengths(dist, limits), limits)
+
+
+def hamiltonian_cycle_spectrum(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Spectrum:
+    """The Hamiltonian spectrum of the n-cycle in g; its minimum is the
+    Hamiltonian number.  The totals are the lengths of g's Hamiltonian cycles
+    under its distance weighting, read from one bitset."""
+    return _length_spectrum(_hamiltonian_cycle_lengths(g, limits))
 
 
 def hamiltonian_number(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> int:
-    """Minimum length of a closed walk through all vertices, via the cycle
-    spectrum."""
-    return min(hamiltonian_cycle_spectrum(g, limits).as_integers())
+    """Minimum length of a closed walk through all vertices: the least
+    value of the cycle spectrum, read as the least set bit of its bitset of
+    lengths without building the spectrum."""
+    lengths = _hamiltonian_cycle_lengths(g, limits)
+    return (lengths & -lengths).bit_length() - 1

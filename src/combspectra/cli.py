@@ -428,6 +428,31 @@ _FAILURES = (
 _COMMANDS = {"check": _run_check, "oracle": _run_oracle, "verify": _run_verify}
 
 
+def _to_devnull(stream) -> None:
+    """Point the descriptor of a stream whose write failed at ``os.devnull``:
+    what is still buffered goes nowhere, so the flush at exit cannot fail
+    again.  A stream with no descriptor is left as it is."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        target = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        if devnull != target:  # else the descriptor was closed, and now is devnull
+            os.dup2(devnull, target)
+            os.close(devnull)
+
+
+def _complain(line: str) -> None:
+    """Write one line to standard error, if it can be written: the exit
+    code tells what happened without it.  A missing ``sys.stderr`` gets
+    nothing (``print`` would write to standard output instead)."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        _to_devnull(sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -440,17 +465,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                 error = {"code": kind, "message": str(exc)}
                 _emit({"schema": ver.REPORT_SCHEMA, "error": error}, cfg, ())
             else:
-                print(f"error ({kind}): {exc}", file=sys.stderr)
+                _complain(f"error ({kind}): {exc}")
             return code
     except UsageError as exc:
-        print(f"error (usage): {exc}", file=sys.stderr)
+        _complain(f"error (usage): {exc}")
         return EXIT_USAGE
     except _OutputError as exc:
         if not isinstance(exc.__cause__, BrokenPipeError):  # a reader that left wants no word
-            print(f"error (internal): {exc}", file=sys.stderr)
-        # what is still buffered goes nowhere, so the flush at exit cannot fail again
-        with contextlib.suppress(AttributeError, OSError), open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+            _complain(f"error (internal): {exc}")
+        _to_devnull(sys.stdout)
         return EXIT_INTERNAL
 
 

@@ -12,7 +12,12 @@ neighbourhood bitmasks of :func:`_closed_masks` for domination, on which
 ``domination_oracle`` tries one subset size and ``domination_number`` every
 size from 1 up to the domination number.
 Enumeration orders are lexicographic (edges sorted, labels ascending,
-permutations in standard order), so any failure is reproducible.
+permutations in standard order), so any failure is reproducible.  One
+search prunes: ``hamiltonian_oracle`` walks the cyclic orders depth first in
+that order and drops a prefix that cannot complete below the best total so
+far, each remaining vertex and the closing step adding a distance of at
+least 1; its value and witness are those of the full enumeration, which the
+tests keep as its reference.
 
 Each definition's test is one private predicate, which ``verify`` also
 checks the spectral witnesses with.  A witness is returned as soon as it
@@ -29,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
@@ -228,32 +233,50 @@ def edge_roman_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Oracle
 
 
 def hamiltonian_oracle(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> OracleResult:
-    """Minimum distance sum over cyclic orderings: (n-1)!/2 candidates with
-    vertex 1 pinned and reflections skipped."""
-    if g.n < 3:
+    """Minimum distance sum over cyclic orderings, vertex 1 pinned and
+    reflections skipped: the (n-1)!/2 candidates of the naive enumeration,
+    searched depth first in its order.
+
+    Distinct vertices of a connected graph are at distance at least 1, so a
+    prefix with distance sum t and r vertices still unvisited completes to a
+    total of at least t + r + 1; the search drops it when that bound is no
+    less than the best total so far.  A dropped order could not have
+    replaced the best, and a complete order replaces it only when strictly
+    less, so the value and the witness, the first least order, are those of
+    the full enumeration.  ``enumerated`` counts the complete cyclic orders
+    summed.  Each prefix visited is one item of :meth:`Limits.polled`."""
+    n = g.n
+    if n < 3:
         raise PreconditionError("the Hamiltonian number needs at least 3 vertices")
-    limits.check_n(g.n)
+    limits.check_n(n)
     dist = _bfs_all_pairs(g)
-    if any(
-        dist[u][v] is None for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1)
-    ):
+    if any(dist[u][v] is None for u in range(1, n + 1) for v in range(u + 1, n + 1)):
         raise PreconditionError("the Hamiltonian number needs a connected graph")
-    limits.check_steps(math.factorial(g.n - 1) // 2, "Hamiltonian oracle")
+    limits.check_steps(math.factorial(n - 1) // 2, "Hamiltonian oracle")
     best: int | None = None
     best_order = None
     enumerated = 0
-    rest = list(range(2, g.n + 1))
-    for perm in limits.polled(permutations(rest)):
-        if perm[0] > perm[-1]:  # each cycle once, not its reflection
-            continue
-        enumerated += 1
-        order = (1, *perm)
-        total = sum(
-            dist[order[i]][order[(i + 1) % g.n]] for i in range(g.n)
-        )
-        if best is None or total < best:
-            best = total
-            best_order = order
+    order = [1] * n  # order[:depth] is the prefix being extended
+    visits = limits.polled(repeat(None))
+
+    def search(depth: int, v: int, t: int, left: tuple[int, ...]) -> None:
+        """Extend the prefix order[:depth], which ends at v with distance
+        sum t, by the unvisited vertices ``left`` in ascending order."""
+        nonlocal best, best_order, enumerated
+        next(visits)
+        if best is not None and t + len(left) + 1 >= best:
+            return
+        if left:
+            for i, w in enumerate(left):
+                order[depth] = w
+                search(depth + 1, w, t + dist[v][w], left[:i] + left[i + 1:])
+        elif order[1] < v:  # each cycle once, not its reflection
+            enumerated += 1
+            total = t + dist[v][1]
+            if best is None or total < best:
+                best, best_order = total, tuple(order)
+
+    search(1, 1, 0, tuple(range(2, n + 1)))
     assert best is not None and best_order is not None
     return OracleResult(best, best_order, enumerated)
 

@@ -34,7 +34,7 @@ from combspectra.errors import (
     SizeGuardError,
     TimeLimitError,
 )
-from combspectra.corpus import connected_graphs
+from combspectra.corpus import connected_graphs, connected_graphs_up_to
 from combspectra.families import ROMAN_PALETTE, Spectrum, iter_colorings, singleton
 from combspectra.gadgets import (
     WeightedCompleteGraph,
@@ -547,6 +547,17 @@ def test_hamiltonian_cycle_guards_count_the_recursion_and_the_totals():
     assert hamiltonian_spectrum(C4, P4, Limits(max_family=2)).as_integers() == (6, 8)
     with pytest.raises(SizeGuardError, match="needs 2 members"):
         hamiltonian_spectrum(C4, P4, Limits(max_family=1))
+    # the number, read without the spectrum, keeps the spectrum's guards
+    assert hamiltonian_number(P4, Limits(max_steps=128, max_family=2)) == 6
+    with pytest.raises(SizeGuardError, match="needs 128 steps"):
+        hamiltonian_number(P4, Limits(max_steps=127))
+    with pytest.raises(SizeGuardError, match="needs 2 members"):
+        hamiltonian_number(P4, Limits(max_family=1))
+
+
+def test_hamiltonian_number_is_the_least_value_of_the_cycle_spectrum():
+    for g in connected_graphs_up_to(6, min_n=3):
+        assert hamiltonian_number(g) == min(hamiltonian_cycle_spectrum(g).as_integers())
 
 
 @pytest.mark.parametrize("n", range(8, 13))

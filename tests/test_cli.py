@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON shape, determinism."""
 
+import contextlib
 import errno
 import io
 import json
@@ -175,7 +176,7 @@ def _cli(argv, buffering="buffered", prefix=(), **popen):
     env.pop("PYTHONUNBUFFERED", None)
     python = [sys.executable, *(["-u"] if buffering == "unbuffered" else [])]
     return subprocess.Popen([*prefix, *python, "-m", "combspectra.cli", *argv],
-                            stderr=subprocess.PIPE, env=env, **popen)
+                            env=env, **{"stderr": subprocess.PIPE, **popen})
 
 
 def _ended(proc) -> tuple[int, bytes]:
@@ -216,6 +217,53 @@ def test_a_closed_standard_output_ends_the_command_with_one_line(p3_file):
         assert _ended(proc) == (
             cli.EXIT_INTERNAL, b"error (internal): cannot write standard output: it is closed\n"
         )
+
+
+@pytest.fixture()
+def isolated_file(tmp_path):
+    # an isolated vertex: every subject refuses it, exit 4
+    path = tmp_path / "isolated.edges"
+    path.write_text("3 1\n1 2\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "stderr",
+    ["closed",
+     pytest.param("full", marks=pytest.mark.skipif(
+         not os.path.exists("/dev/full"), reason="no /dev/full"))],
+)
+def test_a_failed_write_to_standard_error_keeps_the_exit_code(isolated_file, buffering, stderr):
+    # a traceback would end in exit 1, a failed flush at exit in 120
+    argv = ["check", "antimagic", isolated_file]
+    with contextlib.ExitStack() as stack:
+        if stderr == "closed":
+            popen = {"prefix": ["sh", "-c", 'exec "$@" 2>&-', "sh"], "stderr": None}
+        else:
+            popen = {"stderr": stack.enter_context(open("/dev/full", "wb"))}
+        proc = stack.enter_context(_cli(argv, buffering, stdout=subprocess.PIPE, **popen))
+        try:
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # nothing once it has exited
+    assert (proc.returncode, out) == (EXIT_PRECONDITION, b"")
+
+
+class _FailingError(io.StringIO):
+    def write(self, _text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("stderr", [None, _FailingError()], ids=["missing", "failing"])
+def test_an_error_that_cannot_be_written_keeps_its_exit_code(
+    monkeypatch, capsys, isolated_file, stderr
+):
+    # a missing sys.stderr is not replaced by standard output
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["check", "antimagic", isolated_file]) == EXIT_PRECONDITION
+    assert main(["check", "antimagic", isolated_file, "--k", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

@@ -66,9 +66,12 @@ def test_polled_yields_items_appended_while_iterating(limits):
         # 7! = 5040 bijections
         (lambda limits: characterize.hamiltonian_spectrum(
             star_graph(7), complete_graph(7), limits), 2),
+        # 13,700 prefixes of the pruned search
+        (lambda limits: oracles.hamiltonian_oracle(star_graph(8), replace(limits, max_n=8)), 4),
     ],
     ids=["edge_roman_oracle(K5)", "edge_roman_at_most(K5,3)", "power_fixpoint(deleted(5))",
-         "hamiltonian_cycle_spectrum(C14)", "hamiltonian_spectrum(S7,K7)"],
+         "hamiltonian_cycle_spectrum(C14)", "hamiltonian_spectrum(S7,K7)",
+         "hamiltonian_oracle(S8)"],
 )
 def test_enumerations_poll_at_the_pinned_cadence(polls, call, expected):
     # a cached relabel closure is not polled, so build it afresh

@@ -1,7 +1,9 @@
 """Brute-force oracles: values, witness self-checks, relabeling invariance."""
 
 import ast
-from itertools import combinations
+import inspect
+import textwrap
+from itertools import combinations, permutations
 from pathlib import Path
 from random import Random
 
@@ -196,9 +198,63 @@ def test_hamiltonian_oracle_examples():
     assert hamiltonian_oracle(P3).value == 4
     assert hamiltonian_oracle(cycle_graph(5)).value == 5
     assert hamiltonian_oracle(star_graph(4)).value == 6
-    assert hamiltonian_oracle(P3).enumerated == 1  # (n-1)!/2 cyclic orders
+    assert hamiltonian_oracle(P3).enumerated == 1  # the complete cyclic orders summed
     with pytest.raises(PreconditionError):
         hamiltonian_oracle(SimpleGraph(3, [(1, 2)]))
+
+
+def _naive_hamiltonian(g: SimpleGraph) -> tuple[int, tuple[int, ...], int]:
+    """The Hamiltonian oracle without pruning: the least distance sum over
+    all (n-1)!/2 cyclic orders, vertex 1 pinned and reflections skipped, in
+    lexicographic order; its first least order; and the orders summed."""
+    dist = oracles._bfs_all_pairs(g)
+    best, best_order, enumerated = None, None, 0
+    for perm in permutations(range(2, g.n + 1)):
+        if perm[0] > perm[-1]:
+            continue
+        enumerated += 1
+        order = (1, *perm)
+        total = sum(dist[order[i - 1]][order[i]] for i in range(g.n))
+        if best is None or total < best:
+            best, best_order = total, order
+    return best, best_order, enumerated
+
+
+def _naive_mismatches(oracle, graphs) -> list[SimpleGraph]:
+    """The graphs on which ``oracle`` differs from the naive enumeration in
+    value or witness, or sums more orders than it."""
+    mismatches = []
+    for g in graphs:
+        result, (value, witness, enumerated) = oracle(g), _naive_hamiltonian(g)
+        if (result.value, result.witness) != (value, witness) or result.enumerated > enumerated:
+            mismatches.append(g)
+    return mismatches
+
+
+HAMILTONIAN_GRAPHS = connected_graphs_up_to(6, min_n=3)
+
+
+def test_hamiltonian_oracle_matches_the_naive_enumeration():
+    assert len(HAMILTONIAN_GRAPHS) == 141
+    assert _naive_mismatches(hamiltonian_oracle, HAMILTONIAN_GRAPHS) == []
+
+
+@pytest.mark.slow
+def test_hamiltonian_oracle_matches_the_naive_enumeration_at_order_seven():
+    graphs = connected_graphs_up_to(7, min_n=7)
+    assert len(graphs) == 853
+    assert _naive_mismatches(hamiltonian_oracle, graphs) == []
+
+
+def test_an_over_pruning_hamiltonian_bound_fails_the_naive_comparison():
+    # one more than the least completion drops prefixes that tie or beat
+    # the best total, so the oracle misses least orders
+    source = textwrap.dedent(inspect.getsource(hamiltonian_oracle))
+    bound = "t + len(left) + 1 >= best"
+    assert source.count(bound) == 1
+    namespace = dict(vars(oracles))
+    exec(source.replace(bound, "t + len(left) + 2 >= best"), namespace)
+    assert len(_naive_mismatches(namespace["hamiltonian_oracle"], HAMILTONIAN_GRAPHS)) == 39
 
 
 def test_oracles_invariant_under_relabeling():
