@@ -431,15 +431,14 @@ def _pair_probe_reader(n: int, signed: bool) -> WeightedCompleteGraph:
     shares exactly one vertex with q 1, or -1 when ``signed`` and that vertex
     is b.  So the pair p carries i * x^rank(p) plus ±x^rank(q) for each pair
     q sharing one vertex with p, its terms in rank order."""
-    vertices = range(1, n + 1)
-    ranks = {a: {b: pair_index(a, b) for b in vertices if b != a} for a in vertices}
+    rank = _pair_ranks(n)
     weights = []
     for u, v in pairs_in_rank_order(n):
-        terms = {(ranks[u][v], 0): (0, 1)}
+        terms = {(rank[u][v], 0): (0, 1)}
         for shared, other in ((u, v), (v, u)):
-            for w, q in ranks[shared].items():
-                if w != other:
-                    terms[(q, 0)] = (-1, 0) if signed and w < shared else (1, 0)
+            for w in range(1, n + 1):
+                if w not in (shared, other):
+                    terms[(rank[shared][w], 0)] = (-1, 0) if signed and w < shared else (1, 0)
         weights.append(RingElem._raw(dict(sorted(terms.items()))))
     return WeightedCompleteGraph(n, weights)
 

@@ -40,7 +40,7 @@ __all__ = [
 class SimpleGraph:
     """An immutable simple graph: no loops, no multi-edges, n >= 1."""
 
-    __slots__ = ("n", "edges", "_masks", "_hash")
+    __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -55,7 +55,6 @@ class SimpleGraph:
         self.n = n
         self.edges = frozenset(norm)
         self._masks: tuple[int, ...] | None = None
-        self._hash: int | None = None
 
     @property
     def m(self) -> int:
@@ -74,15 +73,6 @@ class SimpleGraph:
             masks = tuple(bits)
             self._masks = masks
         return masks
-
-    def _bare_copy(self) -> "SimpleGraph":
-        """An equal graph sharing ``n`` and the already validated ``edges``,
-        with no lazy table built: the tables it builds die with it."""
-        copy = object.__new__(SimpleGraph)
-        copy.n = self.n
-        copy.edges = self.edges
-        copy._masks = copy._hash = None
-        return copy
 
     def neighbors(self, v: int) -> frozenset:
         return frozenset(w + 1 for w in _members(self.masks[v - 1]))
@@ -108,11 +98,8 @@ class SimpleGraph:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.n, self.edges))
-            self._hash = h
-        return h
+        # the frozenset caches its own hash
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, edges={sorted(self.edges)})"

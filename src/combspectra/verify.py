@@ -8,9 +8,9 @@ constructions rely on.  Each problem is one :class:`_Problem` record of
 read, and each identity subject one record of ``_IDENTITIES``.  A theorem
 sweep runs one task per graph, which for ``fixpoint`` is K_n for each order:
 a task carries the graph and its graph6 line, which for a corpus graph is
-the line the corpus kept, so no task encodes or decodes graph6, and runs on
-a copy of the graph that shares its validated edges and none of its lazy
-tables; every worker count deals the tasks in the fixed stripes of
+the line the corpus kept, so no task encodes or decodes graph6, and its rows
+read that graph itself, whose neighbour bitmasks are built once per process
+and kept; every worker count deals the tasks in the fixed stripes of
 :func:`_pool_results`.  Per-k rows come from :func:`_bound_rows`: one search
 per k, or one ``dominating_witnesses`` call per graph, against the least
 bound of one oracle search (``domination_number`` for domination).  A
@@ -370,9 +370,7 @@ THEOREM_SUBJECTS = tuple(p.theorem for p in _PROBLEMS if p.theorem)
 
 def _theorem_task(args: tuple) -> list[dict]:
     problem, g6, g, ks, limits = args
-    # a copy that shares the corpus graph's validated edges and none of its
-    # lazy tables, so the neighbour bitmasks the rows build die with the task
-    return problem.rows(problem, g6, g._bare_copy(), ks, limits)
+    return problem.rows(problem, g6, g, ks, limits)
 
 
 def _stripes(sizes: list[tuple[int, int]], workers: int) -> list[list[int]]:
@@ -466,6 +464,20 @@ def _pool_results(
     return [rows_at[i] for i in range(len(tasks))]
 
 
+def _report(kind: str, subject: str, params: dict, rows: list[dict], **counts: int) -> dict:
+    """The report of a sweep or suite: its rows, and a summary of the given
+    counts, the row count and the rows that disagree."""
+    disagreements = sum(1 for row in rows if not row["agree"])
+    return {
+        "schema": REPORT_SCHEMA,
+        "kind": kind,
+        "subject": subject,
+        "params": params,
+        "rows": rows,
+        "summary": {**counts, "rows": len(rows), "disagreements": disagreements},
+    }
+
+
 def run_theorem(
     subject: str,
     max_n: int,
@@ -513,19 +525,7 @@ def run_theorem(
     workers = workers if hasattr(os, "fork") else 1
     results = _pool_results(tasks, [(g.n, g.m) for _g6, g in graphs], workers)
     rows = [row for chunk in results for row in chunk]
-    disagreements = sum(1 for row in rows if not row["agree"])
-    return {
-        "schema": REPORT_SCHEMA,
-        "kind": "theorem",
-        "subject": subject,
-        "params": {"max_n": max_n, "ks": list(ks)},
-        "rows": rows,
-        "summary": {
-            "tasks": len(tasks),
-            "rows": len(rows),
-            "disagreements": disagreements,
-        },
-    }
+    return _report("theorem", subject, {"max_n": max_n, "ks": list(ks)}, rows, tasks=len(tasks))
 
 
 # -- identity suites -----------------------------------------------------------------
@@ -856,12 +856,4 @@ def run_identity(
         raise UsageError(f"{subject} needs orders of at least 2 (--n), got {list(ns)}")
     suites = _IDENTITIES.values() if subject == "all" else [_IDENTITIES[subject]]
     rows = [row for suite in suites for row in suite.rows(ns, trials, seed, limits)]
-    disagreements = sum(1 for row in rows if not row["agree"])
-    return {
-        "schema": REPORT_SCHEMA,
-        "kind": "identity",
-        "subject": subject,
-        "params": {"ns": list(ns), "trials": trials, "seed": seed},
-        "rows": rows,
-        "summary": {"rows": len(rows), "disagreements": disagreements},
-    }
+    return _report("identity", subject, {"ns": list(ns), "trials": trials, "seed": seed}, rows)

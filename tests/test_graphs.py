@@ -268,6 +268,17 @@ def test_component_orders_against_networkx(g):
     assert is_connected(g) == (len(expected) == 1)
 
 
+def test_equal_graphs_hash_alike_whatever_their_edge_order():
+    edges = [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]
+    g = SimpleGraph(4, edges)
+    h = SimpleGraph(4, [(v, u) for u, v in reversed(edges)])
+    assert g == h and g is not h and hash(g) == hash(h)
+    assert h in {g} and len({g, h}) == 1 and {g: "g"}[h] == "g"
+    # building the lazy table leaves the hash as it was
+    assert g.masks and hash(g) == hash(h) and g in {h}
+    assert SimpleGraph(4, edges[1:]) not in {g} and SimpleGraph(5, edges) not in {g}
+
+
 def test_relabel_builds_its_own_masks():
     g = path_graph(4)
     assert g.masks == (0b10, 0b101, 0b1010, 0b100)

@@ -16,11 +16,11 @@ from pathlib import Path
 import pytest
 
 from combspectra import characterize as ch
-from combspectra import cli, corpus, oracles, verify
+from combspectra import cli, oracles, verify
 from combspectra.corpus import connected_graphs_up_to
 from combspectra.errors import SizeGuardError, TimeLimitError, UsageError
 from combspectra.gadgets import WeightedCompleteGraph, indicator
-from combspectra.graphs import SimpleGraph, parse_graph6, to_graph6
+from combspectra.graphs import parse_graph6, to_graph6
 from combspectra.limits import DEFAULT_LIMITS
 from combspectra.ring import const
 
@@ -308,23 +308,22 @@ def test_a_corpus_sweep_runs_without_graph6_code(monkeypatch, workers):
     assert verify.run_theorem("domination", max_n=5, workers=workers) == expected
 
 
-# Every slot of a graph but its order and edge set is a table built on first use.
-_LAZY_SLOTS = tuple(slot for slot in SimpleGraph.__slots__ if slot not in ("n", "edges"))
-_NO_TABLES = (None,) * len(_LAZY_SLOTS)
-
-
-def _tables(g: SimpleGraph) -> tuple:
-    return tuple(getattr(g, slot) for slot in _LAZY_SLOTS)
-
-
-def test_a_sweep_builds_no_table_on_the_corpus_graphs(monkeypatch):
-    # each task's rows read a copy of its graph, so the lazy tables are
-    # freed with the task, not kept for the process
-    monkeypatch.setattr(corpus, "_ORDERS", {})
-    verify.run_theorem("domination", max_n=5)
-    graphs = connected_graphs_up_to(5, 2)
-    assert len(graphs) == 30 and _LAZY_SLOTS
-    assert all(_tables(g) == _NO_TABLES for g in graphs)
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("subject", ["domination", "hamiltonian"])
+def test_a_sweep_reports_the_same_bytes_whoever_built_the_corpus_masks(capsys, subject, workers):
+    # the rows read the corpus graphs themselves, so a sweep finds their
+    # neighbour bitmasks unbuilt, or kept from an earlier sweep
+    graphs = connected_graphs_up_to(5)
+    for g in graphs:
+        g._masks = None
+    argv = ["verify", "--theorem", subject, "--max-n", "5", "--workers", str(workers), "--json"]
+    assert cli.main(argv) == 0
+    cleared = capsys.readouterr().out
+    # this process ran a stripe, whose graphs keep the masks it built
+    assert any(g._masks is not None for g in graphs)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cleared
+    assert json.loads(cleared)["summary"]["disagreements"] == 0
 
 
 def test_domination_rows_match_a_fresh_oracle_search_per_k():
@@ -367,22 +366,6 @@ def test_domination_sweep_searches_the_oracle_only_up_to_gamma(monkeypatch):
     assert len(numbers) == len(graphs) and set(numbers) == set(graphs)
     assert per_graph == {g: list(range(1, gamma + 1)) for g, gamma in zip(graphs, gammas)}
     assert len(searched) == sum(gammas) == 42 < sum(g.n - 1 for g in graphs) == 107
-
-
-def test_domination_tasks_leave_the_corpus_graphs_without_tables():
-    # A task runs on a bare copy of its corpus graph, so the lazy tables the
-    # sweep builds die with the task.  The corpus keeps its graphs per
-    # process, so tables another caller built are dropped first.
-    graphs = connected_graphs_up_to(5)
-    for g in graphs:
-        for slot in _LAZY_SLOTS:
-            setattr(g, slot, None)
-    verify.run_theorem("domination", max_n=5)
-    assert [g for g in graphs if _tables(g) != _NO_TABLES] == []
-    for g in graphs:
-        copy = g._bare_copy()
-        assert _tables(copy) == _NO_TABLES
-        assert copy == g and hash(copy) == hash(g) and copy.edges is g.edges
 
 
 def test_sweeps_stop_at_the_graph6_order_cap():
