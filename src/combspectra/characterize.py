@@ -168,32 +168,31 @@ def _scan(
     return Verdict(False, stats=stats)
 
 
-def _weighting_scan(
-    name: str, members: Sequence[WeightedCompleteGraph], n: int, what: str, limits: Limits
-) -> Verdict:
-    """Scan the given weightings of order n by the labeling ``name`` along the
-    identity, after the guards in this order: the order n, each member's
-    constant nonnegative weights, and the len(members) * n! bijections of the
-    full scan.  A single weighting and a family take this one path."""
+def _weighting_scan(name: str, fam: GraphFamily, limits: Limits) -> Verdict:
+    """Scan the members of ``fam`` by the labeling ``name`` along the
+    identity, after the guards: its order, then each member's constant
+    nonnegative weights.  A single weighting is a singleton family.  The
+    input bounds the scan, so it has no step guard."""
+    n = fam.n
     limits.check_n(n)
-    for h in members:
+    for h in fam.members:
         _require_constant_nonneg(h)
-    limits.check_steps(len(members) * math.factorial(n), what)
     labeling = _LABELINGS[name]
-    return _scan(members, labeling.gadget(n), labeling.accept(n, None, None), limits)
+    return _scan(fam.members, labeling.gadget(n), labeling.accept(n, None, None), limits)
 
 
 def _coloring_scan(name: str, g: SimpleGraph, k: int | None, limits: Limits) -> Verdict:
-    """Scan every coloring of g's edges by the p colours of the labeling
+    """Scan the p^m colorings of g's edges by the palette of the labeling
     ``name`` at bound k along the identity.  The guards come first (the
-    order, the p^m colorings and their p^m * n! bijections), then the palette."""
+    order, then the colorings as members and as steps), then the palette."""
     labeling = _LABELINGS[name]
     n, m = g.n, g.m
     palette = labeling.palette(m, k)
     p = len(palette)
     limits.check_n(n)
-    limits.check_family(p**m, f"{p}-colorings of {m} edges")
-    limits.check_steps(p**m * math.factorial(n), f"{labeling.what} search")
+    what = f"{p}-colorings of {m} edges"
+    limits.check_family(p**m, what)
+    limits.check_steps(p**m, what)
     colours = tuple(palette)
     return _scan(iter_colorings(g, colours), labeling.gadget(n), labeling.accept(n, m, k), limits)
 
@@ -262,10 +261,9 @@ def antimagic_family(fam: GraphFamily, limits: Limits = DEFAULT_LIMITS) -> Verdi
     {1..|E|}; |E|, the member's count of nonzero weights, is the count of
     nonzero remaining coefficients.
     """
-    n = fam.n
-    if n < 2:
+    if fam.n < 2:
         raise PreconditionError("antimagic needs at least two vertices")
-    return _weighting_scan("antimagic", fam.members, n, "antimagic family search", limits)
+    return _weighting_scan("antimagic", fam, limits)
 
 
 def antimagic_unweighted(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -297,7 +295,7 @@ def irregular_weighted(
     the degree reader, whose coefficients are the endpoint sums."""
     if g.n < 2:
         raise PreconditionError("irregularity needs at least two vertices")
-    return _weighting_scan("strength", (g,), g.n, "irregularity check", limits)
+    return _weighting_scan("strength", singleton(g), limits)
 
 
 def strength_at_most(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -326,7 +324,7 @@ def local_irregular_weighted(
     an adjacent tie.  The identity bijection decides, as in
     :func:`one_two_three`.
     """
-    return _weighting_scan("one-two-three", (g,), g.n, "local irregularity search", limits)
+    return _weighting_scan("one-two-three", singleton(g), limits)
 
 
 def _one_two_three_accept(p: RingElem) -> bool:
@@ -386,15 +384,6 @@ def _tail_masks(k: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...],
     )
 
 
-def _domination_guards(n: int, k: int, limits: Limits) -> None:
-    if not 1 <= k <= n - 1:
-        if n < 2:
-            raise PreconditionError(f"the domination search needs at least 2 vertices, got n={n}")
-        raise PreconditionError(f"k must be in 1..{n - 1}, got {k}")
-    limits.check_n(n)
-    limits.check_steps(math.factorial(n), "domination search")
-
-
 def _tail_scan(adj: Sequence[int], table: Sequence[tuple], limits: Limits) -> tuple:
     """The first entry ``(f, heads, tail)`` of a :func:`_tail_masks` table
     whose every head's bitmask in ``adj`` meets its tail's bitmask (None if
@@ -409,6 +398,26 @@ def _tail_scan(adj: Sequence[int], table: Sequence[tuple], limits: Limits) -> tu
     return None, len(table)
 
 
+def _domination_scans(g: SimpleGraph, k: int | None, limits: Limits) -> list[tuple]:
+    """One :func:`_tail_scan` of g's masks for k, or per k in 1..n-1 if k is None,
+    after the guards: n >= 2, k in 1..n-1, the order n, then the C(n, k) or
+    2^n - 2 tails, kept in :func:`_tail_masks` (members) and scanned (steps)."""
+    n = g.n
+    if n < 2:
+        raise PreconditionError(f"the domination search needs at least 2 vertices, got n={n}")
+    if k is None:
+        ks, tails, what = range(1, n), 2**n - 2, f"1..{n - 1}-subsets of {n} vertices"
+    elif 1 <= k <= n - 1:
+        ks, tails, what = (k,), math.comb(n, k), f"{k}-subsets of {n} vertices"
+    else:
+        raise PreconditionError(f"k must be in 1..{n - 1}, got {k}")
+    limits.check_n(n)
+    limits.check_family(tails, what)
+    limits.check_steps(tails, what)
+    adj = g.masks
+    return [_tail_scan(adj, _tail_masks(size, n), limits) for size in ks]
+
+
 def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Does the graph have a dominating set of size k?
 
@@ -421,27 +430,22 @@ def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Ver
     No ring sum is formed per bijection: the coefficient of x^(j-1) counts
     the neighbours of the head f(j) among the tail vertices, so f is
     accepted when every head's adjacency bitmask meets the tail's bitmask,
-    by the kernel :func:`_tail_scan` that :func:`dominating_witnesses` shares.
-    The adjacency bitmasks are the graph's own :attr:`SimpleGraph.masks`,
-    built once per graph and shared by every k; the tails come from a table
-    cached per (k, n).  Only the witness polynomial is built, from those
-    counts, all nonzero.  The scan stops at the first accepted
-    representative, the first witness of the full n! scan.
+    by :func:`_domination_scans`, which :func:`dominating_witnesses` shares,
+    on the graph's own :attr:`SimpleGraph.masks`.  Only the witness
+    polynomial is built, from those counts, all nonzero.  The scan stops at
+    the first accepted representative, the first witness of the full n! scan.
     ``verify --identity orbit`` checks the verdict, the witness bijection and
     its polynomial against the ring scan over all n! bijections.
     """
-    n = g.n
-    _domination_guards(n, k, limits)
-    adj = g.masks
-    hit, scanned = _tail_scan(adj, _tail_masks(k, n), limits)
+    [(hit, scanned)] = _domination_scans(g, k, limits)
     if hit is None:
         return Verdict(False, stats=SearchStats(members=1, bijections=scanned))
     f, heads, tail = hit
-    counts = {(j, 0): ((adj[h] & tail).bit_count(), 0) for j, h in enumerate(heads)}
+    counts = {(j, 0): ((g.masks[h] & tail).bit_count(), 0) for j, h in enumerate(heads)}
     return Verdict(
         True,
         witness_polynomial=RingElem._raw(counts),
-        witness_graph=domination_probe(k, n),
+        witness_graph=domination_probe(k, g.n),
         witness_bijection=f,
         stats=SearchStats(members=1, bijections=scanned),
     )
@@ -449,13 +453,9 @@ def dominating_k(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Ver
 
 def dominating_witnesses(g: SimpleGraph, limits: Limits = DEFAULT_LIMITS) -> list:
     """The witness bijections of :func:`dominating_k` at k = 1..n-1, None
-    where no k-subset dominates: one tail scan per k, under the guards of
-    :func:`dominating_k` checked once, and with no verdict built."""
-    n = g.n
-    _domination_guards(n, 1, limits)
-    adj = g.masks
-    hits = [_tail_scan(adj, _tail_masks(k, n), limits)[0] for k in range(1, n)]
-    return [None if hit is None else hit[0] for hit in hits]
+    where no k-subset dominates: one tail scan per k, under guards that count
+    the 2^n - 2 tails of every k, and with no verdict built."""
+    return [None if hit is None else hit[0] for hit, _ in _domination_scans(g, None, limits)]
 
 
 # -- edge Roman domination -----------------------------------------------------------
@@ -521,12 +521,11 @@ def edge_roman_at_most(g: SimpleGraph, k: int, limits: Limits = DEFAULT_LIMITS) 
 
 
 class _Labeling(NamedTuple):
-    """A labeling read off a reader gadget: its guards' name, the
-    ``palette(m, k)`` for |E| = m and bound k as its colour -> edge label
-    map, whose length is the palette size, the ``gadget(n)`` and the
-    ``accept(n, m, k)``, which looks its factory up when called."""
+    """A labeling read off a reader gadget: the ``palette(m, k)`` for |E| = m
+    and bound k as its colour -> edge label map, whose length is the palette
+    size, the ``gadget(n)`` and the ``accept(n, m, k)``, which looks its
+    factory up when called."""
 
-    what: str
     palette: Callable[[int, int | None], Mapping[RingElem, int]]
     gadget: Callable[[int], WeightedCompleteGraph]
     accept: Callable[[int, int | None, int | None], Callable[[RingElem], bool]]
@@ -556,13 +555,13 @@ class _IntegerLabels(Mapping):
 
 # Every labeling search, in the order of the orbit rows; a problem record names it by key.
 _LABELINGS = {
-    "strength": _Labeling("strength", lambda _m, k: _IntegerLabels(k), degree_reader,
+    "strength": _Labeling(lambda _m, k: _IntegerLabels(k), degree_reader,
                           lambda n, _m, _k: _strength_accept(n)),
-    "one-two-three": _Labeling("1-2-3", lambda _m, _k: _IntegerLabels(3), contrast_reader,
+    "one-two-three": _Labeling(lambda _m, _k: _IntegerLabels(3), contrast_reader,
                                lambda _n, _m, _k: _one_two_three_accept),
-    "antimagic": _Labeling("antimagic", lambda m, _k: _IntegerLabels(m), _antimagic_gadget,
+    "antimagic": _Labeling(lambda m, _k: _IntegerLabels(m), _antimagic_gadget,
                            lambda n, _m, _k: _antimagic_accept(n)),
-    "edge-roman": _Labeling("edge Roman", lambda _m, _k: ROMAN_LABELS, cover_reader,
+    "edge-roman": _Labeling(lambda _m, _k: ROMAN_LABELS, cover_reader,
                             lambda n, m, k: _edge_roman_accept(n, m, k)),
 }
 

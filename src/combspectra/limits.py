@@ -1,9 +1,9 @@
 """Resource guards for the combinatorial enumerations.
 
-Family products grow like ``|H| * |G| * n!`` and coloring enumerations like
-``k^|E|``; every entry point that can blow up checks its estimated work
-against these caps *before* starting and raises :class:`SizeGuardError`
-rather than truncating.
+Every entry point that can blow up checks its work against these caps
+*before* starting and raises :class:`SizeGuardError` rather than truncating.
+A step guard counts the most iterations that the loop after it can take and
+is named by that loop; a pass over members the caller holds needs none.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ from combspectra.graphs import (
     star_graph,
 )
 from combspectra.limits import Limits
-from combspectra.oracles import _closed_masks, _dominates
+from combspectra.oracles import _closed_masks, _dominates, domination_number
 from combspectra.ring import GaussInt, const, x_pow
 from combspectra.verify import _full_scan
 
@@ -377,12 +377,19 @@ def test_dominating_k_matches_the_ring_scan_over_all_bijections(n):
 def test_dominating_k_honours_limits():
     with pytest.raises(TimeLimitError):
         dominating_k(P4, 1, Limits(deadline=0.0))
-    # the step guard counts all n! bijections, not the C(n, k) scanned
-    assert dominating_k(P4, 1, Limits(max_steps=24)).holds is False
+    # the step guard counts the C(4, 1) tails scanned
+    assert dominating_k(P4, 1, Limits(max_steps=4)).holds is False
     with pytest.raises(SizeGuardError) as err:
-        dominating_k(P4, 1, Limits(max_steps=23))
+        dominating_k(P4, 1, Limits(max_steps=3))
     assert str(err.value) == (
-        "step guard exceeded: domination search needs 24 steps > max_steps=23"
+        "step guard exceeded: 1-subsets of 4 vertices needs 4 steps > max_steps=3"
+    )
+    # the tail table is kept, so the family guard counts its entries too
+    assert dominating_k(P4, 2, Limits(max_family=6)).holds is True
+    with pytest.raises(SizeGuardError) as err:
+        dominating_k(P4, 2, Limits(max_family=5))
+    assert str(err.value) == (
+        "family-size guard exceeded: 2-subsets of 4 vertices needs 6 members > max_family=5"
     )
     with pytest.raises(SizeGuardError):
         dominating_k(P4, 1, Limits(max_n=3))
@@ -398,15 +405,55 @@ def test_dominating_witnesses_are_the_witnesses_of_dominating_k(n):
 def test_dominating_witnesses_honour_limits():
     with pytest.raises(TimeLimitError):
         dominating_witnesses(P4, Limits(deadline=0.0))
-    # the step guard counts all n! bijections, once per graph
-    assert dominating_witnesses(P4, Limits(max_steps=24)) == [None, (1, 3, 2, 4), (1, 2, 3, 4)]
+    # the step guard counts the tails of every k, 2^4 - 2, once per graph
+    assert dominating_witnesses(P4, Limits(max_steps=14)) == [None, (1, 3, 2, 4), (1, 2, 3, 4)]
     with pytest.raises(SizeGuardError) as err:
-        dominating_witnesses(P4, Limits(max_steps=23))
+        dominating_witnesses(P4, Limits(max_steps=13))
     assert str(err.value) == (
-        "step guard exceeded: domination search needs 24 steps > max_steps=23"
+        "step guard exceeded: 1..3-subsets of 4 vertices needs 14 steps > max_steps=13"
     )
     with pytest.raises(SizeGuardError):
         dominating_witnesses(P4, Limits(max_n=3))
+
+
+@pytest.mark.parametrize(
+    "call, steps",
+    [
+        (lambda limits: dominating_k(P4, 1, limits), 4),  # C(4, 1) tails
+        (lambda limits: dominating_witnesses(P4, limits), 14),  # 2^4 - 2 tails
+        (lambda limits: strength_at_most(P3, 2, limits), 4),  # 2^2 colorings
+    ],
+    ids=["dominating_k(P4,1)", "dominating_witnesses(P4)", "strength_at_most(P3,2)"],
+)
+def test_a_step_guard_counts_the_loop_that_runs(call, steps, monkeypatch):
+    import combspectra.characterize as ch
+
+    call(Limits(max_steps=steps))
+
+    def refuse(*_args):
+        raise AssertionError("the search started before its step guard")
+
+    # one cap below the count, the guard raises before any table or coloring
+    for loop in ("_tail_masks", "iter_colorings", "star_sum"):
+        monkeypatch.setattr(ch, loop, refuse)
+    with pytest.raises(SizeGuardError, match=f"needs {steps} steps > max_steps={steps - 1}$"):
+        call(Limits(max_steps=steps - 1))
+
+
+def test_a_given_weighting_needs_no_step_guard():
+    # one star sum per member the caller holds is bounded by its input
+    assert irregular_weighted(embed(P3, (1, 2)), Limits(max_steps=1)).holds
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_domination_numbers_of_paths_and_cycles(n):
+    # γ(P_n) = γ(C_n) = ⌈n/3⌉ (Haynes, Hedetniemi & Slater, "Fundamentals of
+    # Domination in Graphs", 1998), past the corpus orders
+    limits = Limits(max_n=n)
+    for g in (path_graph(n), cycle_graph(n)):
+        witnesses = dominating_witnesses(g, limits)
+        least = 1 + next(k for k, f in enumerate(witnesses) if f is not None)
+        assert least == domination_number(g, limits).value == math.ceil(n / 3)
 
 
 def test_dominating_witnesses_need_two_vertices():
